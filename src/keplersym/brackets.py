@@ -26,17 +26,12 @@ from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
-    conserved_set,
+    _plane_constants,
     fd_grad_r,
     fd_grad_v,
 )
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateStateError,
-    RadialStateError,
-    UsageError,
-)
-from .generators import GeneratorId, GeneratorKind
+from .errors import DegenerateStateError, UsageError
+from .generators import FAMILY_LABEL, GeneratorId
 
 # Below this |E|, the fixed-step central differences behind the FD cross-check
 # cannot resolve the M = A/sqrt(2|E|) rows to the 1e-5 tolerance (truncation
@@ -119,17 +114,6 @@ def _table_labels(include_m: bool) -> list[str]:
     return labels
 
 
-def _require_table_state(state: PhaseState, sys: KeplerSystem) -> ConservedSet:
-    c = conserved_set(state, sys)
-    from .core import is_circular, is_radial
-
-    if is_radial(c.L_mag, state.r_mag, state.v_mag):
-        raise RadialStateError("bracket table undefined for radial states (L = 0)")
-    if is_circular(c.A_mag, sys.kappa):
-        raise DegenerateDirectionError("bracket table undefined for circular states (A = 0)")
-    return c
-
-
 def structure_table(state: PhaseState, sys: KeplerSystem, fd_check: bool = False) -> BracketReport:
     """Every pairwise bracket among the library constants, with residuals.
 
@@ -137,7 +121,7 @@ def structure_table(state: PhaseState, sys: KeplerSystem, fd_check: bool = False
     adds a finite-difference recomputation of each bracket as an independent
     column.
     """
-    c = _require_table_state(state, sys)
+    c = _plane_constants(state, sys, "bracket table")
     include_m = c.M is not None
     r = state.r[None, :]
     v = state.v[None, :]
@@ -190,13 +174,6 @@ def structure_residuals(
     return worst
 
 
-_GEN_LABEL = {
-    GeneratorKind.ENERGY: "E",
-    GeneratorKind.ANGULAR_MOMENTUM: "L",
-    GeneratorKind.LRL: "A",
-    GeneratorKind.LRL_DIRECTION: "Theta",
-}
-
 ACTION_TARGETS = ("E", "L", "A", "Theta")
 
 
@@ -211,8 +188,8 @@ def symmetry_action(
     """
     if target not in ACTION_TARGETS:
         raise UsageError(f"target must be one of {ACTION_TARGETS}, got {target!r}")
-    c = _require_table_state(state, sys)
-    gen_label = _GEN_LABEL[gen.kind]
+    _plane_constants(state, sys, "symmetry action")
+    gen_label = FAMILY_LABEL[gen.kind]
     if gen_label != "E":
         gen_label = f"{gen_label}{gen.axis}"
     vals = fields.values(state.r[None, :], state.v[None, :], sys.kappa)

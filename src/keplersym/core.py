@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularOriginError, UsageError
+from .errors import DegenerateDirectionError, RadialStateError, SingularOriginError, UsageError
 
 Vec3 = np.ndarray
 
@@ -32,7 +32,7 @@ CIRCULAR_TOL = 1e-10
 RADIAL_TOL = 1e-10
 ENERGY_BRANCH_TOL = 1e-12
 
-# Central finite differences use h = FD_SCALE * max(1, |component|).
+# Central finite differences (central_differences) step by FD_SCALE * max(1, |component|).
 FD_SCALE = 1e-6
 
 
@@ -57,7 +57,10 @@ def norm(x: Vec3) -> float:
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
-    return np.cross(a, b)
+    """a x b of two 3-vectors, the arithmetic of np.cross without its per-call overhead."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 @dataclass(frozen=True)
@@ -226,32 +229,18 @@ def conserved_set(state: PhaseState, sys: KeplerSystem) -> ConservedSet:
     a_vec = lrl_vector(state, sys)
     a_mag = norm(a_vec)
     l_mag = norm(l_vec)
-
-    theta = None if is_circular(a_mag, kappa) else a_vec / a_mag
     parabolic = abs(e) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
-    m_vec = None if parabolic else a_vec / math.sqrt(2.0 * abs(e))
+    return _assemble(e, l_vec, a_vec, a_mag, l_mag, kappa, parabolic, rv_scale=r_mag * state.v_mag)
 
-    cls = _classify(e, l_mag, a_mag, kappa, rv_scale=r_mag * state.v_mag, parabolic=parabolic)
-    if e < 0 and not parabolic:
-        period = 2.0 * math.pi * kappa * (-2.0 * e) ** -1.5
-        semi_major = kappa / (-2.0 * e)
-    else:
-        period = None
-        semi_major = None
 
-    return ConservedSet(
-        E=e,
-        L=l_vec,
-        A=a_vec,
-        A_mag=a_mag,
-        Theta=theta,
-        M=m_vec,
-        eccentricity=a_mag / kappa,
-        orbit_class=cls,
-        period=period,
-        semi_major=semi_major,
-        kappa=kappa,
-    )
+def _plane_constants(state: PhaseState, sys: KeplerSystem, what: str) -> ConservedSet:
+    """The conserved set of a state whose orbital plane and LRL direction exist."""
+    c = conserved_set(state, sys)
+    if c.Theta is None:
+        raise DegenerateDirectionError(f"{what} undefined for circular orbits")
+    if is_radial(c.L_mag, state.r_mag, state.v_mag):
+        raise RadialStateError(f"{what} undefined for radial states")
+    return c
 
 
 def set_from_constants(
@@ -266,10 +255,24 @@ def set_from_constants(
     l_vec = as_vec3(l_vec, "L")
     a_mag = norm(a_vec)
     l_mag = norm(l_vec)
+    scale = max(l_mag, a_mag / kappa, 1e-300)
+    return _assemble(e, l_vec, a_vec, a_mag, l_mag, kappa, parabolic, rv_scale=scale)
+
+
+def _assemble(
+    e: float,
+    l_vec: Vec3,
+    a_vec: Vec3,
+    a_mag: float,
+    l_mag: float,
+    kappa: float,
+    parabolic: bool,
+    rv_scale: float,
+) -> ConservedSet:
+    """The derived data of a ConservedSet: Theta, M, class, period, semi-major axis."""
     theta = None if is_circular(a_mag, kappa) else a_vec / a_mag
     m_vec = None if parabolic else a_vec / math.sqrt(2.0 * abs(e))
-    scale = max(l_mag, a_mag / kappa, 1e-300)
-    cls = _classify(e, l_mag, a_mag, kappa, rv_scale=scale, parabolic=parabolic)
+    cls = _classify(e, l_mag, a_mag, kappa, rv_scale=rv_scale, parabolic=parabolic)
     if e < 0 and not parabolic:
         period = 2.0 * math.pi * kappa * (-2.0 * e) ** -1.5
         semi_major = kappa / (-2.0 * e)
@@ -319,34 +322,34 @@ def classify_orbit(c: ConservedSet) -> OrbitClass:
     return _classify(c.E, norm(c.L), c.A_mag, c.kappa, rv_scale=scale, parabolic=parabolic)
 
 
-def fd_step(x: float) -> float:
-    return FD_SCALE * max(1.0, abs(x))
+def central_differences(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central-difference derivatives of f along the three components of x.
+
+    x has shape (..., 3) and the step along component i is
+    h_i = FD_SCALE * max(1, |x_i|).  f is called once, on the stack of shape
+    (6, ..., 3) holding x + h_i e_i for i = 0, 1, 2 and then x - h_i e_i, and
+    returns values with leading shape (6, ...).  Entry i of the result, of
+    leading shape (3, ...), is df/dx_i.
+    """
+    x = np.asarray(x, dtype=float)
+    h = FD_SCALE * np.maximum(1.0, np.abs(x))
+    steps = np.eye(3).reshape((3,) + (1,) * (x.ndim - 1) + (3,)) * h
+    vals = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=float)
+    h_i = np.moveaxis(h, -1, 0)
+    diff = vals[:3]
+    diff -= vals[3:]
+    diff /= 2.0 * h_i.reshape(h_i.shape + (1,) * (vals.ndim - h_i.ndim))
+    return diff
 
 
 def fd_grad_r(field: Callable[[PhaseState], float], state: PhaseState) -> Vec3:
     """Central-difference gradient of a scalar field with respect to r."""
-    grad = np.zeros(3)
-    r = np.array(state.r)
-    for i in range(3):
-        h = fd_step(r[i])
-        rp, rm = r.copy(), r.copy()
-        rp[i] += h
-        rm[i] -= h
-        grad[i] = (field(PhaseState(rp, state.v)) - field(PhaseState(rm, state.v))) / (2 * h)
-    return grad
+    return central_differences(lambda rs: [field(PhaseState(r, state.v)) for r in rs], state.r)
 
 
 def fd_grad_v(field: Callable[[PhaseState], float], state: PhaseState) -> Vec3:
     """Central-difference gradient of a scalar field with respect to v."""
-    grad = np.zeros(3)
-    v = np.array(state.v)
-    for i in range(3):
-        h = fd_step(v[i])
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        grad[i] = (field(PhaseState(state.r, vp)) - field(PhaseState(state.r, vm))) / (2 * h)
-    return grad
+    return central_differences(lambda vs: [field(PhaseState(state.r, v)) for v in vs], state.v)
 
 
 def material_derivative(

@@ -1,7 +1,17 @@
-"""Vectorized conserved-quantity values and analytic phase-space gradients.
+"""Vectorized kernels: conserved quantities, gradients, characteristics, reconstruction.
 
 Everything here operates on batches: r and v are (N, 3) arrays and scalar
-results are (N,).  The ten scalar fields are labelled
+results are (N,).  This module is the only home of these formulas; the
+scalar APIs elsewhere are N=1 views of them:
+
+    values / scalar_values   conserved quantities (core.conserved_set stays scalar)
+    gradients, bracket       analytic phase-space gradients and Poisson brackets
+    fd_gradients             their finite-difference twin (step rule in core)
+    characteristics          P = dC/dv and DtP of each generator family
+                             (generators, flow.symmetry_flow_rhs, verify)
+    reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*) (transforms)
+
+The ten scalar fields are labelled
 
     E, L1..L3, A1..A3, Theta1..Theta3          (plus M1..M3 when E != 0)
 
@@ -14,7 +24,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FD_SCALE
+from .core import CIRCULAR_TOL, central_differences
+from .errors import DegenerateDirectionError, InadmissibleTransformError
+
+# Reconstruction square-root arguments in [-ADMISSIBILITY_TOL, 0] are clamped
+# to zero; |A*|^2 must stay at or above ADMISSIBILITY_TOL^2.
+ADMISSIBILITY_TOL = 1e-10
+
+# States per batch of fd_gradients, which holds the six perturbed value tables
+# of one batch at a time; batches this small stay in cache, and larger ones
+# ran slower.
+FD_BATCH = 2048
 
 SCALAR_LABELS = (
     "E",
@@ -171,28 +191,132 @@ def gradients(
 def fd_gradients(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Central-difference twin of `gradients`, h = 1e-6 max(1, |component|)."""
+    """Central-difference twin of `gradients`, built on `core.central_differences`."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     labels = list(SCALAR_LABELS) + (list(M_LABELS) if include_m else [])
     n = r.shape[0]
-    gr = {lab: np.zeros((n, 3)) for lab in labels}
-    gv = {lab: np.zeros((n, 3)) for lab in labels}
-    for which, base, grad in (("r", r, gr), ("v", v, gv)):
-        for i in range(3):
-            h = FD_SCALE * np.maximum(1.0, np.abs(base[:, i]))
-            plus, minus = base.copy(), base.copy()
-            plus[:, i] += h
-            minus[:, i] -= h
-            if which == "r":
-                f_plus = scalar_values(plus, v, kappa, include_m)
-                f_minus = scalar_values(minus, v, kappa, include_m)
-            else:
-                f_plus = scalar_values(r, plus, kappa, include_m)
-                f_minus = scalar_values(r, minus, kappa, include_m)
-            for lab in labels:
-                grad[lab][:, i] = (f_plus[lab] - f_minus[lab]) / (2.0 * h)
-    return {lab: (gr[lab], gv[lab]) for lab in labels}
+    grads = {lab: (np.empty((n, 3)), np.empty((n, 3))) for lab in labels}
+
+    def table(r_: np.ndarray, v_: np.ndarray) -> np.ndarray:
+        vals = scalar_values(r_.reshape(-1, 3), v_.reshape(-1, 3), kappa, include_m)
+        return np.stack([vals[lab] for lab in labels], axis=-1).reshape(r_.shape[:-1] + (-1,))
+
+    for lo in range(0, n, FD_BATCH):
+        rb, vb = r[lo : lo + FD_BATCH], v[lo : lo + FD_BATCH]
+        d_r = central_differences(lambda rs: table(rs, np.broadcast_to(vb, rs.shape)), rb)
+        d_v = central_differences(lambda vs: table(np.broadcast_to(rb, vs.shape), vs), vb)
+        for j, lab in enumerate(labels):
+            grads[lab][0][lo : lo + FD_BATCH] = d_r[:, :, j].T
+            grads[lab][1][lo : lo + FD_BATCH] = d_v[:, :, j].T
+    return grads
+
+
+def characteristics(
+    family: str, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched characteristic P = dC/dv of a generator family and its DtP.
+
+    family is "E", "L", "A" or "Theta".  eps (N, 3) contracts the axis of the
+    vector families: e_j for the component C_j, any vector for a contracted
+    flow; the energy family ignores it.  With a = -kappa r/|r|^3,
+
+        E      P = v                               DtP = a
+        L      P = eps x r                         DtP = eps x v
+        A      P = 2 (r.eps) v - (v.eps) r - (r.v) eps
+               DtP = (v.eps) v - kappa (r.eps) r/|r|^3 - (|v|^2 - kappa/|r|) eps
+        Theta  P = P[A]/|A| + (A.eps) (2E (r x L) - |L|^2 v)/|A|^3
+               DtP = DtP[A]/|A| + (A.eps) (2E (v x L) - |L|^2 a)/|A|^3
+
+    The |L|^2 v piece of P[Theta] is a multiple of the on-shell flow direction
+    (it drops out of every action on constants of motion) but is required for
+    P to be the actual velocity gradient of Theta.  Raises
+    DegenerateDirectionError for Theta at a circular state.
+    """
+    r_sq = _dot(r, r)
+    k_r = kappa / np.sqrt(r_sq)
+    k_r3 = k_r / r_sq
+    if family == "E":
+        return v.copy(), -k_r3[:, None] * r
+    if family == "L":
+        return np.cross(eps, r), np.cross(eps, v)
+    v_sq = _dot(v, v)
+    r_dot_v = _dot(r, v)
+    r_eps = _dot(r, eps)
+    v_eps = _dot(v, eps)
+    beta = v_sq - k_r
+    p = 2.0 * r_eps[:, None] * v - v_eps[:, None] * r - r_dot_v[:, None] * eps
+    dtp = v_eps[:, None] * v - (k_r3 * r_eps)[:, None] * r - beta[:, None] * eps
+    if family == "A":
+        return p, dtp
+    rdv_v = r_dot_v[:, None] * v
+    a_vec = beta[:, None] * r - rdv_v
+    a_mag = np.sqrt(_dot(a_vec, a_vec))
+    if np.any(a_mag <= CIRCULAR_TOL * kappa):
+        raise DegenerateDirectionError(
+            "LRL direction undefined: |A| is at the circular-orbit threshold"
+        )
+    two_e = (v_sq - 2.0 * k_r)[:, None]
+    l_sq = r_sq * v_sq - r_dot_v**2
+    # r x L = (r.v) r - |r|^2 v and v x L = |v|^2 r - (r.v) v
+    r_cross_l = r_dot_v[:, None] * r - r_sq[:, None] * v
+    v_cross_l = v_sq[:, None] * r - rdv_v
+    coef = (_dot(a_vec, eps) / a_mag**3)[:, None]
+    p = p / a_mag[:, None] + coef * (two_e * r_cross_l - l_sq[:, None] * v)
+    dtp = dtp / a_mag[:, None] + coef * (two_e * v_cross_l + (l_sq * k_r3)[:, None] * r)
+    return p, dtp
+
+
+def reconstruction_terms(
+    e, kappa: float, r_mag, l_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt of the clamped root argument, |A*|) of the reconstruction at |L*|^2 = l_sq.
+
+    The root argument 2(E + kappa/|r|) - |L*|^2/|r|^2 must be at least
+    -ADMISSIBILITY_TOL, and |A*|^2 = kappa^2 + 2E|L*|^2 at least
+    ADMISSIBILITY_TOL^2; otherwise InadmissibleTransformError, carrying the
+    worst root argument (or |A*|^2).
+    """
+    arg = 2.0 * (e + kappa / r_mag) - l_sq / r_mag**2
+    worst = float(np.min(arg))
+    if worst < -ADMISSIBILITY_TOL:
+        raise InadmissibleTransformError(
+            f"transformed orbit cannot reach radius {float(np.max(r_mag)):.6g}: "
+            f"square-root argument {worst:.6e} < 0",
+            root_argument=worst,
+        )
+    a_sq = kappa**2 + 2.0 * e * l_sq
+    if np.any(a_sq < ADMISSIBILITY_TOL**2):
+        raise InadmissibleTransformError(
+            "transformed orbit is circular to working precision; the in-plane frame degenerates",
+            root_argument=float(np.min(a_sq)),
+        )
+    return np.sqrt(np.maximum(arg, 0.0)), np.sqrt(a_sq)
+
+
+def reconstruct(
+    r_mag, sigma, e, kappa: float, l_star: np.ndarray, theta_star: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched (r, v) at radius |r| on the orbit with constants (E, L*, Theta*).
+
+    l_star and theta_star are (N, 3); r_mag, sigma (the sign of r.v) and e are
+    scalars or (N,).  The in-plane expansion
+
+        r = (alpha_r Theta* + beta_r L* x Theta*) / |A*|,  alpha_r = |L*|^2 - kappa |r|
+        v = (alpha_v Theta* + beta_v L* x Theta*) / |A*|,  beta_v  = 2E + kappa/|r|
+
+    with beta_r = sigma |r| root and alpha_v = -sigma kappa root, root the
+    square root checked by `reconstruction_terms`, keeps |r| and E exact.
+    """
+    l_sq = _dot(l_star, l_star)
+    root, a_mag = reconstruction_terms(e, kappa, r_mag, l_sq)
+    lxt = np.cross(l_star, theta_star)
+    alpha_r = (l_sq - kappa * r_mag)[:, None]
+    beta_r = np.asarray(sigma * r_mag * root)[..., None]
+    alpha_v = np.asarray(-sigma * kappa * root)[..., None]
+    beta_v = np.asarray(2.0 * e + kappa / r_mag)[..., None]
+    a_mag = a_mag[:, None]
+    return (alpha_r * theta_star + beta_r * lxt) / a_mag, (alpha_v * theta_star + beta_v * lxt) / a_mag
 
 
 def _raw_bracket(

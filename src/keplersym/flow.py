@@ -26,7 +26,6 @@ import numpy as np
 
 from . import fields
 from .core import (
-    CIRCULAR_TOL,
     ExtendedState,
     KeplerSystem,
     PhaseState,
@@ -37,11 +36,12 @@ from .core import (
 )
 from .errors import (
     CollisionError,
+    DegenerateDirectionError,
     FlowDegeneracyError,
     StepUnderflowError,
     UsageError,
 )
-from .generators import GeneratorId, GeneratorKind
+from .generators import FAMILY_LABEL, GeneratorId, GeneratorKind
 from .transforms import TransformResult, direction_lrl_transform, lrl_transform
 
 COLLISION_FLOOR = 1e-8
@@ -138,9 +138,14 @@ def integrate_orbit(
     """Propagate the orbit over t_span (may be negative).
 
     Samples land on the dt_out grid when given, otherwise at every accepted
-    step.  Raises CollisionError if the radius reaches the collision floor and
-    StepUnderflowError if adaptive control stalls.
+    step.  Raises UsageError for a non-finite t_span or dt_out, CollisionError
+    if the radius reaches the collision floor and StepUnderflowError if
+    adaptive control stalls.
     """
+    if not math.isfinite(t_span):
+        raise UsageError(f"t_span must be finite, got {t_span}")
+    if dt_out is not None and not math.isfinite(dt_out):
+        raise UsageError(f"dt_out must be finite, got {dt_out}")
     if t_span == 0.0:
         return _finish_trajectory([state], sys)
     if tol <= 0:
@@ -232,46 +237,23 @@ def symmetry_flow_rhs(
     kind: GeneratorKind, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched (dt/ds, dr/ds, dv/ds) of the gauge-fixed symmetry flow."""
-    r_mag = np.linalg.norm(r, axis=1)
-    v_mag = np.linalg.norm(v, axis=1)
+    r_sq = np.einsum("ni,ni->n", r, r)
     r_dot_v = np.einsum("ni,ni->n", r, v)
-    if np.any(np.abs(r_dot_v) <= FLOW_APSIS_FLOOR * (r_mag * v_mag + 1e-300)):
+    # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
+    if np.any(r_dot_v**2 <= FLOW_APSIS_FLOOR**2 * (r_sq * np.einsum("ni,ni->n", v, v))):
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
-    v_sq = np.einsum("ni,ni->n", v, v)
-    r_eps = np.einsum("ni,ni->n", r, eps)
-    v_eps = np.einsum("ni,ni->n", v, eps)
-
-    p = 2.0 * r_eps[:, None] * v - v_eps[:, None] * r - r_dot_v[:, None] * eps
-    dtp = (
-        v_eps[:, None] * v
-        - (kappa / r_mag**3 * r_eps)[:, None] * r
-        - (v_sq - kappa / r_mag)[:, None] * eps
-    )
-    if kind is GeneratorKind.LRL_DIRECTION:
-        a_vec = (v_sq - kappa / r_mag)[:, None] * r - r_dot_v[:, None] * v
-        a_mag = np.linalg.norm(a_vec, axis=1)
-        if np.any(a_mag <= CIRCULAR_TOL * kappa):
-            raise FlowDegeneracyError("flow reached a circular state; direction undefined")
-        e = 0.5 * v_sq - kappa / r_mag
-        a_eps = np.einsum("ni,ni->n", a_vec, eps)
-        l_vec = np.cross(r, v)
-        l_sq = np.einsum("ni,ni->n", l_vec, l_vec)
-        accel_dir = -(kappa / r_mag**3)[:, None] * r
-        coef = (a_eps / a_mag**3)[:, None]
-        p = p / a_mag[:, None] + coef * (
-            2.0 * e[:, None] * np.cross(r, l_vec) - l_sq[:, None] * v
-        )
-        dtp = dtp / a_mag[:, None] + coef * (
-            2.0 * e[:, None] * np.cross(v, l_vec) - l_sq[:, None] * accel_dir
-        )
-
-    tau = -np.einsum("ni,ni->n", r, p) / r_dot_v
-    accel = -(kappa / r_mag**3)[:, None] * r
-    dr = p + tau[:, None] * v
-    dv = dtp + tau[:, None] * accel
-    dt = -np.einsum("ni,ni->n", np.cross(r, np.cross(r, v)), eps)
+    try:
+        p, dtp = fields.characteristics(FAMILY_LABEL[kind], r, v, eps, kappa)
+    except DegenerateDirectionError as exc:
+        raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
+    # minus the completion tau = -(r.P)/(r.v)
+    minus_tau = np.einsum("ni,ni->n", r, p) / r_dot_v
+    dr = p - minus_tau[:, None] * v
+    dv = dtp + (minus_tau * kappa / (r_sq * np.sqrt(r_sq)))[:, None] * r
+    # -(r x L) . eps with r x L = (r.v) r - |r|^2 v
+    dt = np.einsum("ni,ni->n", r_sq[:, None] * v - r_dot_v[:, None] * r, eps)
     return dt, dr, dv
 
 

@@ -6,8 +6,9 @@ P = dC/dv.  The four families handled here:
     energy             P = v                      (time translation)
     angular momentum j P = e_j x r                (rotation about axis j)
     LRL vector j       P_i = 2 v_i r_j - r_i v_j - (r.v) delta_ij
-    LRL direction j    the LRL characteristic scaled by 1/|A| plus
-                       2 E |A|^-3 A_j (r x L)
+    LRL direction j    P[A_j]/|A| + A_j (2E (r x L) - |L|^2 v)/|A|^3
+
+(the formulas themselves live in `fields.characteristics`).
 
 Prolongation to phase space appends the on-shell derivative of P.  The
 coordinate-space version adds a time component; the gauge is fixed so that the
@@ -25,21 +26,21 @@ from typing import Callable
 
 import numpy as np
 
+from . import fields
 from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
+    _require_off_origin,
     acceleration,
     as_vec3,
+    central_differences,
     cross,
-    energy,
     fd_grad_v,
-    fd_step,
-    is_circular,
     lrl_vector,
     norm,
 )
-from .errors import ApsisError, DegenerateDirectionError, UsageError
+from .errors import ApsisError, UsageError
 
 # |r.v| below this (relative to |r||v|) counts as an apsis for gauge purposes.
 APSIS_FLOOR = 1e-12
@@ -100,91 +101,41 @@ class GeneratorValue:
         object.__setattr__(self, "delta_v", as_vec3(self.delta_v, "delta_v"))
 
 
-def _axis_vec(axis: int) -> Vec3:
-    e = np.zeros(3)
-    e[axis - 1] = 1.0
-    return e
+# The label of each family's conserved quantity in `fields`.
+FAMILY_LABEL = {
+    GeneratorKind.ENERGY: "E",
+    GeneratorKind.ANGULAR_MOMENTUM: "L",
+    GeneratorKind.LRL: "A",
+    GeneratorKind.LRL_DIRECTION: "Theta",
+}
 
 
-def _direction_scale(state: PhaseState, sys: KeplerSystem) -> tuple[Vec3, float, float]:
-    a_vec = lrl_vector(state, sys)
-    a_mag = norm(a_vec)
-    if is_circular(a_mag, sys.kappa):
-        raise DegenerateDirectionError(
-            "LRL direction undefined: |A| is at the circular-orbit threshold"
-        )
-    return a_vec, a_mag, energy(state, sys)
+def _characteristics(gen: GeneratorId, r: np.ndarray, v: np.ndarray, sys: KeplerSystem):
+    """(P, DtP) of the generator at the states (r, v), batched over rows of v."""
+    eps = np.zeros((len(v), 3))
+    if gen.axis is not None:
+        eps[:, gen.axis - 1] = 1.0
+    return fields.characteristics(FAMILY_LABEL[gen.kind], r, v, eps, sys.kappa)
 
 
-def _lrl_characteristic(state: PhaseState, axis: int) -> Vec3:
-    r, v = state.r, state.v
-    j = axis - 1
-    return 2.0 * v * r[j] - r * v[j] - _axis_vec(axis) * float(np.dot(r, v))
-
-
-def _lrl_dt_characteristic(state: PhaseState, sys: KeplerSystem, axis: int) -> Vec3:
-    r, v = state.r, state.v
-    j = axis - 1
-    r_mag = state.r_mag
-    v_sq = float(np.dot(v, v))
-    return (
-        v * v[j]
-        - sys.kappa / r_mag**3 * r * r[j]
-        - _axis_vec(axis) * (v_sq - sys.kappa / r_mag)
-    )
+def _at_state(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> tuple[Vec3, Vec3]:
+    _require_off_origin(state, sys)
+    p, dt_p = _characteristics(gen, state.r[None, :], state.v[None, :], sys)
+    return p[0], dt_p[0]
 
 
 def characteristic(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> Vec3:
     """Position characteristic P = dC/dv of the generator at the given state.
 
-    For the LRL direction the quotient rule gives
-
-        P[Theta_j] = P[A_j]/|A| + A_j (2E (r x L) - |L|^2 v) / |A|^3
-
-    whose |L|^2 v piece is a multiple of the on-shell flow direction (it drops
-    out of every action on constants of motion) but is required for P to be
-    the actual velocity gradient of Theta_j.
+    The formulas of each family are in `fields.characteristics`.  Raises
+    DegenerateDirectionError for the LRL direction at a circular state.
     """
-    if gen.kind is GeneratorKind.ENERGY:
-        return np.array(state.v)
-    if gen.kind is GeneratorKind.ANGULAR_MOMENTUM:
-        return cross(_axis_vec(gen.axis), state.r)
-    if gen.kind is GeneratorKind.LRL:
-        return _lrl_characteristic(state, gen.axis)
-    a_vec, a_mag, e = _direction_scale(state, sys)
-    l_vec = cross(state.r, state.v)
-    l_sq = float(np.dot(l_vec, l_vec))
-    r_cross_l = cross(state.r, l_vec)
-    return (
-        _lrl_characteristic(state, gen.axis) / a_mag
-        + a_vec[gen.axis - 1] / a_mag**3 * (2.0 * e * r_cross_l - l_sq * state.v)
-    )
-
-
-def _dt_characteristic(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> Vec3:
-    if gen.kind is GeneratorKind.ENERGY:
-        return acceleration(state, sys)
-    if gen.kind is GeneratorKind.ANGULAR_MOMENTUM:
-        return cross(_axis_vec(gen.axis), state.v)
-    if gen.kind is GeneratorKind.LRL:
-        return _lrl_dt_characteristic(state, sys, gen.axis)
-    a_vec, a_mag, e = _direction_scale(state, sys)
-    l_vec = cross(state.r, state.v)
-    l_sq = float(np.dot(l_vec, l_vec))
-    v_cross_l = cross(state.v, l_vec)
-    return (
-        _lrl_dt_characteristic(state, sys, gen.axis) / a_mag
-        + a_vec[gen.axis - 1]
-        / a_mag**3
-        * (2.0 * e * v_cross_l - l_sq * acceleration(state, sys))
-    )
+    return _at_state(gen, state, sys)[0]
 
 
 def prolonged_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> GeneratorValue:
     """Phase-space prolongation (P, DtP); the time component is zero."""
-    return GeneratorValue(
-        0.0, characteristic(gen, state, sys), _dt_characteristic(gen, state, sys)
-    )
+    return GeneratorValue(0.0, *_at_state(gen, state, sys))
 
 
 def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> GeneratorValue:
@@ -205,8 +156,7 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
     r_cross_l = cross(r, l_vec)
     delta_t = -r_cross_l[gen.axis - 1]
 
-    p = characteristic(gen, state, sys)
-    dt_p = _dt_characteristic(gen, state, sys)
+    p, dt_p = _at_state(gen, state, sys)
     r_dot_v = float(np.dot(r, v))
     num = float(np.dot(r, p))
 
@@ -245,17 +195,8 @@ def noether_characteristic(constant: Callable[[PhaseState], float], state: Phase
 
 def velocity_jacobian(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> np.ndarray:
     """Finite-difference matrix dP_i/dv_k of the characteristic."""
-    jac = np.zeros((3, 3))
-    v = np.array(state.v)
-    for k in range(3):
-        h = fd_step(v[k])
-        vp, vm = v.copy(), v.copy()
-        vp[k] += h
-        vm[k] -= h
-        p_plus = characteristic(gen, PhaseState(state.r, vp), sys)
-        p_minus = characteristic(gen, PhaseState(state.r, vm), sys)
-        jac[:, k] = (p_plus - p_minus) / (2.0 * h)
-    return jac
+    r = np.broadcast_to(state.r, (6, 3))
+    return central_differences(lambda vs: _characteristics(gen, r, vs, sys)[0], state.v).T
 
 
 def classify_generator(

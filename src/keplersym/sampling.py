@@ -17,14 +17,16 @@ import numpy as np
 
 from . import fields
 from .core import KeplerSystem, PhaseState
-from .errors import InadmissibleTransformError
+from .errors import InadmissibleTransformError, UsageError
 from .generators import GeneratorKind
-from .transforms import _ray_state_evaluator, conserved_set
+from .transforms import _ray_constants, conserved_set
 
 R_RANGE = (0.5, 2.0)
 V_RANGE = (0.3, 2.0)
 MIN_L = 0.1
 MIN_A_FACTOR = 0.05
+# sample_flow_pairs gives up after this many batches of candidate states
+MAX_PAIR_BATCHES = 100
 
 
 def canonical_states() -> dict[str, PhaseState]:
@@ -79,10 +81,6 @@ def sample_parabolic_states(
     return np.concatenate(r_out)[:n], np.concatenate(v_out)[:n]
 
 
-def as_states(r: np.ndarray, v: np.ndarray) -> list[PhaseState]:
-    return [PhaseState(ri, vi) for ri, vi in zip(r, v)]
-
-
 def _ray_admissible(
     state: PhaseState,
     eps: np.ndarray,
@@ -94,21 +92,15 @@ def _ray_admissible(
     c0 = conserved_set(state, sys)
     if c0.Theta is None:
         return False
+    try:
+        l_s, _ = _ray_constants(c0, eps, kind, np.linspace(0.0, 1.0, nodes))
+    except InadmissibleTransformError:
+        return False
     r_mag = state.r_mag
-    ray = _ray_state_evaluator(c0, eps, kind)
-    for s in np.linspace(0.0, 1.0, nodes):
-        try:
-            l_s, _ = ray(float(s))
-        except InadmissibleTransformError:
-            return False
-        l_sq = float(l_s @ l_s)
-        arg = 2.0 * (c0.E + sys.kappa / r_mag) - l_sq / r_mag**2
-        if arg < margin:
-            return False
-        a_sq = sys.kappa**2 + 2.0 * c0.E * l_sq
-        if a_sq < (0.02 * sys.kappa) ** 2 or l_sq < 0.05**2:
-            return False
-    return True
+    l_sq = np.einsum("ni,ni->n", l_s, l_s)
+    arg = 2.0 * (c0.E + sys.kappa / r_mag) - l_sq / r_mag**2
+    a_sq = sys.kappa**2 + 2.0 * c0.E * l_sq
+    return bool(np.all((arg >= margin) & (a_sq >= (0.02 * sys.kappa) ** 2) & (l_sq >= 0.05**2)))
 
 
 def sample_flow_pairs(
@@ -124,15 +116,23 @@ def sample_flow_pairs(
     """n (state, eps) pairs whose whole parameter ray is strictly admissible.
 
     branch selects the energy sign: "neg", "pos", "zero" (exact parabolic
-    states), or "any".
+    states), or "any".  Raises UsageError when MAX_PAIR_BATCHES batches of
+    candidate states hold fewer than n pairs.
     """
     if branch not in ("any", "neg", "pos", "zero"):
-        raise ValueError(f"unknown branch {branch!r}")
+        raise UsageError(f"unknown branch {branch!r}")
     sys = KeplerSystem(kappa=kappa)
     rng = np.random.default_rng(seed + 99991)
     pairs: list[tuple[PhaseState, np.ndarray]] = []
     batch_seed = seed
+    batches = 0
     while len(pairs) < n:
+        if batches == MAX_PAIR_BATCHES:
+            raise UsageError(
+                f"found {len(pairs)} of {n} admissible flow pairs on branch {branch!r} at "
+                f"kappa = {kappa} in {MAX_PAIR_BATCHES} batches of candidate states"
+            )
+        batches += 1
         if branch == "zero":
             r, v = sample_parabolic_states(4 * n, batch_seed, kappa)
         else:

@@ -9,7 +9,7 @@ Four families act on extended states (t, r, v):
     or L shifted by eps x A (E = 0).
 
 The position and velocity after a dynamical transform are rebuilt from the
-invariants through the in-plane basis expansion
+invariants (`fields.reconstruct`) through the in-plane basis expansion
 
     r = (alpha_r Theta + beta_r L x Theta) / |A|,   alpha_r = |L|^2 - kappa |r|
     v = (alpha_v Theta + beta_v L x Theta) / |A|,   beta_r  = r . v
@@ -34,28 +34,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fields
 from .core import (
     ConservedSet,
     ExtendedState,
     KeplerSystem,
     PhaseState,
     Vec3,
+    _plane_constants,
     as_vec3,
     conserved_set,
     cross,
-    is_radial,
     norm,
     set_from_constants,
 )
 from .errors import (
     DegenerateDirectionError,
     InadmissibleTransformError,
-    RadialStateError,
     UsageError,
 )
 from .generators import GeneratorKind
 
-ADMISSIBILITY_TOL = 1e-10
+ADMISSIBILITY_TOL = fields.ADMISSIBILITY_TOL
 QUADRATURE_TOL = 1e-10
 DIAGNOSTIC_TOL = 1e-9
 
@@ -131,11 +131,7 @@ class BasisExpansion:
 
 def basis_expand(state: PhaseState, sys: KeplerSystem) -> BasisExpansion:
     """Expand a non-degenerate state in the (Theta, L x Theta) frame."""
-    c = conserved_set(state, sys)
-    if is_radial(c.L_mag, state.r_mag, state.v_mag):
-        raise RadialStateError("basis expansion undefined for radial states")
-    if c.Theta is None:
-        raise DegenerateDirectionError("basis expansion undefined for circular states")
+    c = _plane_constants(state, sys, "basis expansion")
     r_mag = state.r_mag
     r_dot_v = float(np.dot(state.r, state.v))
     l_sq = float(np.dot(c.L, c.L))
@@ -153,10 +149,9 @@ def basis_expand(state: PhaseState, sys: KeplerSystem) -> BasisExpansion:
 
 def admissibility(c: ConservedSet, r_mag: float, l_star_sq: float, sys: KeplerSystem) -> bool:
     """Can the orbit with (E, |L*|) reach radius r_mag with a real velocity?"""
-    arg = 2.0 * (c.E + sys.kappa / r_mag) - l_star_sq / r_mag**2
-    if arg < -ADMISSIBILITY_TOL:
-        return False
-    if c.E < 0 and sys.kappa**2 + 2.0 * c.E * l_star_sq < ADMISSIBILITY_TOL**2:
+    try:
+        fields.reconstruction_terms(c.E, sys.kappa, r_mag, np.asarray(l_star_sq))
+    except InadmissibleTransformError:
         return False
     return True
 
@@ -174,47 +169,16 @@ def _reconstruct(
     l_star: Vec3,
     theta_star: Vec3,
 ) -> tuple[Vec3, Vec3]:
-    l_sq = float(np.dot(l_star, l_star))
-    a_star_sq = kappa**2 + 2.0 * e * l_sq
-    if a_star_sq < ADMISSIBILITY_TOL**2:
-        raise InadmissibleTransformError(
-            "transformed orbit is circular to working precision; the in-plane frame degenerates",
-            root_argument=a_star_sq,
-        )
-    arg = 2.0 * (e + kappa / r_mag) - l_sq / r_mag**2
-    if arg < -ADMISSIBILITY_TOL:
-        raise InadmissibleTransformError(
-            f"transformed orbit cannot reach radius {r_mag:.6g}: "
-            f"square-root argument {arg:.6e} < 0",
-            root_argument=arg,
-        )
-    root = math.sqrt(max(arg, 0.0))
-    alpha_r = l_sq - kappa * r_mag
-    beta_r = sigma * r_mag * root
-    alpha_v = -sigma * kappa * root
-    beta_v = 2.0 * e + kappa / r_mag
-    lxt = cross(l_star, theta_star)
-    a_star = math.sqrt(a_star_sq)
-    r_new = (alpha_r * theta_star + beta_r * lxt) / a_star
-    v_new = (alpha_v * theta_star + beta_v * lxt) / a_star
-    return r_new, v_new
+    r_new, v_new = fields.reconstruct(r_mag, sigma, e, kappa, l_star[None, :], theta_star[None, :])
+    return r_new[0], v_new[0]
 
 
 def transform_constants_direction(c: ConservedSet, eps: Vec3) -> ConservedSet:
     """Constants map of the LRL-direction group: L -> L + eps x Theta."""
     if c.Theta is None:
         raise DegenerateDirectionError("direction transform undefined for circular orbits")
-    eps = as_vec3(eps, "eps")
-    l_star = c.L + cross(eps, c.Theta)
-    l_sq = float(np.dot(l_star, l_star))
-    a_star_sq = c.kappa**2 + 2.0 * c.E * l_sq
-    if a_star_sq < ADMISSIBILITY_TOL**2:
-        raise InadmissibleTransformError(
-            "kappa^2 + 2 E |L*|^2 < 0: transformed eccentricity is not real",
-            root_argument=a_star_sq,
-        )
-    a_star = math.sqrt(a_star_sq) * c.Theta
-    return set_from_constants(c.E, l_star, a_star, c.kappa, parabolic=c.M is None)
+    l_star, a_star = _ray_constants(c, as_vec3(eps, "eps"), GeneratorKind.LRL_DIRECTION, 1.0)
+    return set_from_constants(c.E, l_star[0], a_star[0], c.kappa, parabolic=c.M is None)
 
 
 def transform_constants_lrl(c: ConservedSet, eps: Vec3, sys: KeplerSystem) -> ConservedSet:
@@ -228,59 +192,26 @@ def transform_constants_lrl(c: ConservedSet, eps: Vec3, sys: KeplerSystem) -> Co
     if c.Theta is None:
         raise DegenerateDirectionError("LRL transform undefined for circular orbits")
     eps = as_vec3(eps, "eps")
-    mag = norm(eps)
-    if mag == 0.0:
+    if norm(eps) == 0.0:
         return c
-    parabolic = c.M is None
-    if parabolic:
-        l_star = c.L + cross(eps, c.A)
-        return set_from_constants(c.E, l_star, c.A, c.kappa, parabolic=True)
-
-    phi = math.sqrt(2.0 * abs(c.E)) * mag
-    n = eps / mag
-    if c.E < 0:
-        rot_plus = rotation_matrix(phi * n)
-        rot_minus = rotation_matrix(-phi * n)
-        u_plus = rot_plus @ (c.L + c.M)
-        u_minus = rot_minus @ (c.L - c.M)
-        l_star = 0.5 * (u_plus + u_minus)
-        m_star = 0.5 * (u_plus - u_minus)
-    else:
-        l_par = float(np.dot(c.L, n)) * n
-        m_par = float(np.dot(c.M, n)) * n
-        l_perp = c.L - l_par
-        m_perp = c.M - m_par
-        ch, sh = math.cosh(phi), math.sinh(phi)
-        l_star = l_par + ch * l_perp + sh * cross(n, c.M)
-        m_star = m_par + ch * m_perp - sh * cross(n, c.L)
-    a_star = math.sqrt(2.0 * abs(c.E)) * m_star
-    if float(np.dot(a_star, a_star)) < ADMISSIBILITY_TOL**2:
-        raise InadmissibleTransformError(
-            "transform drives |A*| to zero; the transformed direction degenerates",
-            root_argument=float(np.dot(a_star, a_star)),
-        )
-    return set_from_constants(c.E, l_star, a_star, sys.kappa, parabolic=False)
+    l_star, a_star = _ray_constants(c, eps, GeneratorKind.LRL, 1.0)
+    return set_from_constants(c.E, l_star[0], a_star[0], sys.kappa, parabolic=c.M is None)
 
 
-def _constants_along_ray(
-    c0: ConservedSet, eps: Vec3, s: float, kind: GeneratorKind, sys: KeplerSystem
-) -> ConservedSet:
-    if kind is GeneratorKind.LRL_DIRECTION:
-        return transform_constants_direction(c0, s * eps)
-    if kind is GeneratorKind.LRL:
-        return transform_constants_lrl(c0, s * eps, sys)
-    raise UsageError(f"no ray of constants for generator kind {kind}")
+def _ray_constants(c0: ConservedSet, eps: Vec3, kind: GeneratorKind, s):
+    """(L*(s), A*(s)) of the constants map at parameter s*eps, batched over s.
 
-
-def _ray_states(c0: ConservedSet, eps: Vec3, kind: GeneratorKind, s: np.ndarray):
-    """(L*(s), Theta*(s)) along the parameter ray, batched over s values."""
+    Raises InadmissibleTransformError where |A*| vanishes on the ray.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    n_pts = s.shape[0]
-    if kind is GeneratorKind.LRL_DIRECTION or c0.M is None:
-        base = c0.Theta if kind is GeneratorKind.LRL_DIRECTION else c0.A
-        shift = cross(eps, base)
-        l_star = c0.L[None, :] + s[:, None] * shift[None, :]
-        return l_star, np.broadcast_to(c0.Theta, (n_pts, 3))
+    if kind is GeneratorKind.LRL_DIRECTION:
+        l_star = c0.L + s[:, None] * cross(eps, c0.Theta)
+        a_sq = c0.kappa**2 + 2.0 * c0.E * np.einsum("ni,ni->n", l_star, l_star)
+        _require_a_star(a_sq)
+        return l_star, np.sqrt(a_sq)[:, None] * c0.Theta
+    if c0.M is None:
+        l_star = c0.L + s[:, None] * cross(eps, c0.A)
+        return l_star, np.broadcast_to(c0.A, l_star.shape)
     mag = norm(eps)
     n = eps / mag
     phi = math.sqrt(2.0 * abs(c0.E)) * mag
@@ -288,8 +219,8 @@ def _ray_states(c0: ConservedSet, eps: Vec3, kind: GeneratorKind, s: np.ndarray)
         u_plus = c0.L + c0.M
         u_minus = c0.L - c0.M
         cos, sin = np.cos(s * phi)[:, None], np.sin(s * phi)[:, None]
-        up = cos * u_plus + sin * np.cross(n, u_plus) + (1 - cos) * float(n @ u_plus) * n
-        um = cos * u_minus - sin * np.cross(n, u_minus) + (1 - cos) * float(n @ u_minus) * n
+        up = cos * u_plus + sin * cross(n, u_plus) + (1 - cos) * float(n @ u_plus) * n
+        um = cos * u_minus - sin * cross(n, u_minus) + (1 - cos) * float(n @ u_minus) * n
         l_star = 0.5 * (up + um)
         m_star = 0.5 * (up - um)
     else:
@@ -298,22 +229,17 @@ def _ray_states(c0: ConservedSet, eps: Vec3, kind: GeneratorKind, s: np.ndarray)
         ch, sh = np.cosh(s * phi)[:, None], np.sinh(s * phi)[:, None]
         l_star = l_par + ch * (c0.L - l_par) + sh * cross(n, c0.M)
         m_star = m_par + ch * (c0.M - m_par) - sh * cross(n, c0.L)
-    m_mag = np.linalg.norm(m_star, axis=1)
-    if np.any(m_mag * math.sqrt(2.0 * abs(c0.E)) < ADMISSIBILITY_TOL):
+    a_star = math.sqrt(2.0 * abs(c0.E)) * m_star
+    _require_a_star(np.einsum("ni,ni->n", a_star, a_star))
+    return l_star, a_star
+
+
+def _require_a_star(a_sq: np.ndarray) -> None:
+    if np.any(a_sq < ADMISSIBILITY_TOL**2):
         raise InadmissibleTransformError(
-            "|A*| vanishes along the parameter ray", root_argument=0.0
+            "|A*| vanishes along the parameter ray; the transformed direction degenerates",
+            root_argument=float(np.min(a_sq)),
         )
-    return l_star, m_star / m_mag[:, None]
-
-
-def _ray_state_evaluator(c0: ConservedSet, eps: Vec3, kind: GeneratorKind):
-    """s -> (L*(s), Theta*(s)) for a single parameter value."""
-
-    def at(s: float):
-        l_star, theta_star = _ray_states(c0, eps, kind, np.array([s]))
-        return l_star[0], theta_star[0]
-
-    return at
 
 
 def time_shift_quadrature(
@@ -335,37 +261,15 @@ def time_shift_quadrature(
     if quad_panels < 1:
         raise UsageError("quad_panels must be >= 1")
     phase = state.state
-    c0 = conserved_set(phase, sys)
-    if c0.Theta is None:
-        raise DegenerateDirectionError("time shift undefined for circular orbits")
-    if is_radial(c0.L_mag, phase.r_mag, phase.v_mag):
-        raise RadialStateError("time shift undefined for radial states")
+    c0 = _plane_constants(phase, sys, "time shift")
     sigma = _sgn_radial(phase)
     r_mag = phase.r_mag
-    kappa = sys.kappa
 
     def simpson(panels: int) -> float:
         s = np.linspace(0.0, 1.0, 2 * panels + 1)
-        l_star, theta_star = _ray_states(c0, eps, kind, s)
-        l_sq = np.einsum("ni,ni->n", l_star, l_star)
-        arg = 2.0 * (c0.E + kappa / r_mag) - l_sq / r_mag**2
-        worst = float(np.min(arg))
-        if worst < -ADMISSIBILITY_TOL:
-            raise InadmissibleTransformError(
-                f"inadmissible along the parameter ray: square-root argument {worst:.6e} < 0",
-                root_argument=worst,
-            )
-        a_star_sq = kappa**2 + 2.0 * c0.E * l_sq
-        if np.any(a_star_sq < ADMISSIBILITY_TOL**2):
-            raise InadmissibleTransformError(
-                "transformed orbit becomes circular along the ray",
-                root_argument=float(np.min(a_star_sq)),
-            )
-        root = np.sqrt(np.maximum(arg, 0.0))
-        alpha_r = l_sq - kappa * r_mag
-        beta_r = sigma * r_mag * root
-        lxt = np.cross(l_star, theta_star)
-        r_star = (alpha_r[:, None] * theta_star + beta_r[:, None] * lxt) / np.sqrt(a_star_sq)[:, None]
+        l_star, a_star = _ray_constants(c0, eps, kind, s)
+        theta_star = a_star / np.linalg.norm(a_star, axis=1)[:, None]
+        r_star, _ = fields.reconstruct(r_mag, sigma, c0.E, sys.kappa, l_star, theta_star)
         f = -np.einsum("ni,i->n", np.cross(r_star, l_star), eps)
         weights = np.ones(2 * panels + 1)
         weights[1:-1:2] = 4.0
@@ -409,38 +313,6 @@ class TransformResult:
         }
 
 
-def _finish(
-    state: ExtendedState,
-    sys: KeplerSystem,
-    c_in: ConservedSet,
-    c_out: ConservedSet,
-    r_new: Vec3,
-    v_new: Vec3,
-    delta_t: float,
-    warnings: tuple[str, ...],
-    diag_tol: float,
-) -> TransformResult:
-    out = ExtendedState(state.t + delta_t, PhaseState(r_new, v_new))
-    c_check = conserved_set(out.state, sys)
-    recon = max(
-        abs(c_check.E - c_out.E),
-        float(np.max(np.abs(c_check.L - c_out.L))),
-        float(np.max(np.abs(c_check.A - c_out.A))),
-    )
-    diagnostics = {
-        "r_invariance": abs(out.state.r_mag - state.state.r_mag),
-        "E_invariance": abs(c_check.E - c_in.E),
-        "reconstruction_residual": recon,
-    }
-    admissible = all(val <= diag_tol for val in diagnostics.values())
-    return TransformResult(out, c_out, delta_t, admissible, diagnostics, warnings)
-
-
-def _identity_result(state: ExtendedState, c: ConservedSet) -> TransformResult:
-    diagnostics = {"r_invariance": 0.0, "E_invariance": 0.0, "reconstruction_residual": 0.0}
-    return TransformResult(state, c, 0.0, True, diagnostics, ())
-
-
 def direction_lrl_transform(
     state: ExtendedState,
     sys: KeplerSystem,
@@ -449,21 +321,7 @@ def direction_lrl_transform(
     diag_tol: float = DIAGNOSTIC_TOL,
 ) -> TransformResult:
     """Finite LRL-direction transformation with parameter eps."""
-    eps = as_vec3(eps, "eps")
-    phase = state.state
-    c0 = conserved_set(phase, sys)
-    if c0.Theta is None:
-        raise DegenerateDirectionError("direction transform undefined for circular orbits")
-    if is_radial(c0.L_mag, phase.r_mag, phase.v_mag):
-        raise RadialStateError("direction transform undefined for radial states")
-    if norm(eps) == 0.0:
-        return _identity_result(state, c0)
-    c1 = transform_constants_direction(c0, eps)
-    r_new, v_new = _reconstruct(
-        phase.r_mag, _sgn_radial(phase), c0.E, sys.kappa, c1.L, c1.Theta
-    )
-    delta_t = time_shift_quadrature(state, sys, eps, GeneratorKind.LRL_DIRECTION, quad_panels)
-    return _finish(state, sys, c0, c1, r_new, v_new, delta_t, (), diag_tol)
+    return _dynamical_transform(GeneratorKind.LRL_DIRECTION, state, sys, eps, quad_panels, diag_tol)
 
 
 def lrl_transform(
@@ -474,23 +332,45 @@ def lrl_transform(
     diag_tol: float = DIAGNOSTIC_TOL,
 ) -> TransformResult:
     """Finite LRL transformation with parameter eps (all energy branches)."""
+    return _dynamical_transform(GeneratorKind.LRL, state, sys, eps, quad_panels, diag_tol)
+
+
+def _dynamical_transform(
+    kind: GeneratorKind,
+    state: ExtendedState,
+    sys: KeplerSystem,
+    eps: Vec3,
+    quad_panels: int,
+    diag_tol: float,
+) -> TransformResult:
+    name = "direction" if kind is GeneratorKind.LRL_DIRECTION else "LRL"
     eps = as_vec3(eps, "eps")
     phase = state.state
-    c0 = conserved_set(phase, sys)
-    if c0.Theta is None:
-        raise DegenerateDirectionError("LRL transform undefined for circular orbits")
-    if is_radial(c0.L_mag, phase.r_mag, phase.v_mag):
-        raise RadialStateError("LRL transform undefined for radial states")
+    c0 = _plane_constants(phase, sys, f"{name} transform")
     if norm(eps) == 0.0:
-        return _identity_result(state, c0)
+        diagnostics = {"r_invariance": 0.0, "E_invariance": 0.0, "reconstruction_residual": 0.0}
+        return TransformResult(state, c0, 0.0, True, diagnostics, ())
     warnings = ()
-    if c0.M is None and c0.E != 0.0:
-        warnings = (
-            "energy within the parabolic branch threshold: E = 0 closed form used",
-        )
-    c1 = transform_constants_lrl(c0, eps, sys)
-    r_new, v_new = _reconstruct(
-        phase.r_mag, _sgn_radial(phase), c0.E, sys.kappa, c1.L, c1.Theta
+    if kind is GeneratorKind.LRL:
+        if c0.M is None and c0.E != 0.0:
+            warnings = ("energy within the parabolic branch threshold: E = 0 closed form used",)
+        c1 = transform_constants_lrl(c0, eps, sys)
+    else:
+        c1 = transform_constants_direction(c0, eps)
+    r_new, v_new = _reconstruct(phase.r_mag, _sgn_radial(phase), c0.E, sys.kappa, c1.L, c1.Theta)
+    delta_t = time_shift_quadrature(state, sys, eps, kind, quad_panels)
+
+    out = ExtendedState(state.t + delta_t, PhaseState(r_new, v_new))
+    c_check = conserved_set(out.state, sys)
+    recon = max(
+        abs(c_check.E - c1.E),
+        float(np.max(np.abs(c_check.L - c1.L))),
+        float(np.max(np.abs(c_check.A - c1.A))),
     )
-    delta_t = time_shift_quadrature(state, sys, eps, GeneratorKind.LRL, quad_panels)
-    return _finish(state, sys, c0, c1, r_new, v_new, delta_t, warnings, diag_tol)
+    diagnostics = {
+        "r_invariance": abs(out.state.r_mag - phase.r_mag),
+        "E_invariance": abs(c_check.E - c0.E),
+        "reconstruction_residual": recon,
+    }
+    admissible = all(val <= diag_tol for val in diagnostics.values())
+    return TransformResult(out, c1, delta_t, admissible, diagnostics, warnings)

@@ -109,3 +109,13 @@ def test_quadratic_first_invariant_exact(ksys):
             continue
         first, _ = quadratic_invariants(c)
         assert first == c.E**2
+
+
+def test_symmetry_action_fd_meets_its_gate():
+    # seed 77 holds a state whose central-difference truncation exceeded the
+    # 1e-5 gate at the former step h = 1e-6
+    from keplersym.verify import run_suites
+
+    results = {r.name: r for r in run_suites("algebra", 100, 77)}
+    assert results["algebra.symmetry_action_fd"].passed, results["algebra.symmetry_action_fd"].line()
+    assert all(r.passed for r in results.values())

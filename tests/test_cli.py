@@ -170,3 +170,36 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     # explicit flag wins over the file
     code, out, _ = run_cli(capsys, "conserved", "--r", "3,4,0", "--v", "0,1,0", "--kappa", "1")
     assert json.loads(out)["kappa"] == 1.0
+
+
+def test_transform_time_nan_exit2(capsys):
+    code, _, err = run_cli(
+        capsys, "transform", "--kind", "time", "--eps", "nan", "--r", "1,0,0", "--v", "0,1.2,0"
+    )
+    assert code == 2
+    assert "finite" in err
+
+
+def test_orbit_nan_tmax_exit2(capsys):
+    code, out, _ = run_cli(capsys, "orbit", "--tmax", "nan", "--r", "1,0,0", "--v", "0,1.2,0")
+    assert code == 2
+    assert out == ""
+
+
+def test_orbit_inf_tmax_exit2(capsys):
+    code, _, _ = run_cli(
+        capsys, "orbit", "--tmax", "inf", "--dt-out", "1", "--r", "1,0,0", "--v", "0,1.2,0"
+    )
+    assert code == 2
+
+
+def test_verify_unreachable_branch_exit2(capsys):
+    # at kappa = 100 the sampled states hold no E > 0.05, so the pos-branch
+    # pair sampling gives up instead of looping forever; few RK4 steps keep
+    # the flow properties run before it cheap
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "transforms", "--kappa", "100", "--samples", "5",
+        "--rk-steps", "100",
+    )
+    assert code == 2
+    assert "'pos'" in err and "kappa = 100" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keplersym import KeplerSystem, conserved_set
+from keplersym import KeplerSystem, UsageError, conserved_set
 from keplersym import fields
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import (
@@ -49,3 +49,8 @@ def test_flow_pair_branches(branch, sign):
         assert 0.05 <= float(np.linalg.norm(eps)) <= 0.35
         # not at an apsis
         assert abs(float(state.r @ state.v)) > 1e-3
+
+
+def test_flow_pairs_unknown_branch_is_usage_error():
+    with pytest.raises(UsageError):
+        sample_flow_pairs(3, seed=1, kind=GeneratorKind.LRL, branch="bogus")
