@@ -7,8 +7,10 @@ scalar APIs elsewhere are N=1 views of them:
     values / scalar_values   conserved quantities (core.conserved_set stays scalar)
     gradients, bracket       analytic phase-space gradients and Poisson brackets
     fd_gradients             their finite-difference twin (step rule in core)
-    characteristics          P = dC/dv and DtP of each generator family
-                             (generators, flow.symmetry_flow_rhs, verify)
+    characteristics          P = dC/dv and DtP of each generator family, also
+                             mixed A/Theta batches (generators, flow, verify)
+    gauge_completion         the radius-preserving flow field from (P, DtP)
+                             (flow.symmetry_flow_rhs, generators.gauge_fixed_generator)
     reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*) (transforms)
 
 The ten scalar fields are labelled
@@ -213,13 +215,15 @@ def fd_gradients(
 
 
 def characteristics(
-    family: str, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
+    family, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched characteristic P = dC/dv of a generator family and its DtP.
 
-    family is "E", "L", "A" or "Theta".  eps (N, 3) contracts the axis of the
-    vector families: e_j for the component C_j, any vector for a contracted
-    flow; the energy family ignores it.  With a = -kappa r/|r|^3,
+    family is "E", "L", "A" or "Theta", or, for a batch that mixes the A and
+    Theta families, the (N,) bool mask of its Theta rows.  eps (N, 3)
+    contracts the axis of the vector families: e_j for the component C_j, any
+    vector for a contracted flow; the energy family ignores it.  With
+    a = -kappa r/|r|^3,
 
         E      P = v                               DtP = a
         L      P = eps x r                         DtP = eps x v
@@ -228,43 +232,63 @@ def characteristics(
         Theta  P = P[A]/|A| + (A.eps) (2E (r x L) - |L|^2 v)/|A|^3
                DtP = DtP[A]/|A| + (A.eps) (2E (v x L) - |L|^2 a)/|A|^3
 
-    The |L|^2 v piece of P[Theta] is a multiple of the on-shell flow direction
-    (it drops out of every action on constants of motion) but is required for
-    P to be the actual velocity gradient of Theta.  Raises
-    DegenerateDirectionError for Theta at a circular state.
+    Theta = A/|A|, so the Theta rows are computed as the A rows at the
+    projected axis eps~ = (eps - (Theta.eps) Theta)/|A|: P[Theta](eps) =
+    P[A](eps~), and DtP[Theta](eps) = DtP[A](eps~) because eps~ is built from
+    constants of motion.  The |L|^2 v piece of P[Theta] is a multiple of the
+    on-shell flow direction (it drops out of every action on constants of
+    motion) but is required for P to be the actual velocity gradient of
+    Theta.  Raises DegenerateDirectionError for a Theta row at a circular
+    state.
     """
     r_sq = _dot(r, r)
     k_r = kappa / np.sqrt(r_sq)
     k_r3 = k_r / r_sq
-    if family == "E":
+    single = isinstance(family, str)
+    if single and family == "E":
         return v.copy(), -k_r3[:, None] * r
-    if family == "L":
+    if single and family == "L":
         return np.cross(eps, r), np.cross(eps, v)
     v_sq = _dot(v, v)
     r_dot_v = _dot(r, v)
+    beta = v_sq - k_r
+    if not single or family == "Theta":
+        a_vec = beta[:, None] * r - r_dot_v[:, None] * v
+        a_mag = np.sqrt(_dot(a_vec, a_vec))
+        circular = a_mag <= CIRCULAR_TOL * kappa
+        if (circular if single else circular & family).any():
+            raise DegenerateDirectionError(
+                "LRL direction undefined: |A| is at the circular-orbit threshold"
+            )
+        if not single:
+            # the A rows discard their eps~; keep it finite at a circular A row
+            a_mag = np.where(family, a_mag, 1.0)
+        tilde = eps / a_mag[:, None] - (_dot(a_vec, eps) / a_mag**3)[:, None] * a_vec
+        eps = tilde if single else np.where(family[:, None], tilde, eps)
     r_eps = _dot(r, eps)
     v_eps = _dot(v, eps)
-    beta = v_sq - k_r
     p = 2.0 * r_eps[:, None] * v - v_eps[:, None] * r - r_dot_v[:, None] * eps
     dtp = v_eps[:, None] * v - (k_r3 * r_eps)[:, None] * r - beta[:, None] * eps
-    if family == "A":
-        return p, dtp
-    rdv_v = r_dot_v[:, None] * v
-    a_vec = beta[:, None] * r - rdv_v
-    a_mag = np.sqrt(_dot(a_vec, a_vec))
-    if np.any(a_mag <= CIRCULAR_TOL * kappa):
-        raise DegenerateDirectionError(
-            "LRL direction undefined: |A| is at the circular-orbit threshold"
-        )
-    two_e = (v_sq - 2.0 * k_r)[:, None]
-    l_sq = r_sq * v_sq - r_dot_v**2
-    # r x L = (r.v) r - |r|^2 v and v x L = |v|^2 r - (r.v) v
-    r_cross_l = r_dot_v[:, None] * r - r_sq[:, None] * v
-    v_cross_l = v_sq[:, None] * r - rdv_v
-    coef = (_dot(a_vec, eps) / a_mag**3)[:, None]
-    p = p / a_mag[:, None] + coef * (two_e * r_cross_l - l_sq[:, None] * v)
-    dtp = dtp / a_mag[:, None] + coef * (two_e * v_cross_l + (l_sq * k_r3)[:, None] * r)
     return p, dtp
+
+
+def gauge_completion(
+    r, v, p, dtp, eps, kappa: float, r_sq, r_dot_v, tau=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched (dt/ds, dr/ds, dv/ds) of the radius-preserving gauge of (P, DtP):
+
+        dr/ds = P + tau v,      dv/ds = DtP + tau a,
+        dt/ds = -(r x L) . eps, tau   = -(r . P)/(r . v)
+
+    from the callers' r_sq = |r|^2 and r_dot_v = r.v, checked off the apsis
+    r.v = 0; a given tau (an apsis limit) replaces the quotient.
+    """
+    minus_tau = _dot(r, p) / r_dot_v if tau is None else -tau
+    dr = p - minus_tau[:, None] * v
+    dv = dtp + (minus_tau * kappa / (r_sq * np.sqrt(r_sq)))[:, None] * r
+    # -(r x L) . eps with r x L = (r.v) r - |r|^2 v
+    dt = _dot(r_sq[:, None] * v - r_dot_v[:, None] * r, eps)
+    return dt, dr, dv
 
 
 def reconstruction_terms(

@@ -13,8 +13,12 @@ The symmetry-flow vector field at (t, r, v) for parameter direction eps is
     dt/ds = -(r x L) . eps,     tau   = -(r . P_eps) / (r . v)
 
 where P_eps is the contracted characteristic of the family.  The tau
-completion keeps |r| exactly invariant along the flow; it is singular at
-apsides (r.v = 0), which are therefore rejected as starting points.
+completion (`fields.gauge_completion`) keeps |r| exactly invariant along the
+flow; it is singular at apsides (r.v = 0), which are therefore rejected as
+starting points.  The LRL-direction field is the LRL field at the projected
+axis eps~ = (eps - (Theta.eps) Theta)/|A|, with dt/ds still taken along eps,
+so one batch may mix the two families row by row: a suite integrates all of
+its flows, of both families and every energy branch, as one RK4 batch.
 """
 
 from __future__ import annotations
@@ -68,10 +72,13 @@ _DP_ERR = np.array(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered orbit samples plus conserved-quantity drift along them."""
+    """Ordered orbit samples, conserved-quantity drift along them, and the
+    accepted and rejected steps of the integrator that made them."""
 
     samples: tuple[ExtendedState, ...]
     drift: dict
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
     def csv_rows(self, sys: KeplerSystem):
         for s in self.samples:
@@ -138,9 +145,10 @@ def integrate_orbit(
     """Propagate the orbit over t_span (may be negative).
 
     Samples land on the dt_out grid when given, otherwise at every accepted
-    step.  Raises UsageError for a non-finite t_span or dt_out, CollisionError
-    if the radius reaches the collision floor and StepUnderflowError if
-    adaptive control stalls.
+    step; the trajectory counts the accepted and rejected steps.  Raises
+    UsageError for a non-finite t_span or dt_out, CollisionError if the
+    radius reaches the collision floor and StepUnderflowError if adaptive
+    control stalls.
     """
     if not math.isfinite(t_span):
         raise UsageError(f"t_span must be finite, got {t_span}")
@@ -172,6 +180,7 @@ def integrate_orbit(
     err_prev = 1.0
     t = t0
     samples = [state]
+    accepted = rejected = 0
 
     for target in targets:
         while direction * (target - t) > 1e-14 * max(1.0, abs(target)):
@@ -196,6 +205,7 @@ def integrate_orbit(
             err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
 
             if err <= 1.0:
+                accepted += 1
                 t += h
                 y = y_new
                 f = k[6]  # FSAL
@@ -205,25 +215,29 @@ def integrate_orbit(
                 if dt_out is None:
                     samples.append(ExtendedState(t, PhaseState(y[:3], y[3:])))
             else:
+                rejected += 1
                 h *= max(0.1, 0.9 * err**-0.2)
         t = target
         if dt_out is not None:
             samples.append(ExtendedState(t, PhaseState(y[:3], y[3:])))
     if dt_out is None and samples[-1].t != t:
         samples.append(ExtendedState(t, PhaseState(y[:3], y[3:])))
-    return _finish_trajectory(samples, sys)
+    return _finish_trajectory(samples, sys, accepted, rejected)
 
 
-def _finish_trajectory(samples: list[ExtendedState], sys: KeplerSystem) -> Trajectory:
-    r = np.array([s.r for s in samples])
-    v = np.array([s.v for s in samples])
-    vals = fields.values(r, v, sys.kappa)
-    drift = {
-        "dE": float(np.max(np.abs(vals["E"] - vals["E"][0]))),
-        "dL": float(np.max(np.linalg.norm(vals["L"] - vals["L"][0], axis=1))),
-        "dA": float(np.max(np.linalg.norm(vals["A"] - vals["A"][0], axis=1))),
+def _finish_trajectory(samples: list[ExtendedState], sys: KeplerSystem, *steps: int) -> Trajectory:
+    return Trajectory(tuple(samples), _deviations(samples, sys.kappa), *steps)
+
+
+def _deviations(samples, kappa: float, ref=None) -> dict:
+    """Largest deviation of E, L and A over the samples from ref (default: the first sample)."""
+    vals = fields.values(np.array([s.r for s in samples]), np.array([s.v for s in samples]), kappa)
+    e, l_vec, a_vec = (vals["E"][0], vals["L"][0], vals["A"][0]) if ref is None else (ref.E, ref.L, ref.A)
+    return {
+        "dE": float(np.max(np.abs(vals["E"] - e))),
+        "dL": float(np.max(np.linalg.norm(vals["L"] - l_vec, axis=1))),
+        "dA": float(np.max(np.linalg.norm(vals["A"] - a_vec, axis=1))),
     }
-    return Trajectory(tuple(samples), drift)
 
 
 def _normalize_kind(gen) -> GeneratorKind:
@@ -233,32 +247,44 @@ def _normalize_kind(gen) -> GeneratorKind:
     return kind
 
 
+class _Kinds(tuple):
+    """The per-row kinds of a flow batch, with the mask of its LRL-direction
+    rows worked out once: the RK4 loop passes one such batch on every call."""
+
+    def __new__(cls, kinds):
+        if isinstance(kinds, _Kinds):
+            return kinds
+        self = super().__new__(cls, map(_normalize_kind, kinds))
+        self.direction_rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in self], dtype=bool)
+        return self
+
+
 def symmetry_flow_rhs(
-    kind: GeneratorKind, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
+    kind, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched (dt/ds, dr/ds, dv/ds) of the gauge-fixed symmetry flow."""
+    """Batched (dt/ds, dr/ds, dv/ds) of the gauge-fixed symmetry flow.
+
+    kind is one GeneratorKind for every row or a sequence of N kinds, one per
+    row.  Raises FlowDegeneracyError if any row is at an apsis or is a
+    direction row at a circular state.
+    """
+    family = FAMILY_LABEL[kind] if isinstance(kind, GeneratorKind) else _Kinds(kind).direction_rows
     r_sq = np.einsum("ni,ni->n", r, r)
     r_dot_v = np.einsum("ni,ni->n", r, v)
     # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
-    if np.any(r_dot_v**2 <= FLOW_APSIS_FLOOR**2 * (r_sq * np.einsum("ni,ni->n", v, v))):
+    if (r_dot_v**2 <= FLOW_APSIS_FLOOR**2 * (r_sq * np.einsum("ni,ni->n", v, v))).any():
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
     try:
-        p, dtp = fields.characteristics(FAMILY_LABEL[kind], r, v, eps, kappa)
+        p, dtp = fields.characteristics(family, r, v, eps, kappa)
     except DegenerateDirectionError as exc:
         raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
-    # minus the completion tau = -(r.P)/(r.v)
-    minus_tau = np.einsum("ni,ni->n", r, p) / r_dot_v
-    dr = p - minus_tau[:, None] * v
-    dv = dtp + (minus_tau * kappa / (r_sq * np.sqrt(r_sq)))[:, None] * r
-    # -(r x L) . eps with r x L = (r.v) r - |r|^2 v
-    dt = np.einsum("ni,ni->n", r_sq[:, None] * v - r_dot_v[:, None] * r, eps)
-    return dt, dr, dv
+    return fields.gauge_completion(r, v, p, dtp, eps, kappa, r_sq, r_dot_v)
 
 
 def integrate_symmetry_flows(
-    kind: GeneratorKind,
+    kind,
     t: np.ndarray,
     r: np.ndarray,
     v: np.ndarray,
@@ -268,34 +294,35 @@ def integrate_symmetry_flows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of a batch of flows over s in [0, 1].
 
-    Returns (t, r, v, r_mag_drift), each batched over the leading axis.
+    kind is one GeneratorKind or a sequence of N kinds, one per row, so that
+    flows of both families run as one batch.  Returns (t, r, v, r_mag_drift),
+    each batched over the leading axis.
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")
+    if not isinstance(kind, GeneratorKind):
+        kind = _Kinds(kind)
     t = np.array(t, dtype=float)
     r = np.array(np.atleast_2d(r), dtype=float)
     v = np.array(np.atleast_2d(v), dtype=float)
     eps = np.array(np.atleast_2d(eps), dtype=float)
-    r_mag0 = np.linalg.norm(r, axis=1)
+    r_mag0 = np.sqrt(np.einsum("ni,ni->n", r, r))
     drift = np.zeros_like(t)
     h = 1.0 / steps
-
-    def rhs(state):
-        tt, rr, vv = state
-        return symmetry_flow_rhs(kind, rr, vv, eps, kappa)
+    half = 0.5 * h
+    sixth = h / 6.0
 
     for _ in range(steps):
-        y = (t, r, v)
-        k1 = rhs(y)
-        k2 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
-        k3 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
-        k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)))
-        t = t + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        r = r + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        v = v + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        k1 = symmetry_flow_rhs(kind, r, v, eps, kappa)
+        k2 = symmetry_flow_rhs(kind, r + half * k1[1], v + half * k1[2], eps, kappa)
+        k3 = symmetry_flow_rhs(kind, r + half * k2[1], v + half * k2[2], eps, kappa)
+        k4 = symmetry_flow_rhs(kind, r + h * k3[1], v + h * k3[2], eps, kappa)
+        t = t + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        r = r + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        v = v + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise FlowDegeneracyError("symmetry flow produced a non-finite state")
-        drift = np.maximum(drift, np.abs(np.linalg.norm(r, axis=1) - r_mag0))
+        drift = np.maximum(drift, np.abs(np.sqrt(np.einsum("ni,ni->n", r, r)) - r_mag0))
     return t, r, v, drift
 
 
@@ -312,13 +339,7 @@ def integrate_symmetry_flow(
     if norm(eps) == 0.0:
         return SymmetryFlowResult(state, 0.0)
     t, r, v, drift = integrate_symmetry_flows(
-        kind,
-        np.array([state.t]),
-        state.r[None, :],
-        state.v[None, :],
-        eps[None, :],
-        sys.kappa,
-        steps,
+        kind, np.array([state.t]), state.r[None, :], state.v[None, :], eps[None, :], sys.kappa, steps
     )
     out = ExtendedState(float(t[0]), PhaseState(r[0], v[0]))
     return SymmetryFlowResult(out, float(drift[0]))
@@ -345,12 +366,12 @@ def compare_flow_vs_closed_form(
         return FlowReport(state, state, 0.0, 0.0)
     closed = _closed_form(gen, state, sys, eps, quad_panels).out
     flown = integrate_symmetry_flow(gen, state, sys, eps, steps)
-    residual = max(
-        abs(closed.t - flown.out.t),
-        float(np.max(np.abs(closed.r - flown.out.r))),
-        float(np.max(np.abs(closed.v - flown.out.v))),
-    )
-    return FlowReport(closed, flown.out, residual, flown.r_mag_drift)
+    return FlowReport(closed, flown.out, _gap(closed, flown.out), flown.r_mag_drift)
+
+
+def _gap(a: ExtendedState, b: ExtendedState) -> float:
+    """Largest component difference between two extended states."""
+    return max(abs(a.t - b.t), float(np.max(np.abs(a.r - b.r))), float(np.max(np.abs(a.v - b.v))))
 
 
 def verify_solution_mapping(
@@ -365,19 +386,9 @@ def verify_solution_mapping(
     predicted conserved set."""
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
-        c = conserved_set(state.state, sys)
-        traj = integrate_orbit(state, sys, t_span, tol=tol)
-        predicted = c
+        start, predicted = state, conserved_set(state.state, sys)
     else:
         result = _closed_form(gen, state, sys, eps, quad_panels=64)
-        predicted = result.constants_out
-        traj = integrate_orbit(result.out, sys, t_span, tol=tol)
-    r = np.array([s.r for s in traj.samples])
-    v = np.array([s.v for s in traj.samples])
-    vals = fields.values(r, v, sys.kappa)
-    residuals = {
-        "dE": float(np.max(np.abs(vals["E"] - predicted.E))),
-        "dL": float(np.max(np.linalg.norm(vals["L"] - predicted.L, axis=1))),
-        "dA": float(np.max(np.linalg.norm(vals["A"] - predicted.A, axis=1))),
-    }
+        start, predicted = result.out, result.constants_out
+    residuals = _deviations(integrate_orbit(start, sys, t_span, tol=tol).samples, sys.kappa, predicted)
     return SolutionMappingReport(residuals, max(residuals.values()))

@@ -32,7 +32,6 @@ from .core import (
     PhaseState,
     Vec3,
     _require_off_origin,
-    acceleration,
     as_vec3,
     central_differences,
     cross,
@@ -147,45 +146,36 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
     apsis that completion is finite only when (r x L)_axis also vanishes, in
     which case the on-shell limit -(A + kappa rhat)_axis / (|v|^2 - kappa/|r|)
     (scaled by 1/|A| for the direction family) is used; otherwise ApsisError.
+    The completion itself is `fields.gauge_completion`.
     """
     if gen.kind not in (GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION):
         raise UsageError("gauge-fixed components exist for the LRL and LRL-direction families")
-    r, v = state.r, state.v
-    r_mag = state.r_mag
-    l_vec = cross(r, v)
-    r_cross_l = cross(r, l_vec)
-    delta_t = -r_cross_l[gen.axis - 1]
-
-    p, dt_p = _at_state(gen, state, sys)
-    r_dot_v = float(np.dot(r, v))
-    num = float(np.dot(r, p))
-
-    if abs(r_dot_v) > APSIS_FLOOR * (r_mag * state.v_mag + 1e-300):
-        tau = -num / r_dot_v
-    else:
-        num_scale = r_mag * (norm(l_vec) + norm(p)) + 1e-300
-        if abs(num) > 1e-9 * num_scale:
+    _require_off_origin(state, sys)
+    r, v = state.r[None, :], state.v[None, :]
+    eps = np.eye(3)[gen.axis - 1 : gen.axis]
+    p, dt_p = fields.characteristics(FAMILY_LABEL[gen.kind], r, v, eps, sys.kappa)
+    r_dot_v = fields._dot(r, v)
+    r_mag, v_sq, tau = state.r_mag, float(state.v @ state.v), None
+    if abs(r_dot_v[0]) <= APSIS_FLOOR * (r_mag * state.v_mag + 1e-300):
+        l_vec = cross(state.r, state.v)
+        num_scale = r_mag * (norm(l_vec) + norm(p[0])) + 1e-300
+        if abs(float(state.r @ p[0])) > 1e-9 * num_scale:
             raise ApsisError(
                 f"r.v = 0 and (r x L)_{gen.axis} != 0: no finite radius-preserving "
                 "completion exists at an apsis for this axis"
             )
-        beta_v = float(np.dot(v, v)) - sys.kappa / r_mag
-        if abs(beta_v) < 1e-12 * (float(np.dot(v, v)) + sys.kappa / r_mag):
+        beta_v = v_sq - sys.kappa / r_mag
+        if abs(beta_v) < 1e-12 * (v_sq + sys.kappa / r_mag):
             raise ApsisError("apsis limit of the gauge completion is indeterminate here")
-        # tau -> -Dt(r.P)/Dt(r.v) as r.v -> 0 along the orbit
+        # tau -> -Dt(r.P)/Dt(r.v) as r.v -> 0 along the orbit, with v x L = A + kappa rhat
         a_vec = lrl_vector(state, sys)
-        v_cross_l = a_vec + sys.kappa * r / r_mag
-        if gen.kind is GeneratorKind.LRL:
-            tau = -v_cross_l[gen.axis - 1] / beta_v
-        else:
+        tau = -(a_vec + sys.kappa * state.r / r_mag)[gen.axis - 1] / beta_v
+        if gen.kind is GeneratorKind.LRL_DIRECTION:
             a_mag = norm(a_vec)
-            l_sq = float(np.dot(l_vec, l_vec))
-            tau = (
-                -v_cross_l[gen.axis - 1] / (a_mag * beta_v)
-                + l_sq * a_vec[gen.axis - 1] / a_mag**3
-            )
-
-    return GeneratorValue(delta_t, p + tau * v, dt_p + tau * acceleration(state, sys))
+            tau = tau / a_mag + float(l_vec @ l_vec) * a_vec[gen.axis - 1] / a_mag**3
+        tau = np.array([tau])
+    dt, dr, dv = fields.gauge_completion(r, v, p, dt_p, eps, sys.kappa, fields._dot(r, r), r_dot_v, tau)
+    return GeneratorValue(dt[0], dr[0], dv[0])
 
 
 def noether_characteristic(constant: Callable[[PhaseState], float], state: PhaseState) -> Vec3:

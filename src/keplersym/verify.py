@@ -16,6 +16,7 @@ import numpy as np
 from . import fields
 from .core import ExtendedState, KeplerSystem, PhaseState, conserved_set
 from .flow import (
+    _gap,
     compare_flow_vs_closed_form,
     integrate_orbit,
     integrate_symmetry_flows,
@@ -260,30 +261,14 @@ def algebra_suite(
     return out
 
 
-def _pairs_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack(groups) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """(kinds, r, v, eps) of (kind, pairs) groups stacked into one flow batch."""
+    pairs = [pair for _, group in groups for pair in group]
+    kinds = [kind for kind, group in groups for _ in group]
     r = np.array([p[0].r for p in pairs])
     v = np.array([p[0].v for p in pairs])
     eps = np.array([p[1] for p in pairs])
-    return r, v, eps
-
-
-def _flow_vs_closed(pairs, kind, sys, rk_steps, quad_panels) -> tuple[float, float]:
-    """(max residual closed-vs-flow, max |r| drift) over a batch of pairs."""
-    r, v, eps = _pairs_arrays(pairs)
-    t_end, r_end, v_end, drift = integrate_symmetry_flows(
-        kind, np.zeros(len(pairs)), r, v, eps, sys.kappa, rk_steps
-    )
-    worst = 0.0
-    transform = direction_lrl_transform if kind is GeneratorKind.LRL_DIRECTION else lrl_transform
-    for i, (state, eps_i) in enumerate(pairs):
-        res = transform(ExtendedState(0.0, state), sys, eps_i, quad_panels)
-        worst = max(
-            worst,
-            abs(res.out.t - t_end[i]),
-            float(np.max(np.abs(res.out.r - r_end[i]))),
-            float(np.max(np.abs(res.out.v - v_end[i]))),
-        )
-    return worst, float(np.max(drift))
+    return kinds, r, v, eps
 
 
 def transforms_suite(
@@ -294,17 +279,21 @@ def transforms_suite(
     quad_panels: int = 64,
     tolerances: dict | None = None,
 ) -> list[PropertyResult]:
+    """Every pair set is drawn, and its closed forms kept, before one RK4
+    batch integrates the flows of all of them, so that an unreachable branch
+    fails before any flow work."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     sys = KeplerSystem(kappa=kappa)
-    out: list[PropertyResult] = []
 
     t0 = time.perf_counter()
     pairs_dir = sample_flow_pairs(samples, seed, GeneratorKind.LRL_DIRECTION, kappa=kappa)
+    closed_dir = []
     worst_exact = 0.0
     worst_match = 0.0
     for state, eps in pairs_dir:
         c0 = conserved_set(state, sys)
         res = direction_lrl_transform(ExtendedState(0.0, state), sys, eps, quad_panels)
+        closed_dir.append(res.out)
         c_out = conserved_set(res.out.state, sys)
         l_expect = c0.L + np.cross(eps, c0.Theta)
         a_expect = math.sqrt(kappa**2 + 2.0 * c0.E * float(l_expect @ l_expect))
@@ -323,67 +312,27 @@ def transforms_suite(
             abs(res.constants_out.A_mag - display),
         )
         worst_match = max(worst_match, res.diagnostics["reconstruction_residual"])
-    out.append(_result("transforms.direction_exact", worst_exact, tol["transform_exact"], len(pairs_dir), t0))
-    out.append(
+    direction = [
+        _result("transforms.direction_exact", worst_exact, tol["transform_exact"], len(pairs_dir), t0),
         _result(
-            "transforms.direction_constants_match",
-            worst_match,
-            tol["constants_match"],
-            len(pairs_dir),
-            None,
+            "transforms.direction_constants_match", worst_match, tol["constants_match"], len(pairs_dir), None,
             note="read in the direction_exact pass",
-        )
-    )
+        ),
+    ]
 
-    t0 = time.perf_counter()
-    worst, _ = _flow_vs_closed(pairs_dir, GeneratorKind.LRL_DIRECTION, sys, rk_steps, quad_panels)
-    out.append(_result("transforms.direction_vs_flow", worst, tol["flow_residual"], len(pairs_dir), t0))
-
-    t0 = time.perf_counter()
-    n2 = max(samples // 4, 10)
-    worst = 0.0
-    rng = np.random.default_rng(seed + 5)
-    group_pairs = pairs_dir[:n2]
-    for state, eps in group_pairs:
-        eps1, eps2 = 0.5 * eps, 0.5 * eps
-        x = ExtendedState(0.0, state)
-        once = direction_lrl_transform(x, sys, eps, quad_panels).out
-        half = direction_lrl_transform(x, sys, eps1, quad_panels).out
-        twice = direction_lrl_transform(half, sys, eps2, quad_panels).out
-        worst = max(
-            worst,
-            abs(once.t - twice.t),
-            float(np.max(np.abs(once.r - twice.r))),
-            float(np.max(np.abs(once.v - twice.v))),
-        )
-    out.append(_result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0))
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    for state, eps in group_pairs:
-        g = rng.normal(size=3)
-        g *= rng.uniform(0.2, 1.4) / np.linalg.norm(g)
-        x = ExtendedState(0.0, state)
-        lhs = rotate(direction_lrl_transform(x, sys, eps, quad_panels).out, g)
-        rhs = direction_lrl_transform(rotate(x, g), sys, rotation_matrix(g) @ eps, quad_panels).out
-        worst = max(
-            worst,
-            abs(lhs.t - rhs.t),
-            float(np.max(np.abs(lhs.r - rhs.r))),
-            float(np.max(np.abs(lhs.v - rhs.v))),
-        )
-    out.append(_result("transforms.direction_equivariance", worst, tol["group_law"], len(group_pairs), t0))
-
-    branch_pairs = {}
-    for offset, branch in enumerate(("neg", "pos", "zero"), start=11):
+    branches = ("neg", "pos", "zero")
+    branch_pairs, closed_lrl, lrl = {}, {}, {}
+    for offset, branch in enumerate(branches, start=11):
         t0 = time.perf_counter()
         pairs = sample_flow_pairs(samples, seed + offset, GeneratorKind.LRL, branch=branch, kappa=kappa)
         branch_pairs[branch] = pairs
+        closed_lrl[branch] = []
         worst = 0.0
         worst_match = 0.0
         for state, eps in pairs:
             c0 = conserved_set(state, sys)
             res = lrl_transform(ExtendedState(0.0, state), sys, eps, quad_panels)
+            closed_lrl[branch].append(res.out)
             c1 = res.constants_out
             worst_match = max(worst_match, res.diagnostics["reconstruction_residual"])
             if branch == "zero":
@@ -408,23 +357,54 @@ def transforms_suite(
                 inv0 = float(c0.L @ c0.L) - float(c0.M @ c0.M)
                 inv1 = float(c1.L @ c1.L) - float(c1.M @ c1.M)
                 worst = max(worst, abs(inv1 - inv0))
-        out.append(
-            _result(f"transforms.lrl_{branch}_invariants", worst, tol["transform_exact"], len(pairs), t0)
-        )
-        out.append(
+        lrl[branch] = [
+            _result(f"transforms.lrl_{branch}_invariants", worst, tol["transform_exact"], len(pairs), t0),
             _result(
-                f"transforms.lrl_{branch}_constants_match",
-                worst_match,
-                tol["constants_match"],
-                len(pairs),
-                None,
-                note=f"read in the lrl_{branch}_invariants pass",
-            )
-        )
+                f"transforms.lrl_{branch}_constants_match", worst_match, tol["constants_match"], len(pairs),
+                None, note=f"read in the lrl_{branch}_invariants pass",
+            ),
+        ]
 
+    # The flows of both families and all three branches, as one batch; each
+    # row is held to the closed form kept above.
+    t0 = time.perf_counter()
+    kinds, r, v, eps = _stack(
+        [(GeneratorKind.LRL_DIRECTION, pairs_dir)] + [(GeneratorKind.LRL, branch_pairs[b]) for b in branches]
+    )
+    t_end, r_end, v_end, _ = integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r, v, eps, kappa, rk_steps)
+    ends = iter([ExtendedState(t, PhaseState(ri, vi)) for t, ri, vi in zip(t_end, r_end, v_end)])
+    for name, closed in [("direction", closed_dir)] + [(f"lrl_{b}", closed_lrl[b]) for b in branches]:
+        worst = max(map(_gap, closed, ends))
+        note = "" if name == "direction" else "integrated in the direction_vs_flow pass"
+        result = _result(f"transforms.{name}_vs_flow", worst, tol["flow_residual"], len(closed), t0, note)
+        (direction if name == "direction" else lrl[name[4:]]).append(result)
         t0 = time.perf_counter()
-        worst, _ = _flow_vs_closed(pairs, GeneratorKind.LRL, sys, rk_steps, quad_panels)
-        out.append(_result(f"transforms.lrl_{branch}_vs_flow", worst, tol["flow_residual"], len(pairs), t0))
+
+    t0 = time.perf_counter()
+    n2 = max(samples // 4, 10)
+    worst = 0.0
+    rng = np.random.default_rng(seed + 5)
+    group_pairs = pairs_dir[:n2]
+    for state, eps in group_pairs:
+        x = ExtendedState(0.0, state)
+        once = direction_lrl_transform(x, sys, eps, quad_panels).out
+        half = direction_lrl_transform(x, sys, 0.5 * eps, quad_panels).out
+        twice = direction_lrl_transform(half, sys, 0.5 * eps, quad_panels).out
+        worst = max(worst, _gap(once, twice))
+    direction.append(_result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0))
+
+    t0 = time.perf_counter()
+    worst = 0.0
+    for state, eps in group_pairs:
+        g = rng.normal(size=3)
+        g *= rng.uniform(0.2, 1.4) / np.linalg.norm(g)
+        x = ExtendedState(0.0, state)
+        lhs = rotate(direction_lrl_transform(x, sys, eps, quad_panels).out, g)
+        rhs = direction_lrl_transform(rotate(x, g), sys, rotation_matrix(g) @ eps, quad_panels).out
+        worst = max(worst, _gap(lhs, rhs))
+    direction.append(
+        _result("transforms.direction_equivariance", worst, tol["group_law"], len(group_pairs), t0)
+    )
 
     t0 = time.perf_counter()
     worst = 0.0
@@ -434,14 +414,9 @@ def transforms_suite(
         once = lrl_transform(x, sys, eps, quad_panels).out
         part = lrl_transform(x, sys, 0.4 * eps, quad_panels).out
         full = lrl_transform(part, sys, 0.6 * eps, quad_panels).out
-        worst = max(
-            worst,
-            abs(once.t - full.t),
-            float(np.max(np.abs(once.r - full.r))),
-            float(np.max(np.abs(once.v - full.v))),
-        )
-    out.append(_result("transforms.lrl_composition", worst, tol["group_law"], len(composed), t0))
-    return out
+        worst = max(worst, _gap(once, full))
+    composition = _result("transforms.lrl_composition", worst, tol["group_law"], len(composed), t0)
+    return direction + [res for b in branches for res in lrl[b]] + [composition]
 
 
 def flows_suite(
@@ -482,36 +457,27 @@ def flows_suite(
     # RK4 radius drift falls like h^4, so 2000 steps bounds the 10^4-step runs
     # used everywhere else with margin to spare.
     n3 = min(max(samples // 8, 6), 25)
+    both = ((GeneratorKind.LRL_DIRECTION, 21), (GeneratorKind.LRL, 22))
     t0 = time.perf_counter()
-    worst = 0.0
-    for kind, offset in ((GeneratorKind.LRL_DIRECTION, 21), (GeneratorKind.LRL, 22)):
-        pairs = sample_flow_pairs(n3, seed + offset, kind, kappa=kappa)
-        r0, v0, eps = _pairs_arrays(pairs)
-        _, _, _, drift = integrate_symmetry_flows(
-            kind, np.zeros(len(pairs)), r0, v0, eps, sys.kappa, steps=min(rk_steps, 2000)
-        )
-        worst = max(worst, float(np.max(drift)))
-    out.append(_result("flows.gauge_r_drift", worst, tol["r_drift"], 2 * n3, t0))
+    kinds, r0, v0, eps = _stack([(k, sample_flow_pairs(n3, seed + o, k, kappa=kappa)) for k, o in both])
+    drift = integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r0, v0, eps, kappa, min(rk_steps, 2000))[3]
+    out.append(_result("flows.gauge_r_drift", float(np.max(drift)), tol["r_drift"], 2 * n3, t0))
 
     t0 = time.perf_counter()
-    worst = 0.0
     h = 1e-4
-    for kind, offset in ((GeneratorKind.LRL_DIRECTION, 31), (GeneratorKind.LRL, 32)):
-        pairs = sample_flow_pairs(6, seed + offset, kind, kappa=kappa)
-        r0, v0, eps = _pairs_arrays(pairs)
-        n = len(pairs)
-        for s_node in (0.3, 0.65):
-            # state at the interior node of each flow, then short flows +-h;
-            # 1000 steps put the node state far below the probe's FD error
-            t_n, r_n, v_n, _ = integrate_symmetry_flows(
-                kind, np.zeros(n), r0, v0, s_node * eps, sys.kappa, steps=1000
-            )
-            t_p, _, _, _ = integrate_symmetry_flows(kind, t_n, r_n, v_n, h * eps, sys.kappa, 64)
-            t_m, _, _, _ = integrate_symmetry_flows(kind, t_n, r_n, v_n, -h * eps, sys.kappa, 64)
-            dt_ds = (t_p - t_m) / (2.0 * h)
-            l_n = np.cross(r_n, v_n)
-            expected = -np.einsum("ni,ni->n", np.cross(r_n, l_n), eps)
-            worst = max(worst, float(np.max(np.abs(dt_ds - expected))))
+    kinds, r0, v0, eps = _stack([(k, sample_flow_pairs(6, seed + o + 10, k, kappa=kappa)) for k, o in both])
+    # the state at both interior nodes s of every flow, as one batch; 1000
+    # steps put the node states far below the probe's FD error
+    kinds, m = 2 * kinds, 2 * len(kinds)
+    r0, v0, eps = (np.tile(x, (2, 1)) for x in (r0, v0, eps))
+    eps_s = eps * np.repeat([0.3, 0.65], m // 2)[:, None]
+    t_n, r_n, v_n, _ = integrate_symmetry_flows(kinds, np.zeros(m), r0, v0, eps_s, kappa, 1000)
+    # then short flows +-h from every node state, as one batch
+    probes = np.concatenate([h * eps, -h * eps])
+    r_2, v_2 = np.tile(r_n, (2, 1)), np.tile(v_n, (2, 1))
+    t_pm = integrate_symmetry_flows(2 * kinds, np.tile(t_n, 2), r_2, v_2, probes, kappa, 64)[0]
+    expected = -np.einsum("ni,ni->n", np.cross(r_n, np.cross(r_n, v_n)), eps)
+    worst = float(np.max(np.abs((t_pm[:m] - t_pm[m:]) / (2.0 * h) - expected)))
     out.append(_result("flows.dt_ds_gauge_component", worst, tol["dt_ds"], 12, t0))
 
     t0 = time.perf_counter()

@@ -2,10 +2,13 @@
 
 Each test draws random admissible states (elliptic, hyperbolic and exactly
 parabolic) and holds every N=1 call to the matching row of one batched call
-on the whole stack, to 1e-14 relative.
+on the whole stack, to 1e-14 relative.  A symmetry-flow batch that mixes the
+LRL and LRL-direction families, rows shuffled, is held row by row to the
+single-family batches of the same rows.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +24,10 @@ from keplersym import (
     transform_constants_lrl,
 )
 from keplersym import fields
-from keplersym.errors import InadmissibleTransformError
-from keplersym.flow import symmetry_flow_rhs
+from keplersym.errors import FlowDegeneracyError, InadmissibleTransformError
+from keplersym.flow import integrate_symmetry_flows, symmetry_flow_rhs
 from keplersym.generators import FAMILY_LABEL
-from keplersym.sampling import sample_parabolic_states, sample_states
+from keplersym.sampling import sample_flow_pairs, sample_parabolic_states, sample_states
 from keplersym.transforms import _ray_constants, _reconstruct
 
 SYS = KeplerSystem()
@@ -119,3 +122,58 @@ def test_reconstruction_rows(seed):
         # each state is rebuilt from its own invariants
         assert_rows_match(r_one, r[i], rel=1e-12)
         assert_rows_match(v_one, v[i], rel=1e-12)
+
+
+def mixed_batch(seed, n=4):
+    """Flow pairs of both families with admissible rays, rows shuffled."""
+    kinds, pairs = [], []
+    for offset, (kind, branch) in enumerate(
+        [(GeneratorKind.LRL_DIRECTION, "any"), (GeneratorKind.LRL, "neg"), (GeneratorKind.LRL, "pos")]
+    ):
+        group = sample_flow_pairs(n, seed + offset, kind, branch=branch)
+        kinds += [kind] * len(group)
+        pairs += group
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    kinds = [kinds[i] for i in order]
+    r = np.array([pairs[i][0].r for i in order])
+    v = np.array([pairs[i][0].v for i in order])
+    eps = np.array([pairs[i][1] for i in order])
+    return kinds, r, v, eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_mixed_flow_rhs_rows(seed):
+    kinds, r, v, eps = mixed_batch(seed)
+    mixed = symmetry_flow_rhs(kinds, r, v, eps, 1.0)
+    for kind in set(kinds):
+        rows = np.array([k is kind for k in kinds])
+        single = symmetry_flow_rhs(kind, r[rows], v[rows], eps[rows], 1.0)
+        for part, one in zip(mixed, single):
+            for i, row in zip(np.flatnonzero(rows), one):
+                assert_rows_match(row, part[i])
+
+
+@settings(max_examples=8, deadline=None)
+@given(SEEDS)
+def test_mixed_flow_integration_matches_per_kind_runs(seed):
+    kinds, r, v, eps = mixed_batch(seed, n=3)
+    t0 = np.random.default_rng(seed).uniform(-1.0, 1.0, len(kinds))
+    mixed = integrate_symmetry_flows(tuple(kinds), t0, r, v, eps, 1.0, 200)
+    for kind in set(kinds):
+        rows = np.array([k is kind for k in kinds])
+        single = integrate_symmetry_flows(kind, t0[rows], r[rows], v[rows], eps[rows], 1.0, 200)
+        for part, one in zip(mixed, single):
+            assert_rows_match(one, part[rows], rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS, st.integers(0, 11))
+def test_apsis_in_one_row_stops_the_batch(seed, row):
+    kinds, r, v, eps = mixed_batch(seed)
+    # drop the radial velocity of one row: r.v = 0 there
+    v[row] -= (r[row] @ v[row]) / (r[row] @ r[row]) * r[row]
+    with pytest.raises(FlowDegeneracyError):
+        symmetry_flow_rhs(kinds, r, v, eps, 1.0)
+    with pytest.raises(FlowDegeneracyError):
+        integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r, v, eps, 1.0, 10)

@@ -203,3 +203,15 @@ def test_verify_unreachable_branch_exit2(capsys):
     )
     assert code == 2
     assert "'pos'" in err and "kappa = 100" in err
+
+
+def test_verify_unreachable_branch_fails_before_flow_work(capsys, monkeypatch):
+    # every pair set is drawn before the one fused RK4 batch, so at the
+    # default --rk-steps the pos branch gives up before any flow runs
+    def no_flows(*args, **kwargs):
+        pytest.fail("a symmetry flow ran before the unreachable branch failed")
+
+    monkeypatch.setattr("keplersym.verify.integrate_symmetry_flows", no_flows)
+    code, _, err = run_cli(capsys, "verify", "--suite", "transforms", "--kappa", "100", "--samples", "5")
+    assert code == 2
+    assert "'pos'" in err and "kappa = 100" in err

@@ -132,3 +132,15 @@ def test_trajectory_csv(ksys, ell_x):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(traj.samples)
     assert len(lines[1].split(",")) == 14
+
+
+@pytest.mark.parametrize("v, tol", [((0, 1.2, 0), 1e-10), ((0, 0.05, 0), 1e-6)])
+def test_trajectory_counts_solver_steps(ksys, v, tol):
+    start = ExtendedState(0.0, PhaseState((1, 0, 0), v))
+    traj = integrate_orbit(start, ksys, 3.0, tol=tol)
+    assert traj.steps_accepted == len(traj.samples) - 1
+    # the near-radial orbit at a loose tolerance has its steps cut at periapsis
+    assert (traj.steps_rejected > 0) == (tol == 1e-6)
+    on_grid = integrate_orbit(start, ksys, 3.0, tol=tol, dt_out=0.5)
+    assert on_grid.steps_accepted >= traj.steps_accepted
+    assert len(on_grid.samples) == 7
