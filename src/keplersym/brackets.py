@@ -11,6 +11,13 @@ finite differences.  The closed algebra being verified:
     {Theta_i, Theta_j} = 0
 
 plus the mixed A/Theta rows, which follow from the Leibniz rule.
+
+The brackets of all thirteen labels at N states are one contraction,
+`fields.bracket_table`: with B0 = X - X^T the 8x8 brackets among the base
+gradients {E, L_i, A_i, |L|^2} (X = G_r G_v^T, one batched product) and C the
+chain-rule coefficients of each label in that base, the table is C B0 C^T.
+The expected values are one table of the same layout,
+`fields.expected_table`, and every check reads these two tables.
 """
 
 from __future__ import annotations
@@ -107,70 +114,54 @@ class BracketReport:
         return out
 
 
-def _table_labels(include_m: bool) -> list[str]:
-    labels = list(fields.SCALAR_LABELS)
-    if include_m:
-        labels += list(fields.M_LABELS)
-    return labels
-
-
 def structure_table(state: PhaseState, sys: KeplerSystem, fd_check: bool = False) -> BracketReport:
     """Every pairwise bracket among the library constants, with residuals.
 
-    Rows involving M are skipped on the parabolic branch.  Setting fd_check
-    adds a finite-difference recomputation of each bracket as an independent
-    column.
+    The entries are the upper triangles, in label order, of one N=1
+    `fields.bracket_table` and `fields.expected_table`.  Rows involving M are
+    skipped on the parabolic branch.  Setting fd_check adds the bracket table
+    of the finite-difference gradients as an independent column, without its
+    M rows below |E| = FD_M_FLOOR.
     """
     c = _plane_constants(state, sys, "bracket table")
     include_m = c.M is not None
     r = state.r[None, :]
     v = state.v[None, :]
-    vals = fields.values(r, v, sys.kappa)
-    grads = fields.gradients(r, v, sys.kappa, include_m=include_m)
-    fd_grads = fields.fd_gradients(r, v, sys.kappa, include_m=include_m) if fd_check else None
-
-    labels = _table_labels(include_m)
-    fd_m_ok = abs(c.E) >= FD_M_FLOOR
-    entries = []
-    max_res = 0.0
-    max_fd = 0.0
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            left, right = labels[a], labels[b]
-            computed = float(fields.bracket(grads, left, right)[0])
-            expected = float(fields.expected_bracket(left, right, vals)[0])
-            residual = abs(computed - expected)
-            fd_residual = None
-            has_m = left.startswith("M") or right.startswith("M")
-            if fd_check and (fd_m_ok or not has_m):
-                fd_residual = abs(float(fields.bracket(fd_grads, left, right)[0]) - expected)
-                max_fd = max(max_fd, fd_residual)
-            entries.append(BracketEntry(left, right, computed, expected, residual, fd_residual))
-            max_res = max(max_res, residual)
-    return BracketReport(tuple(entries), max_res, max_fd if fd_check else None)
+    labels = fields.table_labels(include_m)
+    upper = np.triu_indices(len(labels), 1)
+    expected = fields.expected_table(fields.values(r, v, sys.kappa), include_m)[0][upper]
+    computed = fields.bracket_table(fields.gradients(r, v, sys.kappa, include_m))[0][upper]
+    residual = np.abs(computed - expected)
+    fd_residual = [None] * len(residual)
+    if fd_check:
+        fd = fields.bracket_table(fields.fd_gradients(r, v, sys.kappa, include_m))[0][upper]
+        has_m = upper[1] >= len(fields.SCALAR_LABELS)
+        fd_used = (~has_m | (abs(c.E) >= FD_M_FLOOR)).tolist()
+        fd_residual = [x if used else None for x, used in zip(np.abs(fd - expected).tolist(), fd_used)]
+    entries = tuple(
+        BracketEntry(labels[a], labels[b], *values)
+        for a, b, *values in zip(*upper, computed.tolist(), expected.tolist(), residual.tolist(), fd_residual)
+    )
+    max_fd = max((x for x in fd_residual if x is not None), default=0.0) if fd_check else None
+    return BracketReport(entries, float(np.max(residual)), max_fd)
 
 
 def structure_residuals(
     r: np.ndarray, v: np.ndarray, kappa: float, use_fd: bool = False, include_m: bool = True
 ) -> np.ndarray:
-    """Batched max |{F,G} - expected| per state, over the full label table."""
+    """Batched max |{F,G} - expected| per state over the label table's upper
+    triangle, from the bracket and expected tables of `fields.FD_BATCH`
+    states at a time."""
     r = np.atleast_2d(r)
     v = np.atleast_2d(v)
-    vals = fields.values(r, v, kappa)
-    grads = (
-        fields.fd_gradients(r, v, kappa, include_m)
-        if use_fd
-        else fields.gradients(r, v, kappa, include_m)
-    )
-    labels = _table_labels(include_m)
-    worst = np.zeros(r.shape[0])
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            res = np.abs(
-                fields.bracket(grads, labels[a], labels[b])
-                - fields.expected_bracket(labels[a], labels[b], vals)
-            )
-            worst = np.maximum(worst, res)
+    gradients = fields.fd_gradients if use_fd else fields.gradients
+    rows, cols = np.triu_indices(len(fields.table_labels(include_m)), 1)
+    worst = np.empty(r.shape[0])
+    for lo in range(0, r.shape[0], fields.FD_BATCH):
+        chunk = slice(lo, lo + fields.FD_BATCH)
+        table = fields.bracket_table(gradients(r[chunk], v[chunk], kappa, include_m))
+        table -= fields.expected_table(fields.values(r[chunk], v[chunk], kappa), include_m)
+        worst[chunk] = np.max(np.abs(table[:, rows, cols]), axis=1)
     return worst
 
 
@@ -193,14 +184,11 @@ def symmetry_action(
     if gen_label != "E":
         gen_label = f"{gen_label}{gen.axis}"
     vals = fields.values(state.r[None, :], state.v[None, :], sys.kappa)
+    labels = fields.SCALAR_LABELS
+    column = fields.expected_table(vals, include_m=False)[0, :, labels.index(gen_label)]
     if target == "E":
-        return 0.0 if gen_label == "E" else float(
-            fields.expected_bracket("E", gen_label, vals)[0]
-        )
-    out = np.zeros(3)
-    for i in range(1, 4):
-        out[i - 1] = float(fields.expected_bracket(f"{target}{i}", gen_label, vals)[0])
-    return out
+        return float(column[0])
+    return column[[labels.index(f"{target}{i}") for i in (1, 2, 3)]]
 
 
 def quadratic_invariants(c: ConservedSet) -> tuple[float, float]:

@@ -7,11 +7,14 @@ error, 3 degenerate state, 4 inadmissible transform parameter.
 
 Defaults may be supplied as a JSON config file via --config or the
 KEPLERSYM_CONFIG environment variable; explicit flags win over the file.
+The argument parser is built on the first call of `main` and shared by every
+later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -65,8 +68,8 @@ class RunConfig:
         if self.rk_steps < 1 or self.quad_panels < 1:
             raise UsageError("rk_steps and quad_panels must be >= 1")
         for name, value in self.tolerances.items():
-            if not (value > 0):
-                raise UsageError(f"tolerance {name!r} must be positive, got {value}")
+            if not (0.0 < value < float("inf")):
+                raise UsageError(f"tolerance {name!r} must be positive and finite, got {value}")
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -79,11 +82,15 @@ def _load_config(path: str | None) -> RunConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for key in ("kappa", "rk_steps", "quad_panels", "seed", "samples"):
-        if key in data:
-            setattr(cfg, key, type(getattr(cfg, key))(data[key]))
-    if "tolerances" in data:
-        cfg.tolerances.update({k: float(v) for k, v in data["tolerances"].items()})
+    if not isinstance(data, dict) or not isinstance(data.get("tolerances", {}), dict):
+        raise UsageError(f"config file {path} must hold a JSON object, its tolerances an object")
+    try:
+        for key in ("kappa", "rk_steps", "quad_panels", "seed", "samples"):
+            if key in data:
+                setattr(cfg, key, type(getattr(cfg, key))(data[key]))
+        cfg.tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
     return cfg
 
 
@@ -170,9 +177,9 @@ def cmd_brackets(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    tolerances = dict(cfg.tolerances)
     if args.tol is not None:
-        tolerances = {name: args.tol for name in tolerances}
+        cfg.tolerances = dict.fromkeys(cfg.tolerances, args.tol)
+        cfg.validate()
     results = run_suites(
         args.suite,
         samples=args.samples or cfg.samples,
@@ -180,7 +187,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         kappa=args.kappa if args.kappa is not None else cfg.kappa,
         rk_steps=args.rk_steps or cfg.rk_steps,
         quad_panels=args.quad_panels or cfg.quad_panels,
-        tolerances=tolerances,
+        tolerances=cfg.tolerances,
     )
     for res in results:
         _sys.stdout.write(res.line() + "\n")
@@ -249,7 +256,9 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="keplersym",
         description="Kepler-problem conserved quantities, LRL symmetry transformations, "

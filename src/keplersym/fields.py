@@ -1,25 +1,31 @@
-"""Vectorized kernels: conserved quantities, gradients, characteristics, reconstruction.
+"""Vectorized kernels: conserved quantities, gradients, brackets, characteristics, reconstruction.
 
 Everything here operates on batches: r and v are (N, 3) arrays and scalar
 results are (N,).  This module is the only home of these formulas; the
 scalar APIs elsewhere are N=1 views of them:
 
     values / scalar_values   conserved quantities (core.conserved_set stays scalar)
-    gradients, bracket       analytic phase-space gradients and Poisson brackets
+    gradients                analytic phase-space gradients, from the (N, 8, 3)
+                             base tensors of {E, L_i, A_i, |L|^2}
     fd_gradients             their finite-difference twin (step rule in core)
+    bracket_table            every Poisson bracket of a gradient table, as the one
+                             contraction C B0 C^T (bracket: one entry of it)
+    expected_table           the closed-form structure constants, same layout
+                             (expected_bracket: one entry of it)
     characteristics          P = dC/dv and DtP of each generator family, also
                              mixed A/Theta batches (generators, flow, verify)
     gauge_completion         the radius-preserving flow field from (P, DtP)
                              (flow.symmetry_flow_rhs, generators.gauge_fixed_generator)
     reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*) (transforms)
 
-The ten scalar fields are labelled
+The scalar fields are labelled
 
     E, L1..L3, A1..A3, Theta1..Theta3          (plus M1..M3 when E != 0)
 
-and each label maps to a (value, grad_r, grad_v) triple.  These gradients are
-the analytic side of every bracket computation; the finite-difference twins
-live in `fd_gradients` and exist purely as an independent cross-check.
+in the row order of both tables (`table_labels`), and each label maps to a
+(grad_r, grad_v) pair.  These gradients are the analytic side of every
+bracket computation; the finite-difference twins live in `fd_gradients` and
+exist purely as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -34,32 +40,25 @@ from .errors import DegenerateDirectionError, InadmissibleTransformError
 ADMISSIBILITY_TOL = 1e-10
 
 # States per batch of fd_gradients, which holds the six perturbed value tables
-# of one batch at a time; batches this small stay in cache, and larger ones
-# ran slower.
+# of one batch at a time, and per chunk of the bracket tables of many states;
+# batches this small stay in cache, and larger ones ran slower.
 FD_BATCH = 2048
 
-SCALAR_LABELS = (
-    "E",
-    "L1",
-    "L2",
-    "L3",
-    "A1",
-    "A2",
-    "A3",
-    "Theta1",
-    "Theta2",
-    "Theta3",
-)
+SCALAR_LABELS = ("E", "L1", "L2", "L3", "A1", "A2", "A3", "Theta1", "Theta2", "Theta3")
 M_LABELS = ("M1", "M2", "M3")
+# The rows of the base gradient tensors that `bracket_table` contracts.
+BASE_LABELS = ("E", "L1", "L2", "L3", "A1", "A2", "A3", "_LSQ")
+# The L, A, Theta and M blocks of a bracket table.
+_L, _A, _THETA, _M = slice(1, 4), slice(4, 7), slice(7, 10), slice(10, 13)
 
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
     _EPS[_i, _j, _k] = _s
 
 
-def levi(i: int, j: int, k: int) -> float:
-    """Levi-Civita symbol with 1-based indices."""
-    return float(_EPS[i - 1, j - 1, k - 1])
+def table_labels(include_m: bool = True) -> tuple[str, ...]:
+    """The row and column labels of the bracket and expected tables."""
+    return SCALAR_LABELS + M_LABELS if include_m else SCALAR_LABELS
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,107 +114,98 @@ def gradients(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Analytic (grad_r, grad_v) for every scalar field, each of shape (N, 3).
 
-    Besides the per-label gradients, the returned table carries the chain-rule
-    factorizations of the derived fields,
+    The gradients of the eight base fields {E, L_i, A_i, |L|^2} are written
+    out once, and kept as (N, 8, 3) tensors under the private key "_base";
+    the derived fields follow from them by the chain rule
 
+        grad Theta_j = a grad A_j + b_j grad E + c_j grad |L|^2
         grad M_j     = alpha grad A_j + beta_j grad E
-        grad Theta_j = a grad A_j + b_j grad E + c_j grad |L|^2,
 
-    under private keys.  `bracket` uses them to evaluate M and Theta rows in a
-    numerically stable arrangement.
+    (Theta = A/|A| with |A|^2 = kappa^2 + 2E|L|^2, M = A/sqrt(2|E|)), whose
+    grad-E-free coefficients (a, c, alpha) are kept under "_coef" for
+    `bracket_table`.  Each label, and "_LSQ" for |L|^2, maps to a view of
+    these tensors.  They are stored as (field, component, N), so that every
+    elementwise step runs over the N states in one contiguous stretch.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n = r.shape[0]
+    # |r| as in `values`, so that E here and in the expected table agree to the bit
     r_mag = np.linalg.norm(r, axis=1)
-    v_sq = _dot(v, v)
-    r_dot_v = _dot(r, v)
+    r_sq, v_sq, r_dot_v = r_mag**2, _dot(v, v), _dot(r, v)
+    k_r3 = kappa / r_mag**3
+    beta = v_sq - kappa / r_mag
     e = 0.5 * v_sq - kappa / r_mag
-    a_vec = (v_sq - kappa / r_mag)[:, None] * r - r_dot_v[:, None] * v
-    a_sq = _dot(a_vec, a_vec)
-    a_mag = np.sqrt(a_sq)
+    a_vec = beta[:, None] * r - r_dot_v[:, None] * v
+    rt, vt = r.T, v.T
+    eye = np.eye(3)[:, :, None]
 
-    ge_r = (kappa / r_mag**3)[:, None] * r
-    ge_v = v.copy()
-    out: dict = {"E": (ge_r, ge_v)}
+    g_r = np.empty((14 if include_m else 11, 3, r.shape[0]))
+    g_v = np.empty_like(g_r)
+    g_r[0] = k_r3 * rt
+    g_v[0] = vt
+    # L_j = eps_jkl r_k v_l
+    g_r[1:4] = (_EPS.reshape(9, 3) @ vt).reshape(3, 3, -1)
+    g_v[1:4] = -(_EPS.reshape(9, 3) @ rt).reshape(3, 3, -1)
+    # A_j = (|v|^2 - kappa/|r|) r_j - (r.v) v_j, row j and component k
+    g_r[4:7] = k_r3 * rt[:, None] * rt + beta * eye - vt[:, None] * vt
+    g_v[4:7] = 2.0 * rt[:, None] * vt - vt[:, None] * rt - r_dot_v * eye
+    # |L|^2 = |r|^2 |v|^2 - (r.v)^2
+    g_r[7] = 2.0 * v_sq * rt - 2.0 * r_dot_v * vt
+    g_v[7] = 2.0 * r_sq * vt - 2.0 * r_dot_v * rt
 
-    basis = np.eye(3)
-    grads_a = []
-    for j in range(3):
-        e_j = np.broadcast_to(basis[j], (n, 3))
-        # L^j = (r x v)^j
-        out[f"L{j + 1}"] = (np.cross(v, e_j), np.cross(e_j, r))
-        # A^j = (|v|^2 - kappa/|r|) r^j - (r.v) v^j
-        ga_r = (
-            (kappa / r_mag**3 * r[:, j])[:, None] * r
-            + (v_sq - kappa / r_mag)[:, None] * e_j
-            - v[:, j][:, None] * v
-        )
-        ga_v = 2.0 * r[:, j][:, None] * v - v[:, j][:, None] * r - r_dot_v[:, None] * e_j
-        grads_a.append((ga_r, ga_v))
-        out[f"A{j + 1}"] = (ga_r, ga_v)
-
-    # |A|^2 = kappa^2 + 2 E |L|^2 with |L|^2 = |r|^2 |v|^2 - (r.v)^2.
-    l_sq = r_mag**2 * v_sq - r_dot_v**2
-    glsq_r = 2.0 * v_sq[:, None] * r - 2.0 * r_dot_v[:, None] * v
-    glsq_v = 2.0 * r_mag[:, None] ** 2 * v - 2.0 * r_dot_v[:, None] * r
-    out["_LSQ"] = (glsq_r, glsq_v)
-    gasq_r = 2.0 * l_sq[:, None] * ge_r + 2.0 * e[:, None] * glsq_r
-    gasq_v = 2.0 * l_sq[:, None] * ge_v + 2.0 * e[:, None] * glsq_v
-
+    l_sq = r_sq * v_sq - r_dot_v**2
+    a_mag = np.sqrt(_dot(a_vec, a_vec))
     theta_a = 1.0 / a_mag
-    theta_b = -a_vec * (l_sq / a_mag**3)[:, None]
-    theta_c = -a_vec * (e / a_mag**3)[:, None]
-    out["_theta_coef"] = (theta_a, theta_b, theta_c)
-    for j in range(3):
-        ga_r, ga_v = grads_a[j]
-        aj = a_vec[:, j]
-        # Theta^j = A^j / |A|
-        gt_r = ga_r / a_mag[:, None] - (aj / (2.0 * a_sq * a_mag))[:, None] * gasq_r
-        gt_v = ga_v / a_mag[:, None] - (aj / (2.0 * a_sq * a_mag))[:, None] * gasq_v
-        out[f"Theta{j + 1}"] = (gt_r, gt_v)
-
+    theta_b = -a_vec.T * (l_sq / a_mag**3)
+    theta_c = -a_vec.T * (e / a_mag**3)
+    alpha = None
     if include_m:
         two_abs_e = 2.0 * np.abs(e)
-        sgn = np.sign(e)
         alpha = 1.0 / np.sqrt(two_abs_e)
-        beta = -a_vec * (sgn / two_abs_e**1.5)[:, None]
-        out["_m_coef"] = (alpha, beta)
-        for j in range(3):
-            ga_r, ga_v = grads_a[j]
-            out[f"M{j + 1}"] = (
-                alpha[:, None] * ga_r + beta[:, j][:, None] * ge_r,
-                alpha[:, None] * ga_v + beta[:, j][:, None] * ge_v,
-            )
+        m_beta = -a_vec.T * (np.sign(e) / two_abs_e**1.5)
+    for g in (g_r, g_v):
+        g[8:11] = theta_a * g[4:7] + theta_b[:, None] * g[0] + theta_c[:, None] * g[7]
+        if include_m:
+            g[11:] = alpha * g[4:7] + m_beta[:, None] * g[0]
+
+    names = BASE_LABELS + SCALAR_LABELS[7:] + (M_LABELS if include_m else ())
+    out: dict = {name: (g_r[k].T, g_v[k].T) for k, name in enumerate(names)}
+    out["_base"] = (g_r[:8].transpose(2, 0, 1), g_v[:8].transpose(2, 0, 1))
+    out["_coef"] = (theta_a, theta_c.T, alpha)
     return out
 
 
 def fd_gradients(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Central-difference twin of `gradients`, built on `core.central_differences`."""
+    """Central-difference twin of `gradients`, built on `core.central_differences`.
+
+    The gradients of every label are stacked as (N, L, 3) tensors under
+    "_base"; each label maps to a view of them.
+    """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    labels = list(SCALAR_LABELS) + (list(M_LABELS) if include_m else [])
-    n = r.shape[0]
-    grads = {lab: (np.empty((n, 3)), np.empty((n, 3))) for lab in labels}
+    labels = table_labels(include_m)
+    g_r = np.empty((r.shape[0], len(labels), 3))
+    g_v = np.empty_like(g_r)
 
     def table(r_: np.ndarray, v_: np.ndarray) -> np.ndarray:
         vals = scalar_values(r_.reshape(-1, 3), v_.reshape(-1, 3), kappa, include_m)
         return np.stack([vals[lab] for lab in labels], axis=-1).reshape(r_.shape[:-1] + (-1,))
 
-    for lo in range(0, n, FD_BATCH):
+    for lo in range(0, r.shape[0], FD_BATCH):
         rb, vb = r[lo : lo + FD_BATCH], v[lo : lo + FD_BATCH]
         d_r = central_differences(lambda rs: table(rs, np.broadcast_to(vb, rs.shape)), rb)
         d_v = central_differences(lambda vs: table(np.broadcast_to(rb, vs.shape), vs), vb)
-        for j, lab in enumerate(labels):
-            grads[lab][0][lo : lo + FD_BATCH] = d_r[:, :, j].T
-            grads[lab][1][lo : lo + FD_BATCH] = d_v[:, :, j].T
+        g_r[lo : lo + FD_BATCH] = d_r.transpose(1, 2, 0)
+        g_v[lo : lo + FD_BATCH] = d_v.transpose(1, 2, 0)
+    grads: dict = {lab: (g_r[:, j], g_v[:, j]) for j, lab in enumerate(labels)}
+    grads["_base"] = (g_r, g_v)
     return grads
 
 
 def characteristics(
-    family, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
+    family, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float, dots=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched characteristic P = dC/dv of a generator family and its DtP.
 
@@ -239,9 +229,9 @@ def characteristics(
     on-shell flow direction (it drops out of every action on constants of
     motion) but is required for P to be the actual velocity gradient of
     Theta.  Raises DegenerateDirectionError for a Theta row at a circular
-    state.
+    state.  A caller that has formed dots = (|r|^2, r.v, |v|^2) passes them.
     """
-    r_sq = _dot(r, r)
+    r_sq, r_dot_v, v_sq = (_dot(r, r), None, None) if dots is None else dots
     k_r = kappa / np.sqrt(r_sq)
     k_r3 = k_r / r_sq
     single = isinstance(family, str)
@@ -249,8 +239,8 @@ def characteristics(
         return v.copy(), -k_r3[:, None] * r
     if single and family == "L":
         return np.cross(eps, r), np.cross(eps, v)
-    v_sq = _dot(v, v)
-    r_dot_v = _dot(r, v)
+    if dots is None:
+        r_dot_v, v_sq = _dot(r, v), _dot(v, v)
     beta = v_sq - k_r
     if not single or family == "Theta":
         a_vec = beta[:, None] * r - r_dot_v[:, None] * v
@@ -351,39 +341,82 @@ def _raw_bracket(
     return _dot(fr, gv_) - _dot(gr_, fv)
 
 
-def _expansion(grads: dict, label: str) -> list[tuple[np.ndarray | float, str]]:
-    """Chain-rule expansion of a label into well-conditioned base gradients.
+def bracket_table(grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """(N, L, L) brackets {label_p, label_q} over `table_labels`, as one contraction.
 
-    The grad E pieces of M and Theta are omitted: their bracket with every
-    base in the table ({X, E} for X among E, L_i, A_i, |L|^2) is identically
-    zero as an algebraic consequence of the closed-form gradients, so keeping
-    them only injects |E|^-2-amplified roundoff.
+    With X = G_r G_v^T over the stacked gradients "_base" of the table,
+    B0 = X - X^T holds the brackets among its base fields, and the table is
+    C B0 C^T.  For a table from `gradients` the base is {E, L_i, A_i, |L|^2}
+    and C expands each label in it: M_j -> alpha A_j, Theta_j -> a A_j +
+    c_j |L|^2.  The grad E pieces of M and Theta are omitted: their bracket
+    with every base field is identically zero as an algebraic consequence of
+    the closed-form gradients, so keeping them only injects |E|^-2-amplified
+    roundoff.  For a table from `fd_gradients` the base is the labels
+    themselves and C is the identity: every entry is a raw bracket.
     """
-    fam, j = _family(label)
-    if fam == "M" and "_m_coef" in grads:
-        alpha, _beta = grads["_m_coef"]
-        return [(alpha, f"A{j}")]
-    if fam == "Theta" and "_theta_coef" in grads:
-        a, _b, c = grads["_theta_coef"]
-        return [(a, f"A{j}"), (c[:, j - 1], "_LSQ")]
-    return [(1.0, label)]
+    g_r, g_v = grads["_base"]
+    x = g_r @ g_v.transpose(0, 2, 1)
+    table = x - x.transpose(0, 2, 1)
+    if "_coef" not in grads:
+        return table
+    a, c, alpha = grads["_coef"]
+    coef = np.zeros((len(a), 10 if alpha is None else 13, 8))
+    coef[:, :7, :7] = np.eye(7)
+    j = np.arange(3)
+    coef[:, 7 + j, 4 + j] = a[:, None]
+    coef[:, _THETA, 7] = c
+    if alpha is not None:
+        coef[:, 10 + j, 4 + j] = alpha[:, None]
+    return coef @ table @ coef.transpose(0, 2, 1)
 
 
-def bracket(
-    grads: dict[str, tuple[np.ndarray, np.ndarray]], left: str, right: str
-) -> np.ndarray:
-    """{left, right} = dF/dr . dG/dv - dG/dr . dF/dv from a gradient table.
+def expected_table(vals: dict[str, np.ndarray], include_m: bool = True) -> np.ndarray:
+    """(N, L, L) closed-form brackets over `table_labels` from the state's
+    constants as given by `values`: the algebra being verified,
 
-    Tables produced by `gradients` evaluate M and Theta rows through their
-    factored expansions; finite-difference tables evaluate every pair from
-    the raw gradients.
+        {E, anything} = 0                   {Theta_i, Theta_j} = 0
+        {L_i, X_j} = eps_ijk X_k            for X in L, A, Theta, M
+        {A_i, A_j} = -2E eps_ijk L_k        {M_i, M_j} = -sgn(E) eps_ijk L_k
+        {A_i, M_j} = -sgn(E) sqrt(2|E|) eps_ijk L_k
+        {A_i, Theta_j} = 2E/|A| ((Theta x L)_i Theta_j - eps_ijk L_k)
+        {M_i, Theta_j} = {A_i, Theta_j}/sqrt(2|E|),
+
+    each block below the diagonal being minus the transpose of its mirror.
     """
-    total = None
-    for coef_l, base_l in _expansion(grads, left):
-        for coef_r, base_r in _expansion(grads, right):
-            term = coef_l * coef_r * _raw_bracket(grads, base_l, base_r)
-            total = term if total is None else total + term
-    return total
+    e, theta = vals["E"], vals["Theta"]
+    eps_l, eps_a, eps_t = (np.einsum("ijk,nk->nij", _EPS, vals[key]) for key in ("L", "A", "Theta"))
+    theta_x_l = np.einsum("nij,nj->ni", eps_l, theta)
+    a_theta = (2.0 * e / vals["A_mag"])[:, None, None] * (theta_x_l[:, :, None] * theta[:, None, :] - eps_l)
+    blocks = [
+        (_L, _L, eps_l), (_L, _A, eps_a), (_L, _THETA, eps_t),
+        (_A, _A, -2.0 * e[:, None, None] * eps_l), (_A, _THETA, a_theta),
+    ]
+    if include_m:
+        sgn = np.sign(e)[:, None, None]
+        scale = np.sqrt(2.0 * np.abs(e))[:, None, None]
+        eps_m = np.einsum("ijk,nk->nij", _EPS, vals["M"])
+        blocks += [
+            (_L, _M, eps_m), (_M, _M, -sgn * eps_l),
+            (_A, _M, -sgn * scale * eps_l), (_M, _THETA, a_theta / scale),
+        ]
+    table = np.zeros((len(e),) + (len(table_labels(include_m)),) * 2)
+    for rows, cols, block in blocks:
+        table[:, rows, cols] = block
+        table[:, cols, rows] = -block.transpose(0, 2, 1)
+    return table
+
+
+def bracket(grads: dict[str, tuple[np.ndarray, np.ndarray]], left: str, right: str) -> np.ndarray:
+    """{left, right} = dF/dr . dG/dv - dG/dr . dF/dv: one entry of `bracket_table`."""
+    labels = table_labels("M1" in grads)
+    return bracket_table(grads)[:, labels.index(left), labels.index(right)]
+
+
+def expected_bracket(left: str, right: str, vals: dict[str, np.ndarray]) -> np.ndarray:
+    """Closed-form value of {left, right}: one entry of `expected_table`."""
+    include_m = left[0] == "M" or right[0] == "M"
+    labels = table_labels(include_m)
+    return expected_table(vals, include_m)[:, labels.index(left), labels.index(right)]
 
 
 def _family(label: str) -> tuple[str, int]:
@@ -393,57 +426,3 @@ def _family(label: str) -> tuple[str, int]:
         if label.startswith(fam):
             return fam, int(label[len(fam):])
     raise KeyError(label)
-
-
-def expected_bracket(left: str, right: str, vals: dict[str, np.ndarray]) -> np.ndarray:
-    """Closed-form value of {left, right} in terms of the state's constants."""
-    n = vals["E"].shape[0]
-    fam_l, i = _family(left)
-    fam_r, j = _family(right)
-    if fam_l == "E" or fam_r == "E":
-        return np.zeros(n)
-
-    e = vals["E"]
-    l_vec, a_vec, theta, m_vec = vals["L"], vals["A"], vals["Theta"], vals["M"]
-    a_mag = vals["A_mag"]
-
-    def eps_contract(x: np.ndarray) -> np.ndarray:
-        # sum_k eps(i, j, k) x_k
-        out = np.zeros(n)
-        for k in range(1, 4):
-            s = levi(i, j, k)
-            if s:
-                out += s * x[:, k - 1]
-        return out
-
-    pair = (fam_l, fam_r)
-    if pair == ("L", "L"):
-        return eps_contract(l_vec)
-    if pair in (("L", "A"), ("A", "L")):
-        return eps_contract(a_vec)
-    if pair in (("L", "M"), ("M", "L")):
-        return eps_contract(m_vec)
-    if pair in (("L", "Theta"), ("Theta", "L")):
-        return eps_contract(theta)
-    if pair == ("A", "A"):
-        return -2.0 * e * eps_contract(l_vec)
-    if pair == ("M", "M"):
-        return -np.sign(e) * eps_contract(l_vec)
-    if pair in (("A", "M"), ("M", "A")):
-        return -np.sign(e) * np.sqrt(2.0 * np.abs(e)) * eps_contract(l_vec)
-    if pair == ("Theta", "Theta"):
-        return np.zeros(n)
-
-    # remaining: the LRL / LRL-direction mixed rows
-    theta_cross_l = np.cross(theta, l_vec)
-    if pair == ("A", "Theta"):
-        return 2.0 * e / a_mag * (theta_cross_l[:, i - 1] * theta[:, j - 1] - eps_contract(l_vec))
-    if pair == ("Theta", "A"):
-        return -2.0 * e / a_mag * (theta_cross_l[:, j - 1] * theta[:, i - 1]) - 2.0 * e / a_mag * eps_contract(l_vec)
-    if pair == ("M", "Theta"):
-        scale = np.sqrt(2.0 * np.abs(e))
-        return expected_bracket(f"A{i}", right, vals) / scale
-    if pair == ("Theta", "M"):
-        scale = np.sqrt(2.0 * np.abs(e))
-        return expected_bracket(left, f"A{j}", vals) / scale
-    raise KeyError((left, right))

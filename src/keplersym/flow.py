@@ -271,13 +271,14 @@ def symmetry_flow_rhs(
     family = FAMILY_LABEL[kind] if isinstance(kind, GeneratorKind) else _Kinds(kind).direction_rows
     r_sq = np.einsum("ni,ni->n", r, r)
     r_dot_v = np.einsum("ni,ni->n", r, v)
+    v_sq = np.einsum("ni,ni->n", v, v)
     # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
-    if (r_dot_v**2 <= FLOW_APSIS_FLOOR**2 * (r_sq * np.einsum("ni,ni->n", v, v))).any():
+    if (r_dot_v**2 <= FLOW_APSIS_FLOOR**2 * (r_sq * v_sq)).any():
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
     try:
-        p, dtp = fields.characteristics(family, r, v, eps, kappa)
+        p, dtp = fields.characteristics(family, r, v, eps, kappa, (r_sq, r_dot_v, v_sq))
     except DegenerateDirectionError as exc:
         raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
     return fields.gauge_completion(r, v, p, dtp, eps, kappa, r_sq, r_dot_v)

@@ -102,45 +102,23 @@ def _result(name, worst, tol, count, t0, note="", passed=None) -> PropertyResult
 def _jacobi_worst(r: np.ndarray, v: np.ndarray, kappa: float) -> float:
     """Jacobi identity over triples from {E, L_i, M_i}, analytic gradients.
 
-    The algebra closes: every inner bracket is a structure-constant multiple
-    of a single basis element (with the -sgn(E) coefficient locally constant
-    away from E = 0), so {f, {g, h}} expands to that multiple of a computed
-    analytic bracket.
+    The algebra closes: {g, h} = sum_k S_ghk k with structure constants S
+    (the -sgn(E) of {M_i, M_j} locally constant away from E = 0), so
+    {f, {g, h}} = Y_fgh = sum_k S_ghk T_fk is one contraction of S with the
+    computed bracket table T, and the identity reads Y_fgh + Y_ghf + Y_hfg = 0.
     """
-    labels = ["E", "L1", "L2", "L3", "M1", "M2", "M3"]
-    grads = fields.gradients(r, v, kappa)
-    sgn_e = np.sign(fields.values(r, v, kappa)["E"])
-    n = r.shape[0]
-
-    def closure(g: str, h: str) -> tuple[np.ndarray, str | None]:
-        fam_g, i = fields._family(g)
-        fam_h, j = fields._family(h)
-        if fam_g == "E" or fam_h == "E":
-            return np.zeros(n), None
-        k = 6 - i - j
-        if k not in (1, 2, 3) or i == j:
-            return np.zeros(n), None
-        sign = fields.levi(i, j, k)
-        if (fam_g, fam_h) == ("L", "L"):
-            return sign * np.ones(n), f"L{k}"
-        if (fam_g, fam_h) in (("L", "M"), ("M", "L")):
-            return sign * np.ones(n), f"M{k}"
-        return -sign * sgn_e, f"L{k}"
-
-    def outer(f: str, g: str, h: str) -> np.ndarray:
-        coef, label = closure(g, h)
-        if label is None:
-            return np.zeros(n)
-        return coef * fields.bracket(grads, f, label)
-
-    worst = 0.0
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            for c in range(b + 1, len(labels)):
-                f, g, h = labels[a], labels[b], labels[c]
-                res = outer(f, g, h) + outer(g, h, f) + outer(h, f, g)
-                worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    labels = fields.table_labels()
+    rows = [labels.index(lab) for lab in ("E", "L1", "L2", "L3", "M1", "M2", "M3")]
+    table = fields.bracket_table(fields.gradients(r, v, kappa))[:, rows][:, :, rows]
+    s = np.zeros((r.shape[0], 7, 7, 7))
+    lv, mv = slice(1, 4), slice(4, 7)
+    s[:, lv, lv, lv] = fields._EPS
+    s[:, lv, mv, mv] = fields._EPS
+    s[:, mv, lv, mv] = fields._EPS
+    s[:, mv, mv, lv] = -np.sign(fields.values(r, v, kappa)["E"])[:, None, None, None] * fields._EPS
+    y = np.einsum("nghk,nfk->nfgh", s, table)
+    jacobi = y + y.transpose(0, 3, 1, 2) + y.transpose(0, 2, 3, 1)
+    return float(np.max(np.abs(jacobi), initial=0.0))
 
 
 def algebra_suite(
@@ -193,15 +171,11 @@ def algebra_suite(
     out.append(_result("algebra.noether_characteristics", worst, tol["noether"], samples, t0))
 
     t0 = time.perf_counter()
-    grads = fields.gradients(r, v, kappa)
-    labels = list(fields.SCALAR_LABELS) + list(fields.M_LABELS)
     worst = 0.0
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            s = fields.bracket(grads, labels[a], labels[b]) + fields.bracket(
-                grads, labels[b], labels[a]
-            )
-            worst = max(worst, float(np.max(np.abs(s))))
+    for lo in range(0, n_rand, fields.FD_BATCH):
+        chunk = slice(lo, lo + fields.FD_BATCH)
+        table = fields.bracket_table(fields.gradients(r[chunk], v[chunk], kappa))
+        worst = max(worst, float(np.max(np.abs(table + table.transpose(0, 2, 1)))))
     out.append(_result("algebra.antisymmetry", worst, tol["antisymmetry"], n_rand, t0))
 
     t0 = time.perf_counter()
@@ -242,10 +216,10 @@ def algebra_suite(
     t0 = time.perf_counter()
     n_act = min(500, n_rand)
     ra, va = r[:n_act], v[:n_act]
-    vals = fields.values(ra, va, kappa)
+    expected = fields.expected_table(fields.values(ra, va, kappa), include_m=False)
     h = ACTION_FD_STEP
     worst = 0.0
-    for gen_label in fields.SCALAR_LABELS:
+    for g, gen_label in enumerate(fields.SCALAR_LABELS):
         family, axis = fields._family(gen_label)
         eps = np.zeros((n_act, 3))
         if axis:
@@ -253,10 +227,8 @@ def algebra_suite(
         p, dtp = fields.characteristics(family, ra, va, eps, kappa)
         sv_p = fields.scalar_values(ra + h * p, va + h * dtp, kappa, include_m=False)
         sv_m = fields.scalar_values(ra - h * p, va - h * dtp, kappa, include_m=False)
-        for target in fields.SCALAR_LABELS:
-            fd = (sv_p[target] - sv_m[target]) / (2.0 * h)
-            expected = fields.expected_bracket(target, gen_label, vals)
-            worst = max(worst, float(np.max(np.abs(fd - expected))))
+        fd = np.stack([(sv_p[target] - sv_m[target]) / (2.0 * h) for target in fields.SCALAR_LABELS], axis=1)
+        worst = max(worst, float(np.max(np.abs(fd - expected[:, :, g]))))
     out.append(_result("algebra.symmetry_action_fd", worst, tol["action"], n_act, t0))
     return out
 
@@ -385,9 +357,9 @@ def transforms_suite(
     worst = 0.0
     rng = np.random.default_rng(seed + 5)
     group_pairs = pairs_dir[:n2]
-    for state, eps in group_pairs:
+    # the once-applied transforms of these pairs are the closed forms kept above
+    for (state, eps), once in zip(group_pairs, closed_dir):
         x = ExtendedState(0.0, state)
-        once = direction_lrl_transform(x, sys, eps, quad_panels).out
         half = direction_lrl_transform(x, sys, 0.5 * eps, quad_panels).out
         twice = direction_lrl_transform(half, sys, 0.5 * eps, quad_panels).out
         worst = max(worst, _gap(once, twice))
@@ -395,13 +367,12 @@ def transforms_suite(
 
     t0 = time.perf_counter()
     worst = 0.0
-    for state, eps in group_pairs:
+    for (state, eps), once in zip(group_pairs, closed_dir):
         g = rng.normal(size=3)
         g *= rng.uniform(0.2, 1.4) / np.linalg.norm(g)
-        x = ExtendedState(0.0, state)
-        lhs = rotate(direction_lrl_transform(x, sys, eps, quad_panels).out, g)
-        rhs = direction_lrl_transform(rotate(x, g), sys, rotation_matrix(g) @ eps, quad_panels).out
-        worst = max(worst, _gap(lhs, rhs))
+        rotated = rotate(ExtendedState(0.0, state), g)
+        rhs = direction_lrl_transform(rotated, sys, rotation_matrix(g) @ eps, quad_panels).out
+        worst = max(worst, _gap(rotate(once, g), rhs))
     direction.append(
         _result("transforms.direction_equivariance", worst, tol["group_law"], len(group_pairs), t0)
     )
@@ -409,9 +380,8 @@ def transforms_suite(
     t0 = time.perf_counter()
     worst = 0.0
     composed = (branch_pairs["neg"] + branch_pairs["pos"])[:n2]
-    for state, eps in composed:
+    for (state, eps), once in zip(composed, closed_lrl["neg"] + closed_lrl["pos"]):
         x = ExtendedState(0.0, state)
-        once = lrl_transform(x, sys, eps, quad_panels).out
         part = lrl_transform(x, sys, 0.4 * eps, quad_panels).out
         full = lrl_transform(part, sys, 0.6 * eps, quad_panels).out
         worst = max(worst, _gap(once, full))

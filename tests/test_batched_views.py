@@ -4,7 +4,9 @@ Each test draws random admissible states (elliptic, hyperbolic and exactly
 parabolic) and holds every N=1 call to the matching row of one batched call
 on the whole stack, to 1e-14 relative.  A symmetry-flow batch that mixes the
 LRL and LRL-direction families, rows shuffled, is held row by row to the
-single-family batches of the same rows.
+single-family batches of the same rows.  The batched bracket and expected
+tables are held entry by entry to the N=1 structure table and to a pair-by-pair
+reference.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from keplersym import (
     conserved_set,
     gauge_fixed_generator,
     prolonged_generator,
+    structure_table,
     transform_constants_direction,
     transform_constants_lrl,
 )
@@ -177,3 +180,46 @@ def test_apsis_in_one_row_stops_the_batch(seed, row):
         symmetry_flow_rhs(kinds, r, v, eps, 1.0)
     with pytest.raises(FlowDegeneracyError):
         integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r, v, eps, 1.0, 10)
+
+
+def pairwise_bracket(grads, left, right):
+    """{left, right} pair by pair from `fields._raw_bracket`, each label
+    expanded by the gradient table's chain-rule coefficients: M_j -> alpha A_j,
+    Theta_j -> a A_j + c_j |L|^2."""
+    a, c, alpha = grads["_coef"]
+
+    def expand(label):
+        if label.startswith("Theta"):
+            return [(a, f"A{label[-1]}"), (c[:, int(label[-1]) - 1], "_LSQ")]
+        if label.startswith("M"):
+            return [(alpha, f"A{label[-1]}")]
+        return [(1.0, label)]
+
+    return sum(
+        cl * cr * fields._raw_bracket(grads, bl, br) for cl, bl in expand(left) for cr, br in expand(right)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_bracket_table_entries(seed):
+    r, v = sample_states(12, seed)
+    away = np.abs(fields.values(r, v, 1.0)["E"]) > 0.05
+    for (r, v), include_m in ((r[away], v[away]), True), (sample_parabolic_states(3, seed + 1), False):
+        labels = fields.table_labels(include_m)
+        grads = fields.gradients(r, v, 1.0, include_m)
+        table = fields.bracket_table(grads)
+        expected = fields.expected_table(fields.values(r, v, 1.0), include_m)
+        for n in range(len(r)):
+            entries = structure_table(PhaseState(r[n], v[n]), SYS).entries
+            assert len(entries) == len(labels) * (len(labels) - 1) // 2
+            for entry in entries:
+                a, b = labels.index(entry.left), labels.index(entry.right)
+                # both triangles: {b, a} = -{a, b}
+                for p, q, sign in ((a, b, 1.0), (b, a, -1.0)):
+                    assert abs(table[n, p, q] - sign * entry.computed) <= 1e-12, (entry, p, q)
+                    assert abs(expected[n, p, q] - sign * entry.expected) <= 1e-12, (entry, p, q)
+        for p, left in enumerate(labels):
+            for q, right in enumerate(labels):
+                ref = pairwise_bracket(grads, left, right)
+                assert np.max(np.abs(table[:, p, q] - ref), initial=0.0) <= 1e-12, (left, right)

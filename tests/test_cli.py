@@ -215,3 +215,44 @@ def test_verify_unreachable_branch_fails_before_flow_work(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--suite", "transforms", "--kappa", "100", "--samples", "5")
     assert code == 2
     assert "'pos'" in err and "kappa = 100" in err
+
+
+def test_config_value_of_wrong_type_exit2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": "abc"}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "conserved", "--r", "1,0,0", "--v", "0,1.2,0")
+    assert code == 2
+    assert out == "" and "abc" in err
+
+
+def test_config_file_holding_a_list_exit2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"kappa": 2.0}]))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "conserved", "--r", "1,0,0", "--v", "0,1.2,0")
+    assert code == 2
+    assert out == "" and "JSON object" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_verify_bad_tol_exit2(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--samples", "20", "--tol", tol)
+    assert code == 2
+    assert out == "" and "must be positive and finite" in err
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    state = ("--r", "1,0,0.1", "--v", "0.1,1.2,0")
+    _, plain, _ = run_cli(capsys, "brackets", *state)
+    code, checked, _ = run_cli(capsys, "brackets", "--fd-check", *state)
+    assert code == 0 and "fd_residual" in checked
+    code, after, _ = run_cli(capsys, "brackets", *state)
+    assert code == 0 and "fd_residual" not in after
+    assert after == plain
+    # failures with exit 2 in between, in the parser and after it, change no later reply
+    with pytest.raises(SystemExit) as exc:
+        main(["brackets", "--fd-check", "--r", "1,0,0"])
+    assert exc.value.code == 2
+    code, _, _ = run_cli(capsys, "brackets", "--fd-check", "--r", "1,0", "--v", "0,1,0")
+    assert code == 2
+    code, again, _ = run_cli(capsys, "brackets", *state)
+    assert code == 0 and again == plain
