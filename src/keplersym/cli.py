@@ -14,6 +14,7 @@ later call in the same process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -198,10 +199,12 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-def _write_rows(fh, header: list[str], rows) -> None:
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(repr(float(x)) for x in row) + "\n")
+def _write_rows(path, header: list[str], rows) -> None:
+    """CSV rows to the file at path, or to stdout when path is None."""
+    with open(path, "w") if path else contextlib.nullcontext(_sys.stdout) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def cmd_orbit(args, cfg: RunConfig) -> int:
@@ -210,12 +213,7 @@ def cmd_orbit(args, cfg: RunConfig) -> int:
     traj = integrate_orbit(
         state, sys, args.tmax, tol=args.tol, max_step=args.max_step, dt_out=args.dt_out
     )
-    out = open(args.out, "w") if args.out else _sys.stdout
-    try:
-        _write_rows(out, list(CSV_COLUMNS), traj.csv_rows(sys))
-    finally:
-        if args.out:
-            out.close()
+    _write_rows(args.out, list(CSV_COLUMNS), traj.csv_rows(sys))
     return EXIT_OK
 
 
@@ -247,12 +245,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
             for row in traj.csv_rows(sys):
                 yield [float(index), *row]
 
-    out = open(args.out, "w") if args.out else _sys.stdout
-    try:
-        _write_rows(out, ["family", *CSV_COLUMNS], families())
-    finally:
-        if args.out:
-            out.close()
+    _write_rows(args.out, ["family", *CSV_COLUMNS], families())
     return EXIT_OK
 
 

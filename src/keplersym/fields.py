@@ -12,10 +12,10 @@ scalar APIs elsewhere are N=1 views of them:
                              contraction C B0 C^T (bracket: one entry of it)
     expected_table           the closed-form structure constants, same layout
                              (expected_bracket: one entry of it)
-    characteristics          P = dC/dv and DtP of each generator family, also
-                             mixed A/Theta batches (generators, flow, verify)
-    gauge_completion         the radius-preserving flow field from (P, DtP)
-                             (flow.symmetry_flow_rhs, generators.gauge_fixed_generator)
+    characteristics          P = dC/dv and DtP of each generator family, also mixed
+                             A/Theta batches (generators, verify)
+    gauge_field              the radius-preserving flow field, and the A/Theta P
+                             and DtP, as per-row coefficients on (r, v, eps) (flow)
     reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*) (transforms)
 
 The scalar fields are labelled
@@ -50,6 +50,8 @@ M_LABELS = ("M1", "M2", "M3")
 BASE_LABELS = ("E", "L1", "L2", "L3", "A1", "A2", "A3", "_LSQ")
 # The L, A, Theta and M blocks of a bracket table.
 _L, _A, _THETA, _M = slice(1, 4), slice(4, 7), slice(7, 10), slice(10, 13)
+
+_A_AXIS = np.array([[0.0], [0.0], [1.0]])  # the A rows' axis: eps itself
 
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
@@ -204,8 +206,24 @@ def fd_gradients(
     return grads
 
 
+def frame(r: np.ndarray, v: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, 3, N) component-major stack basis = (r, v, eps) of (N, 3) rows,
+    and its (2, 3, N) dots gram[a, b] = basis[a] . basis[b] for a in (r, v)."""
+    basis = np.empty((3, 3, len(r)))
+    basis[0], basis[1], basis[2] = r.T, v.T, eps.T
+    return basis, _contract("acn,bcn->abn", basis[:2], basis)
+
+
+def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum over batches on the last axis; a lone row goes as a pair, since einsum
+    sums it in another order, so that every row matches its row of any batch."""
+    if a.shape[-1] == 1:
+        return np.einsum(spec, np.concatenate((a, a), -1), np.concatenate((b, b), -1))[..., :1]
+    return np.einsum(spec, a, b)
+
+
 def characteristics(
-    family, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float, dots=None
+    family, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched characteristic P = dC/dv of a generator family and its DtP.
 
@@ -222,63 +240,52 @@ def characteristics(
         Theta  P = P[A]/|A| + (A.eps) (2E (r x L) - |L|^2 v)/|A|^3
                DtP = DtP[A]/|A| + (A.eps) (2E (v x L) - |L|^2 a)/|A|^3
 
-    Theta = A/|A|, so the Theta rows are computed as the A rows at the
-    projected axis eps~ = (eps - (Theta.eps) Theta)/|A|: P[Theta](eps) =
-    P[A](eps~), and DtP[Theta](eps) = DtP[A](eps~) because eps~ is built from
-    constants of motion.  The |L|^2 v piece of P[Theta] is a multiple of the
-    on-shell flow direction (it drops out of every action on constants of
-    motion) but is required for P to be the actual velocity gradient of
-    Theta.  Raises DegenerateDirectionError for a Theta row at a circular
-    state.  A caller that has formed dots = (|r|^2, r.v, |v|^2) passes them.
+    The Theta rows are the A rows at the projected axis, built from constants
+    of motion, eps~ = (eps - (Theta.eps) Theta)/|A|; the |L|^2 v piece of
+    P[Theta] drops out of every action on constants of motion but makes P the
+    velocity gradient of Theta.  The A and Theta rows are `gauge_field` at
+    mu = 0.  Raises DegenerateDirectionError for a Theta row at a circular state.
     """
-    r_sq, r_dot_v, v_sq = (_dot(r, r), None, None) if dots is None else dots
-    k_r = kappa / np.sqrt(r_sq)
-    k_r3 = k_r / r_sq
-    single = isinstance(family, str)
-    if single and family == "E":
-        return v.copy(), -k_r3[:, None] * r
-    if single and family == "L":
+    if isinstance(family, str) and family == "E":
+        r_sq = _dot(r, r)
+        return v.copy(), -(kappa / np.sqrt(r_sq) / r_sq)[:, None] * r
+    if isinstance(family, str) and family == "L":
         return np.cross(eps, r), np.cross(eps, v)
-    if dots is None:
-        r_dot_v, v_sq = _dot(r, v), _dot(v, v)
-    beta = v_sq - k_r
-    if not single or family == "Theta":
-        a_vec = beta[:, None] * r - r_dot_v[:, None] * v
-        a_mag = np.sqrt(_dot(a_vec, a_vec))
-        circular = a_mag <= CIRCULAR_TOL * kappa
-        if (circular if single else circular & family).any():
-            raise DegenerateDirectionError(
-                "LRL direction undefined: |A| is at the circular-orbit threshold"
-            )
-        if not single:
-            # the A rows discard their eps~; keep it finite at a circular A row
-            a_mag = np.where(family, a_mag, 1.0)
-        tilde = eps / a_mag[:, None] - (_dot(a_vec, eps) / a_mag**3)[:, None] * a_vec
-        eps = tilde if single else np.where(family[:, None], tilde, eps)
-    r_eps = _dot(r, eps)
-    v_eps = _dot(v, eps)
-    p = 2.0 * r_eps[:, None] * v - v_eps[:, None] * r - r_dot_v[:, None] * eps
-    dtp = v_eps[:, None] * v - (k_r3 * r_eps)[:, None] * r - beta[:, None] * eps
-    return p, dtp
+    basis, gram = frame(r, v, eps)
+    return tuple(gauge_field(family, basis, gram, kappa, 0.0)[1].transpose(0, 2, 1))
 
 
-def gauge_completion(
-    r, v, p, dtp, eps, kappa: float, r_sq, r_dot_v, tau=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched (dt/ds, dr/ds, dv/ds) of the radius-preserving gauge of (P, DtP):
+def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=None):
+    """(dt/ds, (dr/ds, dv/ds)) of the radius-preserving gauge of the A/Theta
+    field (family as in `characteristics`) on a `frame`, the pair (2, 3, N):
 
-        dr/ds = P + tau v,      dv/ds = DtP + tau a,
-        dt/ds = -(r x L) . eps, tau   = -(r . P)/(r . v)
+        dr/ds = P + tau v,  dv/ds = DtP + tau a,  dt/ds = -(r x L) . eps,  tau = -mu
 
-    from the callers' r_sq = |r|^2 and r_dot_v = r.v, checked off the apsis
-    r.v = 0; a given tau (an apsis limit) replaces the quotient.
+    A Theta row's axis eps~ is (-g beta, g r.v, 1/|A|) on (r, v, eps), with
+    A = beta r - (r.v) v, beta = |v|^2 - kappa/|r| and g = (A.eps)/|A|^3, an A
+    row's eps.  With rho = r.eps~, nu = v.eps~ and k3 = kappa/|r|^3, P = -nu r
+    + 2 rho v - (r.v) eps~, DtP = -k3 rho r + nu v - beta eps~, and unless given
+    (an apsis limit, or 0 for (P, DtP)) mu = (r.P)/(r.v) = rho - nu |r|^2/(r.v).
     """
-    minus_tau = _dot(r, p) / r_dot_v if tau is None else -tau
-    dr = p - minus_tau[:, None] * v
-    dv = dtp + (minus_tau * kappa / (r_sq * np.sqrt(r_sq)))[:, None] * r
-    # -(r x L) . eps with r x L = (r.v) r - |r|^2 v
-    dt = _dot(r_sq[:, None] * v - r_dot_v[:, None] * r, eps)
-    return dt, dr, dv
+    rr, rv, re, vv, ve = gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2]
+    k = kappa / np.sqrt(rr)
+    k3, beta = k / rr, vv - k
+    theta_rows = family == "Theta" if isinstance(family, str) else family
+    rv_sq = rv * rv
+    a_sq = beta * (beta * rr - 2.0 * rv_sq) + rv_sq * vv
+    # also catches a roundoff-negative |A|^2
+    if ((a_sq <= (CIRCULAR_TOL * kappa) ** 2) & theta_rows).any():
+        raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
+    # an A row keeps eps; keep its discarded Theta terms finite
+    a_sq = np.where(theta_rows, a_sq, 1.0)
+    inv_a = 1.0 / np.sqrt(a_sq)
+    g = (beta * re - rv * ve) * inv_a / a_sq
+    axis = np.where(theta_rows, np.array((-g * beta, g * rv, inv_a)), _A_AXIS)
+    rho, nu = _contract("abn,bn->an", gram, axis)
+    mu = rho - nu * rr / rv if mu is None else mu
+    coef = -np.array((rv, beta))[:, None] * axis
+    coef[:, :2] += ((-nu, 2.0 * rho - mu), ((mu - rho) * k3, nu))
+    return rr * ve - rv * re, _contract("pbn,bcn->pcn", coef, basis)
 
 
 def reconstruction_terms(
@@ -291,7 +298,7 @@ def reconstruction_terms(
     ADMISSIBILITY_TOL^2; otherwise InadmissibleTransformError, carrying the
     worst root argument (or |A*|^2).
     """
-    arg = 2.0 * (e + kappa / r_mag) - l_sq / r_mag**2
+    arg = 2.0 * (e + kappa / r_mag) - l_sq / (r_mag * r_mag)
     worst = float(np.min(arg))
     if worst < -ADMISSIBILITY_TOL:
         raise InadmissibleTransformError(

@@ -12,13 +12,14 @@ The symmetry-flow vector field at (t, r, v) for parameter direction eps is
     dr/ds = P_eps + tau v,      dv/ds = DtP_eps + tau a,
     dt/ds = -(r x L) . eps,     tau   = -(r . P_eps) / (r . v)
 
-where P_eps is the contracted characteristic of the family.  The tau
-completion (`fields.gauge_completion`) keeps |r| exactly invariant along the
-flow; it is singular at apsides (r.v = 0), which are therefore rejected as
-starting points.  The LRL-direction field is the LRL field at the projected
-axis eps~ = (eps - (Theta.eps) Theta)/|A|, with dt/ds still taken along eps,
-so one batch may mix the two families row by row: a suite integrates all of
-its flows, of both families and every energy branch, as one RK4 batch.
+where P_eps is the contracted characteristic of the family.  tau keeps |r|
+exactly invariant and is singular at apsides (r.v = 0), so flows start off
+them.  The LRL-direction field is the LRL field at the projected axis
+eps~ = (eps - (Theta.eps) Theta)/|A|, dt/ds still along eps, so one RK4 batch
+may mix the two families row by row.  eps~ is a combination of (r, v, eps), so
+is the field: `fields.gauge_field` forms its six coefficients per row from five
+dot products.  The RK4 loop keeps r, v and eps in one (3, 3, N)
+component-major buffer, t in an (N,) array.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .transforms import TransformResult, direction_lrl_transform, lrl_transform
 
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
+# Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
+MAX_ORBIT_SAMPLES = 1_000_000
 
 CSV_COLUMNS = ("t", "rx", "ry", "rz", "vx", "vy", "vz", "E", "Lx", "Ly", "Lz", "Ax", "Ay", "Az")
 
@@ -146,9 +149,9 @@ def integrate_orbit(
 
     Samples land on the dt_out grid when given, otherwise at every accepted
     step; the trajectory counts the accepted and rejected steps.  Raises
-    UsageError for a non-finite t_span or dt_out, CollisionError if the
-    radius reaches the collision floor and StepUnderflowError if adaptive
-    control stalls.
+    UsageError for a non-finite t_span or dt_out or a dt_out grid of more
+    than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches the
+    collision floor and StepUnderflowError if adaptive control stalls.
     """
     if not math.isfinite(t_span):
         raise UsageError(f"t_span must be finite, got {t_span}")
@@ -162,14 +165,15 @@ def integrate_orbit(
     kappa = sys.kappa
     t0 = state.t
     t_end = t0 + t_span
-
+    targets = [t_end]
     if dt_out is not None:
         if dt_out <= 0:
             raise UsageError("dt_out must be positive")
-        n_grid = max(1, math.ceil(abs(t_span) / dt_out - 1e-12))
-        targets = [t0 + direction * dt_out * k for k in range(1, n_grid)] + [t_end]
-    else:
-        targets = [t_end]
+        grid = abs(t_span) / dt_out
+        if grid > MAX_ORBIT_SAMPLES:
+            raise UsageError(f"the dt_out grid asks for {grid:.3g} samples, over {MAX_ORBIT_SAMPLES}")
+        n_grid = max(1, math.ceil(grid - 1e-12))
+        targets = (t0 + direction * dt_out * k if k < n_grid else t_end for k in range(1, n_grid + 1))
 
     y = np.concatenate([state.r, state.v])
     f = _orbit_rhs(y, kappa)
@@ -265,23 +269,23 @@ def symmetry_flow_rhs(
     """Batched (dt/ds, dr/ds, dv/ds) of the gauge-fixed symmetry flow.
 
     kind is one GeneratorKind for every row or a sequence of N kinds, one per
-    row.  Raises FlowDegeneracyError if any row is at an apsis or is a
-    direction row at a circular state.
+    row.  dr/ds and dv/ds are (N, 3) views of one (2, 3, N) array.  Raises
+    FlowDegeneracyError if any row is at an apsis or is a direction row at a
+    circular state.
     """
     family = FAMILY_LABEL[kind] if isinstance(kind, GeneratorKind) else _Kinds(kind).direction_rows
-    r_sq = np.einsum("ni,ni->n", r, r)
-    r_dot_v = np.einsum("ni,ni->n", r, v)
-    v_sq = np.einsum("ni,ni->n", v, v)
+    basis, gram = fields.frame(r, v, eps)
+    r_sq, r_dot_v, v_sq = gram[0, 0], gram[0, 1], gram[1, 1]
     # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
-    if (r_dot_v**2 <= FLOW_APSIS_FLOOR**2 * (r_sq * v_sq)).any():
+    if (r_dot_v * r_dot_v <= FLOW_APSIS_FLOOR**2 * (r_sq * v_sq)).any():
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
     try:
-        p, dtp = fields.characteristics(family, r, v, eps, kappa, (r_sq, r_dot_v, v_sq))
+        dt, d = fields.gauge_field(family, basis, gram, kappa)
     except DegenerateDirectionError as exc:
         raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
-    return fields.gauge_completion(r, v, p, dtp, eps, kappa, r_sq, r_dot_v)
+    return dt, d[0].T, d[1].T
 
 
 def integrate_symmetry_flows(
@@ -304,27 +308,30 @@ def integrate_symmetry_flows(
     if not isinstance(kind, GeneratorKind):
         kind = _Kinds(kind)
     t = np.array(t, dtype=float)
-    r = np.array(np.atleast_2d(r), dtype=float)
-    v = np.array(np.atleast_2d(v), dtype=float)
-    eps = np.array(np.atleast_2d(eps), dtype=float)
-    r_mag0 = np.sqrt(np.einsum("ni,ni->n", r, r))
-    drift = np.zeros_like(t)
+    # r, v and eps component-major, each (3, N); the steps update only r and v
+    y = np.array([np.atleast_2d(x).T for x in (r, v, eps)], dtype=float)
+    stage, k, k_t = y.copy(), np.empty((4, 2) + y.shape[1:]), np.empty((4, y.shape[2]))
+    y_rv, stage_rv = y[:2], stage[:2]
+    r_mag0 = np.sqrt(np.einsum("cn,cn->n", y[0], y[0]))
+    drift = np.zeros_like(r_mag0)
     h = 1.0 / steps
-    half = 0.5 * h
-    sixth = h / 6.0
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
 
     for _ in range(steps):
-        k1 = symmetry_flow_rhs(kind, r, v, eps, kappa)
-        k2 = symmetry_flow_rhs(kind, r + half * k1[1], v + half * k1[2], eps, kappa)
-        k3 = symmetry_flow_rhs(kind, r + half * k2[1], v + half * k2[2], eps, kappa)
-        k4 = symmetry_flow_rhs(kind, r + h * k3[1], v + h * k3[2], eps, kappa)
-        t = t + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        r = r + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        v = v + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        at = y
+        for i, node in enumerate((0.5 * h, 0.5 * h, h, None)):
+            k_t[i], dr, dv = symmetry_flow_rhs(kind, at[0].T, at[1].T, at[2].T, kappa)
+            k[i, 0], k[i, 1] = dr.T, dv.T
+            if node is not None:
+                at = stage
+                np.multiply(k[i], node, out=stage_rv)
+                stage_rv += y_rv
+        y_rv += (weights @ k.reshape(4, -1)).reshape(y_rv.shape)
+        t += weights @ k_t
+        if not np.isfinite(y_rv).all():
             raise FlowDegeneracyError("symmetry flow produced a non-finite state")
-        drift = np.maximum(drift, np.abs(np.sqrt(np.einsum("ni,ni->n", r, r)) - r_mag0))
-    return t, r, v, drift
+        np.maximum(drift, np.abs(np.sqrt(np.einsum("cn,cn->n", y[0], y[0])) - r_mag0), out=drift)
+    return t, y[0].T.copy(), y[1].T.copy(), drift
 
 
 def integrate_symmetry_flow(
@@ -367,12 +374,12 @@ def compare_flow_vs_closed_form(
         return FlowReport(state, state, 0.0, 0.0)
     closed = _closed_form(gen, state, sys, eps, quad_panels).out
     flown = integrate_symmetry_flow(gen, state, sys, eps, steps)
-    return FlowReport(closed, flown.out, _gap(closed, flown.out), flown.r_mag_drift)
+    return FlowReport(closed, flown.out, max(_gap(closed, flown.out)), flown.r_mag_drift)
 
 
-def _gap(a: ExtendedState, b: ExtendedState) -> float:
-    """Largest component difference between two extended states."""
-    return max(abs(a.t - b.t), float(np.max(np.abs(a.r - b.r))), float(np.max(np.abs(a.v - b.v))))
+def _gap(a: ExtendedState, b: ExtendedState) -> tuple[float, float]:
+    """The t difference and the largest (r, v) component difference of two extended states."""
+    return abs(a.t - b.t), max(float(np.max(np.abs(a.r - b.r))), float(np.max(np.abs(a.v - b.v))))
 
 
 def verify_solution_mapping(

@@ -145,21 +145,21 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
     tau = -(r . P)/(r . v), which makes r . delta_r vanish identically.  At an
     apsis that completion is finite only when (r x L)_axis also vanishes, in
     which case the on-shell limit -(A + kappa rhat)_axis / (|v|^2 - kappa/|r|)
-    (scaled by 1/|A| for the direction family) is used; otherwise ApsisError.
-    The completion itself is `fields.gauge_completion`.
+    (scaled by 1/|A| for the direction family) is used, as mu = -tau;
+    otherwise ApsisError.  The field itself is `fields.gauge_field`.
     """
     if gen.kind not in (GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION):
         raise UsageError("gauge-fixed components exist for the LRL and LRL-direction families")
     _require_off_origin(state, sys)
-    r, v = state.r[None, :], state.v[None, :]
+    family = FAMILY_LABEL[gen.kind]
     eps = np.eye(3)[gen.axis - 1 : gen.axis]
-    p, dt_p = fields.characteristics(FAMILY_LABEL[gen.kind], r, v, eps, sys.kappa)
-    r_dot_v = fields._dot(r, v)
-    r_mag, v_sq, tau = state.r_mag, float(state.v @ state.v), None
-    if abs(r_dot_v[0]) <= APSIS_FLOOR * (r_mag * state.v_mag + 1e-300):
+    basis, gram = fields.frame(state.r[None, :], state.v[None, :], eps)
+    r_mag, v_sq, mu = state.r_mag, float(state.v @ state.v), None
+    if abs(gram[0, 1, 0]) <= APSIS_FLOOR * (r_mag * state.v_mag + 1e-300):
+        p = fields.characteristics(family, state.r[None, :], state.v[None, :], eps, sys.kappa)[0][0]
         l_vec = cross(state.r, state.v)
-        num_scale = r_mag * (norm(l_vec) + norm(p[0])) + 1e-300
-        if abs(float(state.r @ p[0])) > 1e-9 * num_scale:
+        num_scale = r_mag * (norm(l_vec) + norm(p)) + 1e-300
+        if abs(float(state.r @ p)) > 1e-9 * num_scale:
             raise ApsisError(
                 f"r.v = 0 and (r x L)_{gen.axis} != 0: no finite radius-preserving "
                 "completion exists at an apsis for this axis"
@@ -173,9 +173,9 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
         if gen.kind is GeneratorKind.LRL_DIRECTION:
             a_mag = norm(a_vec)
             tau = tau / a_mag + float(l_vec @ l_vec) * a_vec[gen.axis - 1] / a_mag**3
-        tau = np.array([tau])
-    dt, dr, dv = fields.gauge_completion(r, v, p, dt_p, eps, sys.kappa, fields._dot(r, r), r_dot_v, tau)
-    return GeneratorValue(dt[0], dr[0], dv[0])
+        mu = np.array([-tau])
+    dt, d = fields.gauge_field(family, basis, gram, sys.kappa, mu)
+    return GeneratorValue(dt[0], d[0, :, 0], d[1, :, 0])
 
 
 def noether_characteristic(constant: Callable[[PhaseState], float], state: PhaseState) -> Vec3:

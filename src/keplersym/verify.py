@@ -30,6 +30,7 @@ from .generators import (
     velocity_jacobian,
 )
 from .sampling import (
+    _ray_admissible,
     canonical_states,
     sample_flow_pairs,
     sample_parabolic_states,
@@ -42,7 +43,7 @@ from .transforms import (
     rotation_matrix,
     time_translate,
 )
-from .brackets import structure_residuals
+from .brackets import FD_M_FLOOR, structure_residuals
 
 DEFAULT_TOLERANCES = {
     "bracket_analytic": 1e-10,
@@ -141,22 +142,13 @@ def algebra_suite(
     out.append(_result("algebra.structure_analytic", worst, tol["bracket_analytic"], samples, t0))
 
     t0 = time.perf_counter()
-    from .brackets import FD_M_FLOOR
-
     big_e = np.abs(fields.values(r, v, kappa)["E"]) >= FD_M_FLOOR
-    worst = float(np.max(structure_residuals(rp, vp, kappa, use_fd=True, include_m=False)))
-    if np.any(big_e):
-        worst = max(
-            worst,
-            float(np.max(structure_residuals(r[big_e], v[big_e], kappa, use_fd=True, include_m=True))),
-        )
-    if np.any(~big_e):
-        worst = max(
-            worst,
-            float(
-                np.max(structure_residuals(r[~big_e], v[~big_e], kappa, use_fd=True, include_m=False))
-            ),
-        )
+    parts = [(rp, vp, False), (r[big_e], v[big_e], True), (r[~big_e], v[~big_e], False)]
+    worst = max(
+        float(np.max(structure_residuals(ri, vi, kappa, use_fd=True, include_m=m)))
+        for ri, vi, m in parts
+        if len(ri)
+    )
     out.append(_result("algebra.structure_fd", worst, tol["bracket_fd"], samples, t0))
 
     t0 = time.perf_counter()
@@ -346,8 +338,11 @@ def transforms_suite(
     t_end, r_end, v_end, _ = integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r, v, eps, kappa, rk_steps)
     ends = iter([ExtendedState(t, PhaseState(ri, vi)) for t, ri, vi in zip(t_end, r_end, v_end)])
     for name, closed in [("direction", closed_dir)] + [(f"lrl_{b}", closed_lrl[b]) for b in branches]:
-        worst = max(map(_gap, closed, ends))
-        note = "" if name == "direction" else "integrated in the direction_vs_flow pass"
+        # the time shift and the (r, v) end apart, to say which side erred
+        gap_t, gap_rv = np.max(list(map(_gap, closed, ends)), axis=0)
+        note = f"t {gap_t:.1e}, r/v {gap_rv:.1e}"
+        note += "" if name == "direction" else "; integrated in the direction_vs_flow pass"
+        worst = max(gap_t, gap_rv)
         result = _result(f"transforms.{name}_vs_flow", worst, tol["flow_residual"], len(closed), t0, note)
         (direction if name == "direction" else lrl[name[4:]]).append(result)
         t0 = time.perf_counter()
@@ -362,7 +357,7 @@ def transforms_suite(
         x = ExtendedState(0.0, state)
         half = direction_lrl_transform(x, sys, 0.5 * eps, quad_panels).out
         twice = direction_lrl_transform(half, sys, 0.5 * eps, quad_panels).out
-        worst = max(worst, _gap(once, twice))
+        worst = max(worst, *_gap(once, twice))
     direction.append(_result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0))
 
     t0 = time.perf_counter()
@@ -372,7 +367,7 @@ def transforms_suite(
         g *= rng.uniform(0.2, 1.4) / np.linalg.norm(g)
         rotated = rotate(ExtendedState(0.0, state), g)
         rhs = direction_lrl_transform(rotated, sys, rotation_matrix(g) @ eps, quad_panels).out
-        worst = max(worst, _gap(rotate(once, g), rhs))
+        worst = max(worst, *_gap(rotate(once, g), rhs))
     direction.append(
         _result("transforms.direction_equivariance", worst, tol["group_law"], len(group_pairs), t0)
     )
@@ -384,7 +379,7 @@ def transforms_suite(
         x = ExtendedState(0.0, state)
         part = lrl_transform(x, sys, 0.4 * eps, quad_panels).out
         full = lrl_transform(part, sys, 0.6 * eps, quad_panels).out
-        worst = max(worst, _gap(once, full))
+        worst = max(worst, *_gap(once, full))
     composition = _result("transforms.lrl_composition", worst, tol["group_law"], len(composed), t0)
     return direction + [res for b in branches for res in lrl[b]] + [composition]
 
@@ -490,8 +485,6 @@ def _convergence_factor(sys: KeplerSystem, quad_panels: int) -> tuple[float, int
     """Residual ratio when halving the RK4 step on the elliptic reference case."""
     ell = ExtendedState(0.0, canonical_states()["ell"])
     off = time_translate(ell, 0.7, sys)
-    from .sampling import _ray_admissible
-
     eps = None
     for mag in (0.25, 0.2, 0.15, 0.1, 0.06):
         candidate = np.array([0.0, 0.0, mag])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,18 @@ def test_orbit_inf_tmax_exit2(capsys):
         capsys, "orbit", "--tmax", "inf", "--dt-out", "1", "--r", "1,0,0", "--v", "0,1.2,0"
     )
     assert code == 2
+
+
+def test_orbit_huge_grid_exit2(capsys):
+    # 10^12 grid points: refused before any sample is made
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "orbit", "--r", "1,0,0", "--v", "0,1.2,0", "--tmax", "1e9", "--dt-out", "1e-3"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "dt_out grid" in err
 
 
 def test_verify_unreachable_branch_exit2(capsys):

@@ -18,6 +18,7 @@ from keplersym import (
     time_translate,
     verify_solution_mapping,
 )
+from keplersym import flow
 from keplersym.flow import CSV_COLUMNS
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import sample_flow_pairs
@@ -144,3 +145,26 @@ def test_trajectory_counts_solver_steps(ksys, v, tol):
     on_grid = integrate_orbit(start, ksys, 3.0, tol=tol, dt_out=0.5)
     assert on_grid.steps_accepted >= traj.steps_accepted
     assert len(on_grid.samples) == 7
+
+
+def test_rk4_calls_the_rhs_by_its_module_name_once_per_stage(monkeypatch):
+    # the benchmark tracer counts calls of flow.symmetry_flow_rhs and their rows
+    pairs = [
+        pair
+        for kind, branch in ((GeneratorKind.LRL_DIRECTION, "any"), (GeneratorKind.LRL, "neg"))
+        for pair in sample_flow_pairs(3, seed=5, kind=kind, branch=branch)
+    ]
+    kinds = [GeneratorKind.LRL_DIRECTION] * 3 + [GeneratorKind.LRL] * 3
+    rows = []
+    real = flow.symmetry_flow_rhs
+
+    def counting(kind, r, v, eps, kappa):
+        rows.append((r.shape, v.shape, eps.shape))
+        return real(kind, r, v, eps, kappa)
+
+    monkeypatch.setattr(flow, "symmetry_flow_rhs", counting)
+    r = np.array([p[0].r for p in pairs])
+    v = np.array([p[0].v for p in pairs])
+    eps = np.array([p[1] for p in pairs])
+    flow.integrate_symmetry_flows(kinds, np.zeros(6), r, v, eps, 1.0, steps=7)
+    assert rows == [((6, 3), (6, 3), (6, 3))] * (4 * 7)
