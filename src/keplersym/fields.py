@@ -274,7 +274,7 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     rv_sq = rv * rv
     a_sq = beta * (beta * rr - 2.0 * rv_sq) + rv_sq * vv
     # also catches a roundoff-negative |A|^2
-    if ((a_sq <= (CIRCULAR_TOL * kappa) ** 2) & theta_rows).any():
+    if np.count_nonzero((a_sq <= (CIRCULAR_TOL * kappa) ** 2) & theta_rows):
         raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
     # an A row keeps eps; keep its discarded Theta terms finite
     a_sq = np.where(theta_rows, a_sq, 1.0)

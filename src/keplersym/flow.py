@@ -13,8 +13,8 @@ The symmetry-flow vector field at (t, r, v) for parameter direction eps is
     dt/ds = -(r x L) . eps,     tau   = -(r . P_eps) / (r . v)
 
 where P_eps is the contracted characteristic of the family.  tau keeps |r|
-exactly invariant and is singular at apsides (r.v = 0), so flows start off
-them.  The LRL-direction field is the LRL field at the projected axis
+exactly invariant and is singular at apsides (r.v = 0), so flows must start
+off-apsis.  The LRL-direction field is the LRL field at the projected axis
 eps~ = (eps - (Theta.eps) Theta)/|A|, dt/ds still along eps, so one RK4 batch
 may mix the two families row by row.  eps~ is a combination of (r, v, eps), so
 is the field: `fields.gauge_field` forms its six coefficients per row from five
@@ -277,7 +277,7 @@ def symmetry_flow_rhs(
     basis, gram = fields.frame(r, v, eps)
     r_sq, r_dot_v, v_sq = gram[0, 0], gram[0, 1], gram[1, 1]
     # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
-    if (r_dot_v * r_dot_v <= FLOW_APSIS_FLOOR**2 * (r_sq * v_sq)).any():
+    if np.count_nonzero(r_dot_v * r_dot_v <= FLOW_APSIS_FLOOR**2 * (r_sq * v_sq)):
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )

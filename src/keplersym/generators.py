@@ -34,9 +34,7 @@ from .core import (
     _require_off_origin,
     as_vec3,
     central_differences,
-    cross,
     fd_grad_v,
-    lrl_vector,
     norm,
 )
 from .errors import ApsisError, UsageError
@@ -151,30 +149,30 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
     if gen.kind not in (GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION):
         raise UsageError("gauge-fixed components exist for the LRL and LRL-direction families")
     _require_off_origin(state, sys)
-    family = FAMILY_LABEL[gen.kind]
+    family, kappa = FAMILY_LABEL[gen.kind], sys.kappa
     eps = np.eye(3)[gen.axis - 1 : gen.axis]
     basis, gram = fields.frame(state.r[None, :], state.v[None, :], eps)
-    r_mag, v_sq, mu = state.r_mag, float(state.v @ state.v), None
-    if abs(gram[0, 1, 0]) <= APSIS_FLOOR * (r_mag * state.v_mag + 1e-300):
-        p = fields.characteristics(family, state.r[None, :], state.v[None, :], eps, sys.kappa)[0][0]
-        l_vec = cross(state.r, state.v)
-        num_scale = r_mag * (norm(l_vec) + norm(p)) + 1e-300
-        if abs(float(state.r @ p)) > 1e-9 * num_scale:
+    (rr, rv, re), (_, vv, ve) = gram[:, :, 0].tolist()
+    mu = None
+    if abs(rv) <= APSIS_FLOOR * (math.sqrt(rr * vv) + 1e-300):
+        p = fields.gauge_field(family, basis, gram, kappa, 0.0)[1][0, :, 0]
+        l_sq = rr * vv - rv * rv
+        if abs(float(state.r @ p)) > 1e-9 * (math.sqrt(rr) * (math.sqrt(l_sq) + norm(p)) + 1e-300):
             raise ApsisError(
                 f"r.v = 0 and (r x L)_{gen.axis} != 0: no finite radius-preserving "
                 "completion exists at an apsis for this axis"
             )
-        beta_v = v_sq - sys.kappa / r_mag
-        if abs(beta_v) < 1e-12 * (v_sq + sys.kappa / r_mag):
+        beta = vv - kappa / math.sqrt(rr)
+        if abs(beta) < 1e-12 * (vv + kappa / math.sqrt(rr)):
             raise ApsisError("apsis limit of the gauge completion is indeterminate here")
-        # tau -> -Dt(r.P)/Dt(r.v) as r.v -> 0 along the orbit, with v x L = A + kappa rhat
-        a_vec = lrl_vector(state, sys)
-        tau = -(a_vec + sys.kappa * state.r / r_mag)[gen.axis - 1] / beta_v
+        # mu = -tau -> Dt(r.P)/Dt(r.v) as r.v -> 0 along the orbit, which is
+        # (v x L)_axis/beta with v x L = A + kappa rhat = |v|^2 r - (r.v) v
+        mu = (vv * re - rv * ve) / beta
         if gen.kind is GeneratorKind.LRL_DIRECTION:
-            a_mag = norm(a_vec)
-            tau = tau / a_mag + float(l_vec @ l_vec) * a_vec[gen.axis - 1] / a_mag**3
-        mu = np.array([-tau])
-    dt, d = fields.gauge_field(family, basis, gram, sys.kappa, mu)
+            a_sq = beta * (beta * rr - 2.0 * rv * rv) + rv * rv * vv
+            mu = mu / math.sqrt(a_sq) - l_sq * (beta * re - rv * ve) / a_sq**1.5
+        mu = np.array([mu])
+    dt, d = fields.gauge_field(family, basis, gram, kappa, mu)
     return GeneratorValue(dt[0], d[0, :, 0], d[1, :, 0])
 
 
