@@ -143,12 +143,11 @@ def algebra_suite(
 
     t0 = time.perf_counter()
     big_e = np.abs(fields.values(r, v, kappa)["E"]) >= FD_M_FLOOR
-    parts = [(rp, vp, False), (r[big_e], v[big_e], True), (r[~big_e], v[~big_e], False)]
-    worst = max(
-        float(np.max(structure_residuals(ri, vi, kappa, use_fd=True, include_m=m)))
-        for ri, vi, m in parts
-        if len(ri)
-    )
+    worst = float(np.max(structure_residuals(rp, vp, kappa, use_fd=True, include_m=False)))
+    for rows, include_m in ((big_e, True), (~big_e, False)):
+        if np.any(rows):
+            residuals = structure_residuals(r[rows], v[rows], kappa, use_fd=True, include_m=include_m)
+            worst = max(worst, float(np.max(residuals)))
     out.append(_result("algebra.structure_fd", worst, tol["bracket_fd"], samples, t0))
 
     t0 = time.perf_counter()
