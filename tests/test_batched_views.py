@@ -4,9 +4,11 @@ Each test draws random admissible states (elliptic, hyperbolic and exactly
 parabolic) and holds every N=1 call to the matching row of one batched call
 on the whole stack, to 1e-14 relative.  A symmetry-flow batch that mixes the
 LRL and LRL-direction families, rows shuffled, is held row by row to the
-single-family batches of the same rows.  The batched bracket and expected
-tables are held entry by entry to the N=1 structure table and to a pair-by-pair
-reference.
+single-family batches of the same rows, and to a vector reference written
+apart from `fields`.  Each state rebuilt from its own invariants is held to a
+bound set by the reconstruction's condition number.  The batched bracket and
+expected tables are held entry by entry to the N=1 structure table and to a
+pair-by-pair reference.
 """
 
 import numpy as np
