@@ -32,7 +32,7 @@ from .errors import (
     KeplerError,
     UsageError,
 )
-from .flow import CSV_COLUMNS, integrate_orbit
+from .flow import CSV_COLUMNS, integrate_orbit, write_rows
 from .transforms import (
     TransformResult,
     direction_lrl_transform,
@@ -202,9 +202,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def _write_rows(path, header: list[str], rows) -> None:
     """CSV rows to the file at path, or to stdout when path is None."""
     with open(path, "w") if path else contextlib.nullcontext(_sys.stdout) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        write_rows(fh, header, rows)
 
 
 def cmd_orbit(args, cfg: RunConfig) -> int:

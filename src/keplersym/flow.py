@@ -2,10 +2,12 @@
 
 Two integrators live here.  Orbits are propagated with an embedded
 Dormand-Prince 5(4) pair under PI step-size control; this is the trusted
-reference dynamics every closed-form result is checked against.  Symmetry
-flows (the ray from the identity to a finite LRL or LRL-direction
-transformation) are integrated with fixed-step classical RK4 so that runs are
-bit-reproducible and convergence-order checks are meaningful.
+reference dynamics every closed-form result is checked against.  Its step runs
+on six Python floats, the tableau unrolled: numpy's fixed cost per call is nearly
+all of a step on a 6-component array, and the float step takes a third of the
+time.  Symmetry flows (the ray from the identity to a finite LRL or
+LRL-direction transformation) are integrated with fixed-step classical RK4 so
+that runs are bit-reproducible and convergence-order checks are meaningful.
 
 The symmetry-flow vector field at (t, r, v) for parameter direction eps is
 
@@ -43,6 +45,7 @@ from .errors import (
     CollisionError,
     DegenerateDirectionError,
     FlowDegeneracyError,
+    SingularOriginError,
     StepUnderflowError,
     UsageError,
 )
@@ -56,21 +59,15 @@ MAX_ORBIT_SAMPLES = 1_000_000
 
 CSV_COLUMNS = ("t", "rx", "ry", "rz", "vx", "vy", "vz", "E", "Lx", "Ly", "Lz", "Ax", "Ay", "Az")
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980), unrolled.  The
+# fifth-order weights _B are the seventh stage's row (FSAL); _E are fifth- minus fourth-order weights.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,25 @@ class Trajectory:
     steps_accepted: int = 0
     steps_rejected: int = 0
 
-    def csv_rows(self, sys: KeplerSystem):
-        for s in self.samples:
-            c = conserved_set(s.state, sys)
-            yield [s.t, *s.r, *s.v, c.E, *c.L, *c.A]
+    def csv_rows(self, sys: KeplerSystem) -> list[list[float]]:
+        """One CSV_COLUMNS row per sample, E, L and A from one `fields.values` call."""
+        r = np.array([s.r for s in self.samples])
+        v = np.array([s.v for s in self.samples])
+        vals = fields.values(r, v, sys.kappa)
+        if np.min(vals["r_mag"]) < sys.origin_floor:
+            raise SingularOriginError(f"|r| = {np.min(vals['r_mag']):.3e} is below the origin floor")
+        t = [s.t for s in self.samples]
+        return np.column_stack([t, r, v, vals["E"], vals["L"], vals["A"]]).tolist()
 
     def write_csv(self, fh, sys: KeplerSystem) -> None:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.csv_rows(sys):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        write_rows(fh, CSV_COLUMNS, self.csv_rows(sys))
+
+
+def write_rows(fh, header, rows) -> None:
+    """CSV to fh: the header, then each row with every value at full precision."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -118,21 +125,44 @@ class SolutionMappingReport:
     max_residual: float
 
 
-def _orbit_rhs(y: np.ndarray, kappa: float) -> np.ndarray:
-    r = y[:3]
-    r_mag = math.sqrt(r @ r)
+def _orbit_rhs(y, kappa: float) -> tuple:
+    """(v, -kappa r / |r|^3) at the six floats y = (r, v)."""
+    x0, x1, x2, v0, v1, v2 = y
+    r_sq = x0 * x0 + x1 * x1 + x2 * x2
+    r_mag = math.sqrt(r_sq)
     if r_mag < COLLISION_FLOOR:
         raise CollisionError(f"|r| = {r_mag:.3e} fell below the collision floor")
-    out = np.empty(6)
-    out[:3] = y[3:]
-    out[3:] = -kappa / r_mag**3 * r
-    return out
+    # r_mag * r_sq, not r_mag**3: a float power raises OverflowError where a product gives inf
+    g = -kappa / (r_mag * r_sq)
+    return v0, v1, v2, g * x0, g * x1, g * x2
 
 
-def _initial_step(y0: np.ndarray, f0: np.ndarray, tol: float, span: float) -> float:
-    scale = tol + tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+def _dp_step(y, f, h: float, kappa: float) -> tuple[list, tuple, list]:
+    """One Dormand-Prince 5(4) step of size h from y, whose slope is f: the fifth-order
+    state, its slope (the next step's f) and h times the fifth- minus fourth-order slope."""
+    k2 = _orbit_rhs([a + h * (_A21 * p) for a, p in zip(y, f)], kappa)
+    k3 = _orbit_rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, f, k2)], kappa)
+    k4 = _orbit_rhs([a + h * (_A41 * p + _A42 * q + _A43 * u) for a, p, q, u in zip(y, f, k2, k3)], kappa)
+    k5 = _orbit_rhs([a + h * (_A51 * p + _A52 * q + _A53 * u + _A54 * w)
+                     for a, p, q, u, w in zip(y, f, k2, k3, k4)], kappa)
+    k6 = _orbit_rhs([a + h * (_A61 * p + _A62 * q + _A63 * u + _A64 * w + _A65 * z)
+                     for a, p, q, u, w, z in zip(y, f, k2, k3, k4, k5)], kappa)
+    y_new = [a + h * (_B1 * p + _B3 * u + _B4 * w + _B5 * z + _B6 * x)
+             for a, p, u, w, z, x in zip(y, f, k3, k4, k5, k6)]
+    k7 = _orbit_rhs(y_new, kappa)
+    err = [h * (_E1 * p + _E3 * u + _E4 * w + _E5 * z + _E6 * x + _E7 * b)
+           for p, u, w, z, x, b in zip(f, k3, k4, k5, k6, k7)]
+    return y_new, k7, err
+
+
+def _rms_scaled(x, y, y_new, tol: float) -> float:
+    """RMS of x over the mixed scale tol (1 + max(|y|, |y_new|))."""
+    q = [xi / (tol + tol * max(abs(a), abs(b))) for xi, a, b in zip(x, y, y_new)]
+    return math.sqrt(sum(c * c for c in q) / len(q))
+
+
+def _initial_step(y0, f0, tol: float, span: float) -> float:
+    d0, d1 = _rms_scaled(y0, y0, y0, tol), _rms_scaled(f0, y0, y0, tol)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     return min(h, abs(span)) if span != 0 else h
 
@@ -149,18 +179,20 @@ def integrate_orbit(
 
     Samples land on the dt_out grid when given, otherwise at every accepted
     step; the trajectory counts the accepted and rejected steps.  Raises
-    UsageError for a non-finite t_span or dt_out or a dt_out grid of more
-    than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches the
-    collision floor and StepUnderflowError if adaptive control stalls.
+    UsageError for a non-finite t_span or dt_out, a tol or max_step that is not
+    positive and finite, a tol too small to size the first step or a dt_out grid
+    of more than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches
+    the collision floor and StepUnderflowError if adaptive control stalls.
     """
     if not math.isfinite(t_span):
         raise UsageError(f"t_span must be finite, got {t_span}")
     if dt_out is not None and not math.isfinite(dt_out):
         raise UsageError(f"dt_out must be finite, got {dt_out}")
+    for name, value in (("tol", tol), ("max_step", max_step)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise UsageError(f"{name} must be positive and finite, got {value}")
     if t_span == 0.0:
         return _finish_trajectory([state], sys)
-    if tol <= 0:
-        raise UsageError("tol must be positive")
     direction = 1.0 if t_span > 0 else -1.0
     kappa = sys.kappa
     t0 = state.t
@@ -175,9 +207,11 @@ def integrate_orbit(
         n_grid = max(1, math.ceil(grid - 1e-12))
         targets = (t0 + direction * dt_out * k if k < n_grid else t_end for k in range(1, n_grid + 1))
 
-    y = np.concatenate([state.r, state.v])
+    y = [*state.r.tolist(), *state.v.tolist()]
     f = _orbit_rhs(y, kappa)
     h = direction * _initial_step(y, f, tol, t_span)
+    if not math.isfinite(h):
+        raise UsageError(f"tol = {tol:.3g} is too small to size the first step")
     if max_step is not None:
         h = direction * min(abs(h), max_step)
     h_min = 1e-14 * max(1.0, abs(t_span))
@@ -191,28 +225,21 @@ def integrate_orbit(
             h = direction * min(abs(h), abs(target - t))
             if max_step is not None:
                 h = direction * min(abs(h), max_step)
-            if abs(h) < h_min:
-                r_now = math.sqrt(float(y[:3] @ y[:3]))
+            if not abs(h) >= h_min:  # also a NaN step
+                r_now = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
                 if r_now < 1e3 * COLLISION_FLOOR:
                     raise CollisionError(
                         f"|r| = {r_now:.3e} is collapsing onto the singularity at t = {t:.6g}"
                     )
                 raise StepUnderflowError(f"step size {h:.3e} underflowed at t = {t:.6g}")
 
-            k = np.empty((7, 6))
-            k[0] = f
-            for i in range(1, 7):
-                k[i] = _orbit_rhs(y + h * (_DP_A[i] @ k[:i]), kappa)
-            y_new = y + h * (_DP_B5 @ k)
-            err_vec = h * (_DP_ERR @ k)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+            y_new, f_new, err_vec = _dp_step(y, f, h, kappa)
+            err = _rms_scaled(err_vec, y, y_new, tol)
 
             if err <= 1.0:
                 accepted += 1
                 t += h
-                y = y_new
-                f = k[6]  # FSAL
+                y, f = y_new, f_new  # FSAL
                 factor = 0.9 * max(err, 1e-16) ** -0.14 * max(err_prev, 1e-16) ** 0.08
                 err_prev = max(err, 1e-16)
                 h *= min(5.0, max(0.2, factor))

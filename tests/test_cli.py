@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 import time
 
 import pytest
@@ -204,6 +206,53 @@ def test_orbit_huge_grid_exit2(capsys):
     assert code == 2
     assert out == ""
     assert "dt_out grid" in err
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after `seconds`, so that a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("orbit", "--r", "1e200,0,0", "--v", "0,1e200,0", "--tmax", "3"), 3),
+        (("orbit", "--r", "1,0,0", "--v", "0,1e300,0", "--tmax", "3"), 3),
+        (("orbit", "--r", "1e-7,0,0", "--v", "0,1e5,0", "--tmax", "3"), 3),
+        (("orbit", "--r", "1e-300,0,0", "--v", "0,1.2,0", "--tmax", "3"), 3),
+        (("orbit", "--r", "0.05,0,0", "--v=-0.5,0,0", "--tmax", "5"), 3),  # radial infall
+        (("orbit", "--r", "1e155,0,0", "--v", "0,1e-160,0", "--tmax", "3"), 0),
+        (("transform", "--kind", "time", "--eps", "1e3", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+    ],
+)
+def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
+    # overflowing, colliding and underflowing orbits end in exit 3, never a traceback
+    with deadline(10):
+        assert run_cli(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-160"), ("--tol", "1e-300"), ("--tol", "nan"),
+                                         ("--tol", "inf"), ("--max-step", "-1"), ("--max-step", "inf")])
+def test_orbit_bad_step_control_exit2(capsys, flag, value):
+    # tol below about 1e-154 overflowed the initial-step estimate into a NaN step
+    # that was rejected forever, and a negative max_step stepped away from tmax
+    start = time.perf_counter()
+    with deadline(5):
+        code, out, err = run_cli(capsys, "orbit", "--r", "1,0,0", "--v", "0,1.2,0", "--tmax", "3", flag, value)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and flag[2:].replace("-", "_") in err
 
 
 def test_verify_unreachable_branch_exit2(capsys):

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from keplersym import (
     ExtendedState,
     FlowDegeneracyError,
     InadmissibleTransformError,
+    KeplerSystem,
     PhaseState,
     compare_flow_vs_closed_form,
     conserved_set,
@@ -133,6 +135,9 @@ def test_trajectory_csv(ksys, ell_x):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(traj.samples)
     assert len(lines[1].split(",")) == 14
+    for sample, line in zip(traj.samples, lines[1:]):
+        c = conserved_set(sample.state, ksys)
+        assert_allclose([float(x) for x in line.split(",")[7:]], [c.E, *c.L, *c.A], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("v, tol", [((0, 1.2, 0), 1e-10), ((0, 0.05, 0), 1e-6)])
@@ -168,3 +173,130 @@ def test_rk4_calls_the_rhs_by_its_module_name_once_per_stage(monkeypatch):
     eps = np.array([p[1] for p in pairs])
     flow.integrate_symmetry_flows(kinds, np.zeros(6), r, v, eps, 1.0, steps=7)
     assert rows == [((6, 3), (6, 3), (6, 3))] * (4 * 7)
+
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19, Table 2: RK5(4)7M.
+DP_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+    [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)],
+]
+DP_B5 = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), F(0)]
+DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100), F(1, 40)]
+
+
+def _kepler_rhs(y, kappa):
+    r = y[:3]
+    return np.concatenate([y[3:], -kappa * r / np.linalg.norm(r) ** 3])
+
+
+@pytest.mark.parametrize("h", [0.3, -0.05])
+def test_dp_step_applies_the_published_tableau(h):
+    kappa = 1.3
+    y = np.array([0.9, -0.4, 0.3, 0.35, 1.1, -0.2])
+    k = np.empty((7, 6))
+    k[0] = _kepler_rhs(y, kappa)
+    for i in range(1, 7):
+        k[i] = _kepler_rhs(y + h * (np.array(DP_A[i], dtype=float) @ k[:i]), kappa)
+    y5 = y + h * (np.array(DP_B5, dtype=float) @ k)
+    err = h * (np.array([b5 - b4 for b5, b4 in zip(DP_B5, DP_B4)], dtype=float) @ k)
+
+    y_new, f_new, err_vec = flow._dp_step(y.tolist(), k[0].tolist(), h, kappa)
+    assert np.max(np.abs(np.array(y_new) - y5)) <= 1e-15 * np.max(np.abs(y5))
+    assert np.max(np.abs(np.array(f_new) - k[6])) <= 1e-15 * np.max(np.abs(k[6]))
+    # the error weights sum to zero, so measure err against the terms it sums
+    assert np.max(np.abs(np.array(err_vec) - err)) <= 1e-15 * abs(h) * np.max(np.abs(k))
+
+
+def _newton(fun, dfun, x):
+    for _ in range(100):
+        step = fun(x) / dfun(x)
+        x -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(x)):
+            return x
+    raise AssertionError("Newton did not converge")
+
+
+def _kepler_propagate(r0, v0, t, kappa, parabolic):
+    """(r, v) after time t by the Lagrange f and g functions, from the Kepler
+    equation of each branch; Barker's equation on the parabolic one, where E
+    is taken as exactly 0."""
+    r0_mag = np.linalg.norm(r0)
+    rv = float(r0 @ v0)
+    energy = 0.5 * float(v0 @ v0) - kappa / r0_mag
+    if parabolic:
+        p = float(np.sum(np.cross(r0, v0) ** 2)) / kappa
+        d0 = rv / math.sqrt(kappa)
+        m = math.sqrt(kappa) * t + p * d0 / 2 + d0**3 / 6
+        d = _newton(lambda d: p * d / 2 + d**3 / 6 - m, lambda d: p / 2 + d * d / 2, d0)
+        x = d - d0  # the universal anomaly
+        f, g = 1 - x * x / (2 * r0_mag), t - x**3 / (6 * math.sqrt(kappa))
+        r = f * r0 + g * v0
+        r_mag = np.linalg.norm(r)
+        fdot, gdot = -math.sqrt(kappa) * x / (r_mag * r0_mag), 1 - x * x / (2 * r_mag)
+        return r, fdot * r0 + gdot * v0
+    a = -kappa / (2 * energy)
+    ecc_c = 1 - r0_mag / a  # e cos E0, or e cosh F0
+    if energy < 0:
+        ecc_s = rv / math.sqrt(kappa * a)
+        ecc, e0 = math.hypot(ecc_c, ecc_s), math.atan2(ecc_s, ecc_c)
+        m = e0 - ecc * math.sin(e0) + math.sqrt(kappa / a**3) * t
+        e = _newton(lambda e: e - ecc * math.sin(e) - m, lambda e: 1 - ecc * math.cos(e), m + 0.85 * ecc)
+        s, c, dx = math.sin(e - e0), math.cos(e - e0), e - e0
+        f, g = 1 - a / r0_mag * (1 - c), t - math.sqrt(a**3 / kappa) * (dx - s)
+        r = f * r0 + g * v0
+        r_mag = np.linalg.norm(r)
+        fdot, gdot = -math.sqrt(kappa * a) / (r_mag * r0_mag) * s, 1 - a / r_mag * (1 - c)
+        return r, fdot * r0 + gdot * v0
+    ecc_s = rv / math.sqrt(-kappa * a)
+    ecc = math.sqrt(ecc_c**2 - ecc_s**2)
+    f0 = math.atanh(ecc_s / ecc_c)
+    m = ecc * math.sinh(f0) - f0 + math.sqrt(kappa / (-a) ** 3) * t
+    fa = _newton(lambda x: ecc * math.sinh(x) - x - m, lambda x: ecc * math.cosh(x) - 1, math.asinh(m / ecc))
+    s, c, dx = math.sinh(fa - f0), math.cosh(fa - f0), fa - f0
+    f, g = 1 - a / r0_mag * (1 - c), t - math.sqrt((-a) ** 3 / kappa) * (s - dx)
+    r = f * r0 + g * v0
+    r_mag = np.linalg.norm(r)
+    fdot, gdot = -math.sqrt(-kappa * a) / (r_mag * r0_mag) * s, 1 - a / r_mag * (1 - c)
+    return r, fdot * r0 + gdot * v0
+
+
+def _kepler_states(branch, n, kappa, seed):
+    """n states of one energy branch, |L| and periapsis bounded away from zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        r = rng.normal(size=3)
+        r *= rng.uniform(0.7, 1.5) / np.linalg.norm(r)
+        r_mag = np.linalg.norm(r)
+        energy = {"ell": rng.uniform(-0.45, -0.08), "hyp": rng.uniform(0.08, 0.5), "par": 0.0}[branch]
+        v = rng.normal(size=3)
+        v *= math.sqrt(2 * (energy * kappa + kappa / r_mag)) / np.linalg.norm(v)
+        l_sq = float(np.sum(np.cross(r, v) ** 2))
+        ecc_sq = 1 + 2 * (0.5 * float(v @ v) - kappa / r_mag) * l_sq / kappa**2
+        if l_sq >= 0.3**2 * kappa and l_sq / (kappa * (1 + math.sqrt(max(ecc_sq, 0.0)))) >= 0.3:
+            out.append((r, v))
+    return out
+
+
+@pytest.mark.parametrize("branch, bound", [("ell", 1e-7), ("hyp", 1e-8), ("par", 1e-8)])
+def test_orbit_matches_kepler_equation(branch, bound):
+    # One period on elliptic states (sampled at fifths), t = 10 on the others.
+    # The global error at tol 1e-10 grows with the period and the eccentricity:
+    # over one period it reaches 4.7e-8 (eccentricity 0.91, period 57), and a
+    # third of these elliptic states exceed 1e-8; at tol 1e-11 all are below it.
+    kappa = 1.3
+    ksys = KeplerSystem(kappa=kappa)
+    worst = 0.0
+    for r0, v0 in _kepler_states(branch, 12, kappa, seed=["ell", "hyp", "par"].index(branch)):
+        start = ExtendedState(0.0, PhaseState(r0, v0))
+        c = conserved_set(start.state, ksys)
+        span = c.period if branch == "ell" else 10.0
+        for sample in integrate_orbit(start, ksys, span, tol=1e-10, dt_out=span / 5).samples[1:]:
+            r_ref, v_ref = _kepler_propagate(r0, v0, sample.t, kappa, branch == "par")
+            worst = max(worst, np.max(np.abs(sample.r - r_ref)), np.max(np.abs(sample.v - v_ref)))
+    assert worst <= bound
