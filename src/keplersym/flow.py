@@ -4,7 +4,7 @@ Two integrators live here.  Orbits are propagated with an embedded
 Dormand-Prince 5(4) pair under PI step-size control; this is the trusted
 reference dynamics every closed-form result is checked against.  Its step runs
 on six Python floats, the tableau unrolled: numpy's fixed cost per call is nearly
-all of a step on a 6-component array, and the float step takes a third of the
+all of a step on a 6-component array, and the float step takes a quarter of the
 time.  Symmetry flows (the ray from the identity to a finite LRL or
 LRL-direction transformation) are integrated with fixed-step classical RK4 so
 that runs are bit-reproducible and convergence-order checks are meaningful.
