@@ -49,20 +49,18 @@ from .brackets import (
     symmetry_action,
 )
 from .transforms import (
-    BasisExpansion,
+    TransformBatch,
     TransformResult,
-    TwistedRotationParams,
     admissibility,
-    basis_expand,
     direction_lrl_transform,
     lrl_transform,
     rotate,
     rotation_matrix,
     time_shift_quadrature,
     time_translate,
+    transform_batch,
     transform_constants_direction,
     transform_constants_lrl,
-    twisted_rotation_params,
 )
 from .flow import (
     FlowReport,

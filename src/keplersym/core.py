@@ -23,7 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, RadialStateError, SingularOriginError, UsageError
+from .errors import (
+    DegenerateDirectionError,
+    DegenerateStateError,
+    RadialStateError,
+    SingularOriginError,
+    UsageError,
+)
 
 Vec3 = np.ndarray
 
@@ -87,8 +93,19 @@ class PhaseState:
     def __post_init__(self):
         object.__setattr__(self, "r", as_vec3(self.r, "r"))
         object.__setattr__(self, "v", as_vec3(self.v, "v"))
-        if float(np.dot(self.r, self.r)) == 0.0:
+        # on Python floats, which overflow to inf without a numpy warning
+        (x, y, z), (vx, vy, vz) = self.r.tolist(), self.v.tolist()
+        r_sq, v_sq = x * x + y * y + z * z, vx * vx + vy * vy + vz * vz
+        if r_sq == 0.0:
             raise SingularOriginError("position at the origin is singular")
+        # |A| <= |v|^2 |r| + kappa and |L|^2 <= max(|r|^2, (|v|^2 |r|)^2): with these
+        # finite, so is every conserved quantity and every squared norm formed of one
+        a_bound = v_sq * math.sqrt(r_sq)
+        if not math.isfinite(r_sq + a_bound * a_bound):
+            raise DegenerateStateError(
+                "state too large: |r|^2, |v|^2 |r| or its square overflows, "
+                "so its conserved quantities are not finite"
+            )
 
     @property
     def r_mag(self) -> float:
@@ -179,8 +196,9 @@ def is_radial(l_mag: float, r_mag: float, v_mag: float) -> bool:
     return l_mag <= RADIAL_TOL * (r_mag * v_mag + 1e-300)
 
 
-def energy_branch_threshold(kappa: float, l_mag_sq: float, r_mag: float) -> float:
-    return ENERGY_BRANCH_TOL * kappa**2 / max(l_mag_sq, kappa * r_mag)
+def energy_branch_threshold(kappa: float, l_mag_sq, r_mag):
+    """|E| at or below which a state is on the parabolic branch; also row-wise on arrays."""
+    return ENERGY_BRANCH_TOL * kappa**2 / np.maximum(l_mag_sq, kappa * r_mag)
 
 
 def _require_off_origin(state: PhaseState, sys: KeplerSystem) -> float:

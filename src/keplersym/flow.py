@@ -50,7 +50,7 @@ from .errors import (
     UsageError,
 )
 from .generators import FAMILY_LABEL, GeneratorId, GeneratorKind
-from .transforms import TransformResult, direction_lrl_transform, lrl_transform
+from .transforms import TransformResult, _transform_one
 
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
@@ -381,10 +381,7 @@ def integrate_symmetry_flow(
 
 
 def _closed_form(gen, state: ExtendedState, sys: KeplerSystem, eps, quad_panels: int) -> TransformResult:
-    kind = _normalize_kind(gen)
-    if kind is GeneratorKind.LRL_DIRECTION:
-        return direction_lrl_transform(state, sys, eps, quad_panels)
-    return lrl_transform(state, sys, eps, quad_panels)
+    return _transform_one(_normalize_kind(gen), state, sys, eps, quad_panels)
 
 
 def compare_flow_vs_closed_form(

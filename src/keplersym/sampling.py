@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import fields
-from .core import KeplerSystem, PhaseState
+from .core import KeplerSystem, PhaseState, conserved_set
 from .errors import InadmissibleTransformError, UsageError
 from .generators import GeneratorKind
-from .transforms import _ray_constants, conserved_set
+from .transforms import _set_ray
 
 R_RANGE = (0.5, 2.0)
 V_RANGE = (0.3, 2.0)
@@ -93,7 +93,7 @@ def _ray_admissible(
     if c0.Theta is None:
         return False
     try:
-        l_s, _ = _ray_constants(c0, eps, kind, np.linspace(0.0, 1.0, nodes))
+        l_s = _set_ray(kind, c0, eps, np.linspace(0.0, 1.0, nodes))[0]
     except InadmissibleTransformError:
         return False
     r_mag = state.r_mag

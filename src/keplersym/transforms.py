@@ -5,32 +5,31 @@ Four families act on extended states (t, r, v):
   * rotations (Rodrigues form, angle |eps| about eps-hat),
   * time translation along the true orbit,
   * the LRL-direction group: E and Theta fixed, L -> L + eps x Theta,
-  * the LRL group: E fixed, with (L, M) rotated (E < 0), boost-mixed (E > 0),
-    or L shifted by eps x A (E = 0).
+  * the LRL group: E fixed, one formula for every energy.  With the parallel
+    parts taken along eps, z = 2E|s eps|^2 and x = sqrt|z|,
 
-The position and velocity after a dynamical transform are rebuilt from the
-invariants (`fields.reconstruct`) through the in-plane basis expansion
+        L*(s) = L_par + C (L - L_par) + s S (eps x A)
+        A*(s) = A_par + C (A - A_par) - 2E s S (eps x L)
 
-    r = (alpha_r Theta + beta_r L x Theta) / |A|,   alpha_r = |L|^2 - kappa |r|
-    v = (alpha_v Theta + beta_v L x Theta) / |A|,   beta_r  = r . v
+    where (C, S) is (cos x, sin x / x) for z < 0, (cosh x, sinh x / x) for
+    z > 0 and (1, 1) at z = 0: the Stumpff-type pair of universal-variable
+    propagation.  L +- M rotate by +-x about eps-hat (E < 0), mix by a boost
+    (E > 0), or L shifts by s eps x A (E = 0, and every energy within the
+    parabolic branch threshold).
 
-with alpha_v = -kappa (r.v)/|r| and beta_v = |v|^2 - kappa/|r|.  Replacing the
-constants by their transformed values and writing r.v as
-sgn(r.v) |r| sqrt(2(E + kappa/|r|) - |L*|^2/|r|^2) keeps |r| and E invariant
-exactly.  The square-root argument must stay non-negative: the transformed
-orbit has to reach the invariant radius at all.  Arguments in [-1e-10, 0] are
-clamped to zero; anything lower raises InadmissibleTransformError.
-
-The time shift is the ray integral of the gauge component,
-Delta t = integral_0^1 -(r*(s) x L*(s)) . eps ds, evaluated from the
-closed-form state at parameter s*eps by composite Simpson quadrature with
-panel doubling.
+`transform_batch` is the one implementation of the two LRL families, over N
+rows of one kind: it counts the constants once, maps them, rebuilds (r, v)
+at the invariant radius (`fields.reconstruct`, which keeps |r| and E exact)
+and integrates the time shift Delta t = integral_0^1 -(r*(s) x L*(s)) . eps ds
+by composite Simpson quadrature with panel doubling per row.  The two
+transforms, `time_shift_quadrature` and the two constants maps are its N=1 views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,18 +40,22 @@ from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
-    _plane_constants,
+    _require_off_origin,
     as_vec3,
-    conserved_set,
-    cross,
+    energy_branch_threshold,
+    is_circular,
+    is_radial,
     norm,
     set_from_constants,
 )
 from .errors import (
     DegenerateDirectionError,
     InadmissibleTransformError,
+    RadialStateError,
+    SingularOriginError,
     UsageError,
 )
+from .fields import _dot, cross
 from .generators import GeneratorKind
 
 ADMISSIBILITY_TOL = fields.ADMISSIBILITY_TOL
@@ -89,64 +92,6 @@ def time_translate(
     return ExtendedState(state.t, traj.samples[-1].state)
 
 
-@dataclass(frozen=True)
-class TwistedRotationParams:
-    """Angle (or rapidity) and unit axis of the internal-spatial LRL action."""
-
-    phi: float
-    axis: Vec3
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi))
-        object.__setattr__(self, "axis", as_vec3(self.axis, "axis"))
-        if abs(norm(self.axis) - 1.0) > 1e-12:
-            raise UsageError("twisted-rotation axis must be a unit vector")
-
-
-def twisted_rotation_params(e: float, eps: Vec3) -> TwistedRotationParams:
-    eps = as_vec3(eps, "eps")
-    mag = norm(eps)
-    if mag == 0.0:
-        raise UsageError("eps = 0 has no axis")
-    return TwistedRotationParams(math.sqrt(2.0 * abs(e)) * mag, eps / mag)
-
-
-@dataclass(frozen=True)
-class BasisExpansion:
-    """Coefficients of (r, v) in the in-plane frame (Theta, L x Theta)/|A|."""
-
-    alpha_r: float
-    beta_r: float
-    alpha_v: float
-    beta_v: float
-    theta: Vec3
-    l_cross_theta: Vec3
-    a_mag: float
-
-    def reconstruct(self) -> tuple[Vec3, Vec3]:
-        r = (self.alpha_r * self.theta + self.beta_r * self.l_cross_theta) / self.a_mag
-        v = (self.alpha_v * self.theta + self.beta_v * self.l_cross_theta) / self.a_mag
-        return r, v
-
-
-def basis_expand(state: PhaseState, sys: KeplerSystem) -> BasisExpansion:
-    """Expand a non-degenerate state in the (Theta, L x Theta) frame."""
-    c = _plane_constants(state, sys, "basis expansion")
-    r_mag = state.r_mag
-    r_dot_v = float(np.dot(state.r, state.v))
-    l_sq = float(np.dot(c.L, c.L))
-    v_sq = float(np.dot(state.v, state.v))
-    return BasisExpansion(
-        alpha_r=l_sq - sys.kappa * r_mag,
-        beta_r=r_dot_v,
-        alpha_v=-sys.kappa * r_dot_v / r_mag,
-        beta_v=v_sq - sys.kappa / r_mag,
-        theta=c.Theta,
-        l_cross_theta=cross(c.L, c.Theta),
-        a_mag=c.A_mag,
-    )
-
-
 def admissibility(c: ConservedSet, r_mag: float, l_star_sq: float, sys: KeplerSystem) -> bool:
     """Can the orbit with (E, |L*|) reach radius r_mag with a real velocity?"""
     try:
@@ -156,135 +101,205 @@ def admissibility(c: ConservedSet, r_mag: float, l_star_sq: float, sys: KeplerSy
     return True
 
 
-def _sgn_radial(state: PhaseState) -> float:
-    r_dot_v = float(np.dot(state.r, state.v))
-    return 1.0 if r_dot_v >= 0.0 else -1.0
+def _stumpff(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C - 1, S) of the LRL map at z = 2E|s eps|^2, x = sqrt|z|."""
+    x = np.sqrt(np.abs(z))
+    neg = z < 0.0
+    # both branches run on every row: the discarded one may overflow, and S is 0/0 at x = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.where(neg, np.cos(x), np.cosh(x)) - 1.0
+        s = np.where(x > 0.0, np.where(neg, np.sin(x), np.sinh(x)) / x, 1.0)
+    return c, s
 
 
-def _reconstruct(
-    r_mag: float,
-    sigma: float,
-    e: float,
-    kappa: float,
-    l_star: Vec3,
-    theta_star: Vec3,
-) -> tuple[Vec3, Vec3]:
-    r_new, v_new = fields.reconstruct(r_mag, sigma, e, kappa, l_star[None, :], theta_star[None, :])
-    return r_new[0], v_new[0]
+def _ray(kind: GeneratorKind, e, l_vec, a_vec, eps, parabolic, *extra) -> np.ndarray:
+    """The s-independent terms of the constants map, one (N, K) row per input row.
+
+    LRL, a_vec = A: [L, A | L - L_par, A - A_par | eps x A, -2E eps x L | 2E|eps|^2],
+    with E = 0 on the parabolic-branch rows.  LRL-direction, a_vec = Theta:
+    [L, Theta | eps x Theta | 2E].  The columns of `extra` follow.
+    """
+    if kind is GeneratorKind.LRL:
+        e = np.where(parabolic, 0.0, e)
+        eps_sq = _dot(eps, eps)
+        along = eps / np.where(eps_sq > 0.0, eps_sq, 1.0)[:, None]  # eps/|eps|^2, or 0 at eps = 0
+        blocks = [
+            l_vec, a_vec, l_vec - _dot(l_vec, eps)[:, None] * along, a_vec - _dot(a_vec, eps)[:, None] * along,
+            cross(eps, a_vec), (-2.0 * e)[:, None] * cross(eps, l_vec), 2.0 * e * eps_sq,
+        ]
+    else:
+        blocks = [l_vec, a_vec, cross(eps, a_vec), 2.0 * e]
+    return np.column_stack(blocks + list(extra))
+
+
+def _ray_constants(kind: GeneratorKind, g: np.ndarray, s: np.ndarray, kappa: float):
+    """(L*(s), A*(s), Theta*(s)) on the rows g of a `_ray` table, row i at parameter s[i] eps.
+
+    Raises InadmissibleTransformError where |A*| vanishes.
+    """
+    if kind is GeneratorKind.LRL:
+        c, sh = _stumpff(g[:, 18] * s * s)
+        la = g[:, :6] + c[:, None] * g[:, 6:12] + (s * sh)[:, None] * g[:, 12:18]
+        l_star, a_star = la[:, :3], la[:, 3:]
+        a_sq = _dot(a_star, a_star)
+    else:
+        l_star = g[:, :3] + s[:, None] * g[:, 6:9]
+        a_sq = kappa**2 + g[:, 9] * _dot(l_star, l_star)
+    if not (a_sq >= ADMISSIBILITY_TOL**2).all():
+        raise InadmissibleTransformError(
+            "|A*| vanishes along the parameter ray; the transformed direction degenerates",
+            root_argument=float(np.min(a_sq)),
+        )
+    if kind is GeneratorKind.LRL:
+        return l_star, a_star, a_star / np.sqrt(a_sq)[:, None]
+    return l_star, np.sqrt(a_sq)[:, None] * g[:, 3:6], g[:, 3:6]
+
+
+def _set_ray(kind: GeneratorKind, c: ConservedSet, eps: np.ndarray, s: np.ndarray):
+    """(L*(s), A*(s), Theta*(s)) of the constants map of one conserved set at the nodes s."""
+    a_vec = c.A if kind is GeneratorKind.LRL else c.Theta
+    table = _ray(kind, np.array([c.E]), c.L[None], a_vec[None], eps[None], np.array([c.M is None]))
+    return _ray_constants(kind, table[np.zeros(len(s), dtype=int)], s, c.kappa)
 
 
 def transform_constants_direction(c: ConservedSet, eps: Vec3) -> ConservedSet:
     """Constants map of the LRL-direction group: L -> L + eps x Theta."""
     if c.Theta is None:
         raise DegenerateDirectionError("direction transform undefined for circular orbits")
-    l_star, a_star = _ray_constants(c, as_vec3(eps, "eps"), GeneratorKind.LRL_DIRECTION, 1.0)
+    l_star, a_star, _ = _set_ray(GeneratorKind.LRL_DIRECTION, c, as_vec3(eps, "eps"), np.ones(1))
     return set_from_constants(c.E, l_star[0], a_star[0], c.kappa, parabolic=c.M is None)
 
 
 def transform_constants_lrl(c: ConservedSet, eps: Vec3, sys: KeplerSystem) -> ConservedSet:
-    """Constants map of the LRL group, branching on the sign of E.
-
-    E < 0: L +- M rotate by +-phi about eps-hat, phi = sqrt(2|E|) |eps|.
-    E > 0: components along eps-hat are fixed; perpendicular components mix
-    through cosh/sinh of the rapidity with the eps-hat cross operator.
-    E = 0: A is fixed and L shifts by eps x A.
-    """
+    """Constants map of the LRL group at s = 1, the one formula of the module docstring."""
     if c.Theta is None:
         raise DegenerateDirectionError("LRL transform undefined for circular orbits")
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
         return c
-    l_star, a_star = _ray_constants(c, eps, GeneratorKind.LRL, 1.0)
+    l_star, a_star, _ = _set_ray(GeneratorKind.LRL, c, eps, np.ones(1))
     return set_from_constants(c.E, l_star[0], a_star[0], sys.kappa, parabolic=c.M is None)
 
 
-def _ray_constants(c0: ConservedSet, eps: Vec3, kind: GeneratorKind, s):
-    """(L*(s), A*(s)) of the constants map at parameter s*eps, batched over s.
+def _at_nodes(kind: GeneratorKind, table: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
+    """The time-shift integrand -(r*(s) x L*(s)) . eps of every row of a `_ray` table
+    that ends in |r|, sgn(r.v), E and eps, at every node s: (rows, nodes), formed
+    in chunks of at most fields.FD_BATCH node-rows."""
+    rows = np.repeat(np.arange(len(table)), len(s))
+    s_all = np.tile(s, len(table))
+    f = np.empty(len(rows))
+    for lo in range(0, len(rows), fields.FD_BATCH):
+        at = slice(lo, lo + fields.FD_BATCH)
+        g = table[rows[at]]
+        l_star, _, theta = _ray_constants(kind, g, s_all[at], kappa)
+        r_star, _ = fields.reconstruct(g[:, -6], g[:, -5], g[:, -4], kappa, l_star, theta)
+        f[at] = -_dot(cross(r_star, l_star), g[:, -3:])
+    return f.reshape(len(table), len(s))
 
-    Raises InadmissibleTransformError where |A*| vanishes on the ray.
+
+def _time_shift(kind: GeneratorKind, table: np.ndarray, kappa: float, panels: int):
+    """(Delta t, panels used, last difference) per row of a `_ray` table.
+
+    Composite Simpson over s in [0, 1]; on the rows whose last two estimates
+    differ by more than QUADRATURE_TOL the panels double, at most six times,
+    and only the new midpoints are evaluated.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if kind is GeneratorKind.LRL_DIRECTION:
-        l_star = c0.L + s[:, None] * cross(eps, c0.Theta)
-        a_sq = c0.kappa**2 + 2.0 * c0.E * np.einsum("ni,ni->n", l_star, l_star)
-        _require_a_star(a_sq)
-        return l_star, np.sqrt(a_sq)[:, None] * c0.Theta
-    if c0.M is None:
-        l_star = c0.L + s[:, None] * cross(eps, c0.A)
-        return l_star, np.broadcast_to(c0.A, l_star.shape)
-    mag = norm(eps)
-    n = eps / mag
-    phi = math.sqrt(2.0 * abs(c0.E)) * mag
-    if c0.E < 0:
-        u_plus = c0.L + c0.M
-        u_minus = c0.L - c0.M
-        cos, sin = np.cos(s * phi)[:, None], np.sin(s * phi)[:, None]
-        up = cos * u_plus + sin * cross(n, u_plus) + (1 - cos) * float(n @ u_plus) * n
-        um = cos * u_minus - sin * cross(n, u_minus) + (1 - cos) * float(n @ u_minus) * n
-        l_star = 0.5 * (up + um)
-        m_star = 0.5 * (up - um)
-    else:
-        l_par = float(np.dot(c0.L, n)) * n
-        m_par = float(np.dot(c0.M, n)) * n
-        ch, sh = np.cosh(s * phi)[:, None], np.sinh(s * phi)[:, None]
-        l_star = l_par + ch * (c0.L - l_par) + sh * cross(n, c0.M)
-        m_star = m_par + ch * (c0.M - m_par) - sh * cross(n, c0.L)
-    a_star = math.sqrt(2.0 * abs(c0.E)) * m_star
-    _require_a_star(np.einsum("ni,ni->n", a_star, a_star))
-    return l_star, a_star
-
-
-def _require_a_star(a_sq: np.ndarray) -> None:
-    if np.any(a_sq < ADMISSIBILITY_TOL**2):
-        raise InadmissibleTransformError(
-            "|A*| vanishes along the parameter ray; the transformed direction degenerates",
-            root_argument=float(np.min(a_sq)),
-        )
-
-
-def time_shift_quadrature(
-    state: ExtendedState,
-    sys: KeplerSystem,
-    eps: Vec3,
-    kind: GeneratorKind,
-    quad_panels: int = 64,
-) -> float:
-    """Delta t = integral over s in [0,1] of -(r*(s) x L*(s)) . eps.
-
-    The integrand comes from the closed-form transformed state at parameter
-    s*eps.  Composite Simpson; the panel count doubles until two successive
-    values agree to 1e-10 (or six doublings).
-    """
-    eps = as_vec3(eps, "eps")
-    if norm(eps) == 0.0:
-        return 0.0
-    if quad_panels < 1:
-        raise UsageError("quad_panels must be >= 1")
-    phase = state.state
-    c0 = _plane_constants(phase, sys, "time shift")
-    sigma = _sgn_radial(phase)
-    r_mag = phase.r_mag
-
-    def simpson(panels: int) -> float:
-        s = np.linspace(0.0, 1.0, 2 * panels + 1)
-        l_star, a_star = _ray_constants(c0, eps, kind, s)
-        theta_star = a_star / np.linalg.norm(a_star, axis=1)[:, None]
-        r_star, _ = fields.reconstruct(r_mag, sigma, c0.E, sys.kappa, l_star, theta_star)
-        f = -np.einsum("ni,i->n", np.cross(r_star, l_star), eps)
-        weights = np.ones(2 * panels + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        return float(f @ weights) / (6.0 * panels)
-
-    value = simpson(quad_panels)
-    panels = quad_panels
+    k = 2 * panels
+    f = _at_nodes(kind, table, np.arange(k + 1) / k, kappa)
+    ends, odd, even = f[:, 0] + f[:, -1], f[:, 1::2].sum(axis=1), f[:, 2:-1:2].sum(axis=1)
+    value = (ends + 4.0 * odd + 2.0 * even) / (3.0 * k)
+    used = np.full(len(table), panels)
+    diff = np.full(len(table), np.inf)
+    todo = np.arange(len(table))
     for _ in range(6):
         panels *= 2
-        refined = simpson(panels)
-        if abs(refined - value) <= QUADRATURE_TOL:
-            return refined
-        value = refined
-    return value
+        k = 2 * panels
+        even[todo] += odd[todo]
+        odd[todo] = _at_nodes(kind, table[todo], np.arange(1, k, 2) / k, kappa).sum(axis=1)
+        refined = (ends[todo] + 4.0 * odd[todo] + 2.0 * even[todo]) / (3.0 * k)
+        diff[todo] = np.abs(refined - value[todo])
+        value[todo], used[todo] = refined, panels
+        todo = todo[~(diff[todo] <= QUADRATURE_TOL)]
+        if not len(todo):
+            break
+    return value, used, diff
+
+
+class TransformBatch(NamedTuple):
+    """Rows of `transform_batch`: the transformed (t, r, v), the constants (L*, A*),
+    the time shift, the diagnostics (a dict of (N,) arrays) and the verdict, and
+    the invariant E with its parabolic-branch mask."""
+
+    t: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+    L: np.ndarray
+    A: np.ndarray
+    delta_t: np.ndarray
+    diagnostics: dict
+    admissible: np.ndarray
+    E: np.ndarray
+    parabolic: np.ndarray
+
+
+def transform_batch(
+    kind: GeneratorKind,
+    t,
+    r,
+    v,
+    eps,
+    kappa: float,
+    quad_panels: int = 64,
+    diag_tol: float = DIAGNOSTIC_TOL,
+) -> TransformBatch:
+    """Finite LRL or LRL-direction transformation (kind) of the N rows (t, r, v)
+    with parameters eps (N, 3); rows with eps = 0 keep their (t, r, v).
+
+    Every row is checked as `core._plane_constants` does (SingularOriginError,
+    DegenerateDirectionError, RadialStateError); InadmissibleTransformError if
+    any row's orbit cannot reach its radius.  A row is admissible when its
+    residuals are within diag_tol and its time shift converged to QUADRATURE_TOL
+    within six panel doublings.
+    """
+    if quad_panels < 1:
+        raise UsageError("quad_panels must be >= 1")
+    name = "LRL" if kind is GeneratorKind.LRL else "direction"
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    r, v, eps = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (r, v, eps))
+    vals = fields.values(r, v, kappa)
+    e, r_mag, l_mag = vals["E"], vals["r_mag"], vals["L_mag"]
+    if (r_mag < KeplerSystem.origin_floor).any():
+        raise SingularOriginError(f"|r| = {np.min(r_mag):.3e} is below the origin floor")
+    if is_circular(vals["A_mag"], kappa).any():
+        raise DegenerateDirectionError(f"{name} transform undefined for circular orbits")
+    if is_radial(l_mag, r_mag, np.sqrt(_dot(v, v))).any():
+        raise RadialStateError(f"{name} transform undefined for radial states")
+    parabolic = np.abs(e) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
+    sigma = np.where(vals["r_dot_v"] >= 0.0, 1.0, -1.0)
+    a_vec = vals["A" if kind is GeneratorKind.LRL else "Theta"]
+    table = _ray(kind, e, vals["L"], a_vec, eps, parabolic, r_mag, sigma, e, eps)
+
+    l_star, a_star, theta = _ray_constants(kind, table, np.ones(len(t)), kappa)
+    r_new, v_new = fields.reconstruct(r_mag, sigma, e, kappa, l_star, theta)
+    delta_t, panels, difference = _time_shift(kind, table, kappa, quad_panels)
+    check = fields.values(r_new, v_new, kappa)
+    misfit = np.column_stack((check["E"] - e, check["L"] - l_star, check["A"] - a_star))
+    diagnostics = {
+        "r_invariance": np.abs(check["r_mag"] - r_mag),
+        "E_invariance": np.abs(check["E"] - e),
+        "reconstruction_residual": np.max(np.abs(misfit), axis=1),
+        "quadrature_panels": panels.astype(float),
+        "quadrature_difference": difference,
+    }
+    # the reconstruction residual includes the E misfit, so it bounds E_invariance
+    residual = np.maximum(diagnostics["r_invariance"], diagnostics["reconstruction_residual"])
+    admissible = (residual <= diag_tol) & (difference <= QUADRATURE_TOL)
+    moved = _dot(eps, eps) > 0.0
+    delta_t = np.where(moved, delta_t, 0.0)
+    r_new, v_new = (np.where(moved[:, None], new, old) for new, old in ((r_new, r), (v_new, v)))
+    return TransformBatch(
+        t + delta_t, r_new, v_new, l_star, a_star, delta_t, diagnostics, admissible, e, parabolic
+    )
 
 
 @dataclass(frozen=True)
@@ -313,6 +328,48 @@ class TransformResult:
         }
 
 
+def _transform_one(
+    kind: GeneratorKind,
+    state: ExtendedState,
+    sys: KeplerSystem,
+    eps: Vec3,
+    quad_panels: int = 64,
+    diag_tol: float = DIAGNOSTIC_TOL,
+) -> TransformResult:
+    """One row of `transform_batch`, as a TransformResult."""
+    eps = as_vec3(eps, "eps")
+    _require_off_origin(state.state, sys)  # sys may set a higher floor than the batch's default
+    r, v = state.r[None], state.v[None]
+    b = transform_batch(kind, state.t, r, v, eps[None], sys.kappa, quad_panels, diag_tol)
+    parabolic = bool(b.parabolic[0])
+    warnings = ()
+    if kind is GeneratorKind.LRL and parabolic and b.E[0] != 0.0 and float(eps @ eps) > 0.0:
+        warnings = ("energy within the parabolic branch threshold: E = 0 closed form used",)
+    return TransformResult(
+        ExtendedState(b.t[0], PhaseState(b.r[0], b.v[0])),
+        set_from_constants(b.E[0], b.L[0], b.A[0], sys.kappa, parabolic=parabolic),
+        float(b.delta_t[0]),
+        bool(b.admissible[0]),
+        {key: float(x[0]) for key, x in b.diagnostics.items()},
+        warnings,
+    )
+
+
+def time_shift_quadrature(
+    state: ExtendedState,
+    sys: KeplerSystem,
+    eps: Vec3,
+    kind: GeneratorKind,
+    quad_panels: int = 64,
+) -> float:
+    """Delta t = integral over s in [0,1] of -(r*(s) x L*(s)) . eps: the time
+    shift of one row of `transform_batch`."""
+    eps = as_vec3(eps, "eps")
+    if norm(eps) == 0.0:
+        return 0.0
+    return _transform_one(kind, state, sys, eps, quad_panels).delta_t
+
+
 def direction_lrl_transform(
     state: ExtendedState,
     sys: KeplerSystem,
@@ -321,7 +378,7 @@ def direction_lrl_transform(
     diag_tol: float = DIAGNOSTIC_TOL,
 ) -> TransformResult:
     """Finite LRL-direction transformation with parameter eps."""
-    return _dynamical_transform(GeneratorKind.LRL_DIRECTION, state, sys, eps, quad_panels, diag_tol)
+    return _transform_one(GeneratorKind.LRL_DIRECTION, state, sys, eps, quad_panels, diag_tol)
 
 
 def lrl_transform(
@@ -331,46 +388,5 @@ def lrl_transform(
     quad_panels: int = 64,
     diag_tol: float = DIAGNOSTIC_TOL,
 ) -> TransformResult:
-    """Finite LRL transformation with parameter eps (all energy branches)."""
-    return _dynamical_transform(GeneratorKind.LRL, state, sys, eps, quad_panels, diag_tol)
-
-
-def _dynamical_transform(
-    kind: GeneratorKind,
-    state: ExtendedState,
-    sys: KeplerSystem,
-    eps: Vec3,
-    quad_panels: int,
-    diag_tol: float,
-) -> TransformResult:
-    name = "direction" if kind is GeneratorKind.LRL_DIRECTION else "LRL"
-    eps = as_vec3(eps, "eps")
-    phase = state.state
-    c0 = _plane_constants(phase, sys, f"{name} transform")
-    if norm(eps) == 0.0:
-        diagnostics = {"r_invariance": 0.0, "E_invariance": 0.0, "reconstruction_residual": 0.0}
-        return TransformResult(state, c0, 0.0, True, diagnostics, ())
-    warnings = ()
-    if kind is GeneratorKind.LRL:
-        if c0.M is None and c0.E != 0.0:
-            warnings = ("energy within the parabolic branch threshold: E = 0 closed form used",)
-        c1 = transform_constants_lrl(c0, eps, sys)
-    else:
-        c1 = transform_constants_direction(c0, eps)
-    r_new, v_new = _reconstruct(phase.r_mag, _sgn_radial(phase), c0.E, sys.kappa, c1.L, c1.Theta)
-    delta_t = time_shift_quadrature(state, sys, eps, kind, quad_panels)
-
-    out = ExtendedState(state.t + delta_t, PhaseState(r_new, v_new))
-    c_check = conserved_set(out.state, sys)
-    recon = max(
-        abs(c_check.E - c1.E),
-        float(np.max(np.abs(c_check.L - c1.L))),
-        float(np.max(np.abs(c_check.A - c1.A))),
-    )
-    diagnostics = {
-        "r_invariance": abs(out.state.r_mag - phase.r_mag),
-        "E_invariance": abs(c_check.E - c0.E),
-        "reconstruction_residual": recon,
-    }
-    admissible = all(val <= diag_tol for val in diagnostics.values())
-    return TransformResult(out, c1, delta_t, admissible, diagnostics, warnings)
+    """Finite LRL transformation with parameter eps (every energy)."""
+    return _transform_one(GeneratorKind.LRL, state, sys, eps, quad_panels, diag_tol)

@@ -16,7 +16,6 @@ import numpy as np
 from . import fields
 from .core import ExtendedState, KeplerSystem, PhaseState, conserved_set
 from .flow import (
-    _gap,
     compare_flow_vs_closed_form,
     integrate_orbit,
     integrate_symmetry_flows,
@@ -36,13 +35,7 @@ from .sampling import (
     sample_parabolic_states,
     sample_states,
 )
-from .transforms import (
-    direction_lrl_transform,
-    lrl_transform,
-    rotate,
-    rotation_matrix,
-    time_translate,
-)
+from .transforms import QUADRATURE_TOL, rotation_matrix, time_translate, transform_batch
 from .brackets import FD_M_FLOOR, structure_residuals
 
 DEFAULT_TOLERANCES = {
@@ -92,10 +85,14 @@ class PropertyResult:
         )
 
 
-def _result(name, worst, tol, count, t0, note="", passed=None) -> PropertyResult:
-    """t0 None marks a property read from another property's pass, which holds its time."""
+def _result(name, worst, tol, count, t0, note="", passed=None, stalled=0) -> PropertyResult:
+    """t0 None marks a property read from another property's pass, which holds its time;
+    stalled rows (see `_stalled`) fail the property."""
     if passed is None:
         passed = bool(worst <= tol)
+    if stalled:
+        passed = False
+        note = "; ".join(filter(None, (note, f"{stalled} time-shift quadratures did not converge")))
     seconds = 0.0 if t0 is None else time.perf_counter() - t0
     return PropertyResult(name, float(worst), float(tol), passed, count, seconds, note)
 
@@ -234,6 +231,60 @@ def _stack(groups) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     return kinds, r, v, eps
 
 
+def _worst(*diffs) -> float:
+    """The largest magnitude over every entry of the given arrays."""
+    return max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
+
+
+def _gaps(a, b) -> tuple[float, float]:
+    """The largest t difference and the largest (r, v) component difference over
+    the rows of two (t, r, v) triples of arrays."""
+    return _worst(a[0] - b[0]), _worst(a[1] - b[1], a[2] - b[2])
+
+
+def _stalled(tol: float, *batches) -> int:
+    """Rows of transform batches whose time shift did not converge, and whose last
+    Simpson difference (about 15 times the error left) exceeds tol, the tolerance
+    of the property that reads the time shift."""
+    bound = max(tol, QUADRATURE_TOL)
+    return sum(int(np.count_nonzero(~(b.diagnostics["quadrature_difference"] <= bound))) for b in batches)
+
+
+def _group_law_worst(branch: str, eps, c0: dict, once, kappa: float) -> float:
+    """The largest departure of one pair set's closed forms (a transform batch)
+    from what its group does to the constants c0 (`fields.values`); branch
+    "any" is the LRL-direction group, "neg", "pos" and "zero" the LRL group."""
+    dot = fields._dot
+    l0, a0, l1, a1, e0 = c0["L"], c0["A"], once.L, once.A, c0["E"]
+    if branch == "any":
+        theta0, c1 = c0["Theta"], fields.values(once.r, once.v, kappa)
+        l_expect = l0 + np.cross(eps, theta0)
+        a_expect = np.sqrt(kappa**2 + 2.0 * e0 * dot(l_expect, l_expect))
+        cross_term = dot(eps, np.cross(theta0, l0))
+        shift = 2.0 * cross_term + dot(eps, eps) - dot(eps, theta0) ** 2
+        display = np.sqrt(c0["A_mag"] ** 2 + 2.0 * e0 * shift)
+        a_mag = np.linalg.norm(a1, axis=1)
+        return _worst(
+            c1["E"] - e0, c1["Theta"] - theta0, c1["r_mag"] - c0["r_mag"],
+            l1 - l_expect, a_mag - a_expect, a_mag - display,
+        )
+    if branch == "zero":
+        return _worst(a1 - a0, l1 - (l0 + np.cross(eps, a0)))
+    # |L|^2 + |M|^2 (E < 0) or |L|^2 - |M|^2 (E > 0) is invariant, M = A/sqrt(2|E|)
+    scale = np.sqrt(2.0 * np.abs(e0))[:, None]
+    m0, m1 = a0 / scale, a1 / scale
+    sign = 1.0 if branch == "neg" else -1.0
+    drift = dot(l1, l1) + sign * dot(m1, m1) - (dot(l0, l0) + sign * dot(m0, m0))
+    if branch == "pos":
+        return _worst(drift)
+    # L + M and L - M rotate by +phi and -phi about eps-hat, phi = sqrt(2|E|) |eps|
+    rot = np.array([rotation_matrix(w) for w in scale * eps])
+    return _worst(
+        drift, dot(l1, m1),
+        (l1 + m1) - np.einsum("nij,nj->ni", rot, l0 + m0), (l1 - m1) - np.einsum("nji,nj->ni", rot, l0 - m0),
+    )
+
+
 def transforms_suite(
     samples: int,
     seed: int,
@@ -244,143 +295,100 @@ def transforms_suite(
 ) -> list[PropertyResult]:
     """Every pair set is drawn, and its closed forms kept, before one RK4
     batch integrates the flows of all of them, so that an unreachable branch
-    fails before any flow work."""
+    fails before any flow work.  Each set's closed forms are one
+    `transform_batch` call; a row whose time shift did not converge fails the
+    properties that read its time shift, where its last difference exceeds their
+    tolerance."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    sys = KeplerSystem(kappa=kappa)
-
-    t0 = time.perf_counter()
-    pairs_dir = sample_flow_pairs(samples, seed, GeneratorKind.LRL_DIRECTION, kappa=kappa)
-    closed_dir = []
-    worst_exact = 0.0
-    worst_match = 0.0
-    for state, eps in pairs_dir:
-        c0 = conserved_set(state, sys)
-        res = direction_lrl_transform(ExtendedState(0.0, state), sys, eps, quad_panels)
-        closed_dir.append(res.out)
-        c_out = conserved_set(res.out.state, sys)
-        l_expect = c0.L + np.cross(eps, c0.Theta)
-        a_expect = math.sqrt(kappa**2 + 2.0 * c0.E * float(l_expect @ l_expect))
-        cross_term = float(np.dot(eps, np.cross(c0.Theta, c0.L)))
-        display = math.sqrt(
-            c0.A_mag**2
-            + 2.0 * c0.E * (2.0 * cross_term + float(eps @ eps) - float(np.dot(eps, c0.Theta)) ** 2)
-        )
-        worst_exact = max(
-            worst_exact,
-            abs(c_out.E - c0.E),
-            float(np.max(np.abs(c_out.Theta - c0.Theta))),
-            abs(res.out.state.r_mag - state.r_mag),
-            float(np.max(np.abs(res.constants_out.L - l_expect))),
-            abs(res.constants_out.A_mag - a_expect),
-            abs(res.constants_out.A_mag - display),
-        )
-        worst_match = max(worst_match, res.diagnostics["reconstruction_residual"])
-    direction = [
-        _result("transforms.direction_exact", worst_exact, tol["transform_exact"], len(pairs_dir), t0),
-        _result(
-            "transforms.direction_constants_match", worst_match, tol["constants_match"], len(pairs_dir), None,
-            note="read in the direction_exact pass",
-        ),
-    ]
-
+    direction_kind, lrl_kind = GeneratorKind.LRL_DIRECTION, GeneratorKind.LRL
     branches = ("neg", "pos", "zero")
-    branch_pairs, closed_lrl, lrl = {}, {}, {}
-    for offset, branch in enumerate(branches, start=11):
+
+    def closed(kind, t, r, v, eps):
+        return transform_batch(kind, t, r, v, eps, kappa, quad_panels)
+
+    sets = [("direction", direction_kind, "any", 0)] + [
+        (f"lrl_{b}", lrl_kind, b, offset) for offset, b in enumerate(branches, start=11)
+    ]
+    pairs, once, props = {}, {}, {}
+    for name, kind, branch, offset in sets:
         t0 = time.perf_counter()
-        pairs = sample_flow_pairs(samples, seed + offset, GeneratorKind.LRL, branch=branch, kappa=kappa)
-        branch_pairs[branch] = pairs
-        closed_lrl[branch] = []
-        worst = 0.0
-        worst_match = 0.0
-        for state, eps in pairs:
-            c0 = conserved_set(state, sys)
-            res = lrl_transform(ExtendedState(0.0, state), sys, eps, quad_panels)
-            closed_lrl[branch].append(res.out)
-            c1 = res.constants_out
-            worst_match = max(worst_match, res.diagnostics["reconstruction_residual"])
-            if branch == "zero":
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(c1.A - c0.A))),
-                    float(np.max(np.abs(c1.L - (c0.L + np.cross(eps, c0.A))))),
-                )
-            elif branch == "neg":
-                inv0 = float(c0.L @ c0.L) + float(c0.M @ c0.M)
-                inv1 = float(c1.L @ c1.L) + float(c1.M @ c1.M)
-                rot_p = rotation_matrix(math.sqrt(2.0 * abs(c0.E)) * eps)
-                rot_m = rot_p.T
-                worst = max(
-                    worst,
-                    abs(inv1 - inv0),
-                    abs(float(c1.L @ c1.M)),
-                    float(np.max(np.abs((c1.L + c1.M) - rot_p @ (c0.L + c0.M)))),
-                    float(np.max(np.abs((c1.L - c1.M) - rot_m @ (c0.L - c0.M)))),
-                )
-            else:
-                inv0 = float(c0.L @ c0.L) - float(c0.M @ c0.M)
-                inv1 = float(c1.L @ c1.L) - float(c1.M @ c1.M)
-                worst = max(worst, abs(inv1 - inv0))
-        lrl[branch] = [
-            _result(f"transforms.lrl_{branch}_invariants", worst, tol["transform_exact"], len(pairs), t0),
+        pairs[name] = sample_flow_pairs(samples, seed + offset, kind, branch=branch, kappa=kappa)
+        _, r, v, eps = _stack([(kind, pairs[name])])
+        once[name] = closed(kind, np.zeros(len(r)), r, v, eps)
+        worst = _group_law_worst(branch, eps, fields.values(r, v, kappa), once[name], kappa)
+        first = "direction_exact" if kind is direction_kind else f"{name}_invariants"
+        props[name] = [
+            _result(f"transforms.{first}", worst, tol["transform_exact"], len(r), t0),
             _result(
-                f"transforms.lrl_{branch}_constants_match", worst_match, tol["constants_match"], len(pairs),
-                None, note=f"read in the lrl_{branch}_invariants pass",
+                f"transforms.{name}_constants_match", _worst(once[name].diagnostics["reconstruction_residual"]),
+                tol["constants_match"], len(r), None, note=f"read in the {first} pass",
             ),
         ]
 
     # The flows of both families and all three branches, as one batch; each
     # row is held to the closed form kept above.
     t0 = time.perf_counter()
-    kinds, r, v, eps = _stack(
-        [(GeneratorKind.LRL_DIRECTION, pairs_dir)] + [(GeneratorKind.LRL, branch_pairs[b]) for b in branches]
-    )
-    t_end, r_end, v_end, _ = integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r, v, eps, kappa, rk_steps)
-    ends = iter([ExtendedState(t, PhaseState(ri, vi)) for t, ri, vi in zip(t_end, r_end, v_end)])
-    for name, closed in [("direction", closed_dir)] + [(f"lrl_{b}", closed_lrl[b]) for b in branches]:
+    kinds, r, v, eps = _stack([(kind, pairs[name]) for name, kind, _, _ in sets])
+    ends = integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r, v, eps, kappa, rk_steps)
+    lo = 0
+    for name, _, _, _ in sets:
+        rows = slice(lo, lo + len(pairs[name]))
+        lo = rows.stop
         # the time shift and the (r, v) end apart, to say which side erred
-        gap_t, gap_rv = np.max(list(map(_gap, closed, ends)), axis=0)
+        gap_t, gap_rv = _gaps(once[name], [x[rows] for x in ends[:3]])
         note = f"t {gap_t:.1e}, r/v {gap_rv:.1e}"
         note += "" if name == "direction" else "; integrated in the direction_vs_flow pass"
-        worst = max(gap_t, gap_rv)
-        result = _result(f"transforms.{name}_vs_flow", worst, tol["flow_residual"], len(closed), t0, note)
-        (direction if name == "direction" else lrl[name[4:]]).append(result)
+        props[name].append(
+            _result(
+                f"transforms.{name}_vs_flow", max(gap_t, gap_rv), tol["flow_residual"], len(pairs[name]),
+                t0, note, stalled=_stalled(tol["flow_residual"], once[name]),
+            )
+        )
         t0 = time.perf_counter()
 
-    t0 = time.perf_counter()
-    n2 = max(samples // 4, 10)
-    worst = 0.0
-    rng = np.random.default_rng(seed + 5)
-    group_pairs = pairs_dir[:n2]
-    # the once-applied transforms of these pairs are the closed forms kept above
-    for (state, eps), once in zip(group_pairs, closed_dir):
-        x = ExtendedState(0.0, state)
-        half = direction_lrl_transform(x, sys, 0.5 * eps, quad_panels).out
-        twice = direction_lrl_transform(half, sys, 0.5 * eps, quad_panels).out
-        worst = max(worst, *_gap(once, twice))
-    direction.append(_result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0))
+    def composed(kind, group, first_once, first, then):
+        """Worst gap between the kept closed forms of group and the transform by
+        first * eps followed by then * eps, and the stalled rows of both at the group-law tolerance."""
+        _, r, v, eps = _stack([(kind, group)])
+        part = closed(kind, np.zeros(len(r)), r, v, first * eps)
+        full = closed(kind, part.t, part.r, part.v, then * eps)
+        return max(_gaps([x[: len(r)] for x in first_once], full)), _stalled(tol["group_law"], part, full)
 
+    n2 = max(samples // 4, 10)
+    rng = np.random.default_rng(seed + 5)
+    group_pairs = pairs["direction"][:n2]
     t0 = time.perf_counter()
-    worst = 0.0
-    for (state, eps), once in zip(group_pairs, closed_dir):
-        g = rng.normal(size=3)
-        g *= rng.uniform(0.2, 1.4) / np.linalg.norm(g)
-        rotated = rotate(ExtendedState(0.0, state), g)
-        rhs = direction_lrl_transform(rotated, sys, rotation_matrix(g) @ eps, quad_panels).out
-        worst = max(worst, *_gap(rotate(once, g), rhs))
-    direction.append(
-        _result("transforms.direction_equivariance", worst, tol["group_law"], len(group_pairs), t0)
+    worst, stalled = composed(direction_kind, group_pairs, once["direction"][:3], 0.5, 0.5)
+    props["direction"].append(
+        _result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0, stalled=stalled)
     )
 
     t0 = time.perf_counter()
-    worst = 0.0
-    composed = (branch_pairs["neg"] + branch_pairs["pos"])[:n2]
-    for (state, eps), once in zip(composed, closed_lrl["neg"] + closed_lrl["pos"]):
-        x = ExtendedState(0.0, state)
-        part = lrl_transform(x, sys, 0.4 * eps, quad_panels).out
-        full = lrl_transform(part, sys, 0.6 * eps, quad_panels).out
-        worst = max(worst, *_gap(once, full))
-    composition = _result("transforms.lrl_composition", worst, tol["group_law"], len(composed), t0)
-    return direction + [res for b in branches for res in lrl[b]] + [composition]
+    rot = []
+    for _ in group_pairs:
+        g = rng.normal(size=3)
+        g *= rng.uniform(0.2, 1.4) / np.linalg.norm(g)
+        rot.append(rotation_matrix(g))
+    m, rot = len(group_pairs), np.array(rot)
+    t, r, v = (x[:m] for x in once["direction"][:3])
+    _, r0, v0, eps = _stack([(direction_kind, group_pairs)])
+    rhs = closed(direction_kind, np.zeros(m), *(np.einsum("nij,nj->ni", rot, x) for x in (r0, v0, eps)))
+    worst = max(_gaps((t, np.einsum("nij,nj->ni", rot, r), np.einsum("nij,nj->ni", rot, v)), rhs))
+    props["direction"].append(
+        _result(
+            "transforms.direction_equivariance", worst, tol["group_law"], m, t0,
+            stalled=_stalled(tol["group_law"], rhs),
+        )
+    )
+
+    t0 = time.perf_counter()
+    group = (pairs["lrl_neg"] + pairs["lrl_pos"])[:n2]
+    first_once = [np.concatenate(x) for x in zip(once["lrl_neg"][:3], once["lrl_pos"][:3])]
+    worst, stalled = composed(lrl_kind, group, first_once, 0.4, 0.6)
+    composition = _result(
+        "transforms.lrl_composition", worst, tol["group_law"], len(group), t0, stalled=stalled
+    )
+    return [res for name, _, _, _ in sets for res in props[name]] + [composition]
 
 
 def flows_suite(

@@ -1,4 +1,4 @@
-"""The scalar APIs are N=1 views of the batched kernels in `fields`.
+"""The scalar APIs are N=1 views of the batched kernels in `fields` and `transforms`.
 
 Each test draws random admissible states (elliptic, hyperbolic and exactly
 parabolic) and holds every N=1 call to the matching row of one batched call
@@ -8,7 +8,9 @@ single-family batches of the same rows, and to a vector reference written
 apart from `fields`.  Each state rebuilt from its own invariants is held to a
 bound set by the reconstruction's condition number.  The batched bracket and
 expected tables are held entry by entry to the N=1 structure table and to a
-pair-by-pair reference.
+pair-by-pair reference.  Both finite transforms, their time shift and both
+constants maps are held to the rows of one `transform_batch` call that also
+holds an eps = 0 row, every row at its own t.
 """
 
 import numpy as np
@@ -17,14 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keplersym import (
+    ExtendedState,
     GeneratorId,
     GeneratorKind,
     KeplerSystem,
     PhaseState,
     conserved_set,
+    direction_lrl_transform,
     gauge_fixed_generator,
+    lrl_transform,
     prolonged_generator,
     structure_table,
+    time_shift_quadrature,
+    transform_batch,
     transform_constants_direction,
     transform_constants_lrl,
 )
@@ -33,7 +40,7 @@ from keplersym.errors import FlowDegeneracyError, InadmissibleTransformError
 from keplersym.flow import integrate_symmetry_flows, symmetry_flow_rhs
 from keplersym.generators import FAMILY_LABEL
 from keplersym.sampling import sample_flow_pairs, sample_parabolic_states, sample_states
-from keplersym.transforms import _ray_constants, _reconstruct
+from keplersym.transforms import _set_ray
 
 SYS = KeplerSystem()
 GENS = [GeneratorId.energy()] + [
@@ -107,9 +114,51 @@ def test_constants_maps_at_s1(seed):
                 one = constants_map()
             except InadmissibleTransformError:
                 continue
-            l_star, a_star = _ray_constants(c, eps, kind, np.linspace(0.0, 1.0, 5))
+            l_star, a_star, _ = _set_ray(kind, c, eps, np.linspace(0.0, 1.0, 5))
             assert_rows_match(one.L, l_star[-1])
             assert_rows_match(one.A, a_star[-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_transform_views_are_batch_rows(seed):
+    rng = np.random.default_rng(seed)
+
+    def lrl_map(c, e):
+        return transform_constants_lrl(c, e, SYS)
+
+    for kind, branches, view, constants_map in (
+        (GeneratorKind.LRL_DIRECTION, ("any",), direction_lrl_transform, transform_constants_direction),
+        (GeneratorKind.LRL, ("neg", "pos", "zero"), lrl_transform, lrl_map),
+    ):
+        pairs = []
+        for offset, branch in enumerate(branches):
+            pairs += sample_flow_pairs(2, seed + offset, kind, branch=branch)
+        # one more row of the first state with eps = 0, and a different t on every row
+        pairs.append((pairs[0][0], np.zeros(3)))
+        r = np.array([state.r for state, _ in pairs])
+        v = np.array([state.v for state, _ in pairs])
+        eps = np.array([e for _, e in pairs])
+        t = rng.uniform(-2.0, 2.0, len(pairs))
+        batch = transform_batch(kind, t, r, v, eps, 1.0)
+        for i, (state, e) in enumerate(pairs):
+            one = view(ExtendedState(t[i], state), SYS, e)
+            assert one.admissible == batch.admissible[i]
+            for got, row in (
+                (one.out.t, batch.t[i]), (one.out.r, batch.r[i]), (one.out.v, batch.v[i]),
+                (one.delta_t, batch.delta_t[i]),
+                (one.constants_out.L, batch.L[i]), (one.constants_out.A, batch.A[i]),
+            ):
+                assert_rows_match(got, row)
+            assert set(one.diagnostics) == set(batch.diagnostics)
+            for key, value in one.diagnostics.items():
+                assert_rows_match(value, batch.diagnostics[key][i])
+            assert_rows_match(time_shift_quadrature(ExtendedState(t[i], state), SYS, e, kind), batch.delta_t[i])
+            mapped = constants_map(conserved_set(state, SYS), e)
+            assert_rows_match(mapped.L, batch.L[i])
+            assert_rows_match(mapped.A, batch.A[i])
+        assert batch.delta_t[-1] == 0.0 and batch.t[-1] == t[-1]
+        assert np.array_equal(batch.r[-1], r[-1]) and np.array_equal(batch.v[-1], v[-1])
 
 
 def rebuild_tolerance(vals, v, kappa=1.0):
@@ -139,7 +188,10 @@ def test_reconstruction_rows(seed):
     r_all, v_all = fields.reconstruct(r_mag, sigma, vals["E"], 1.0, vals["L"], vals["Theta"])
     tol = rebuild_tolerance(vals, v)
     for i in range(len(r)):
-        r_one, v_one = _reconstruct(r_mag[i], sigma[i], vals["E"][i], 1.0, vals["L"][i], vals["Theta"][i])
+        one = slice(i, i + 1)
+        r_one, v_one = (x[0] for x in fields.reconstruct(
+            r_mag[one], sigma[one], vals["E"][one], 1.0, vals["L"][one], vals["Theta"][one]
+        ))
         assert_rows_match(r_one, r_all[i])
         assert_rows_match(v_one, v_all[i])
         # each state is rebuilt from its own invariants

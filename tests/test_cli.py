@@ -2,6 +2,7 @@ import contextlib
 import json
 import signal
 import time
+import warnings
 
 import pytest
 
@@ -74,6 +75,55 @@ def test_transform_inadmissible_exit4(capsys):
     assert doc["diagnostics"]["root_argument"] == pytest.approx(-0.04, abs=1e-10)
 
 
+# a state and parameter whose time-shift quadrature has not converged after six
+# doublings from one panel (last difference 1.1e-10 > 1e-10), but does from 64
+UNCONVERGED = (
+    "transform", "--kind", "lrl-direction",
+    "--r=-1.131145133394567,-0.2502189859576224,-0.7405036157430636",
+    "--v=-0.06099881689935715,-0.32703986481662173,0.002820250844952747",
+    "--eps=0.05011218594610109,0.24526524279994805,-0.21144456544658605",
+)
+
+
+def test_transform_unconverged_quadrature_exit4(capsys):
+    code, out, _ = run_cli(capsys, *UNCONVERGED, "--quad-panels", "1")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["admissible"] is False
+    assert doc["diagnostics"]["quadrature_panels"] == 64
+    assert doc["diagnostics"]["quadrature_difference"] > 1e-10
+    code, out, _ = run_cli(capsys, *UNCONVERGED)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["admissible"] is True
+    assert doc["diagnostics"]["quadrature_difference"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "r, v", [("1e155,0,0", "0,1e-160,0"), ("1e150,0,0", "0,1e150,0"), ("1e154,0,0", "0,100,0")]
+)
+def test_conserved_overflowing_state_exit3(capsys, r, v):
+    # E and |A| used to come out as +5e-321 and 0, as Infinity and NaN, or |A| = 1e158 as Infinity
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "conserved", "--r", r, "--v", v)
+    assert code == 3
+    assert out == "" and "overflows" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_inadmissible_point_writes_nothing(capsys):
+    # every eps along z from this periapsis is inadmissible but eps = 0
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--kind", "lrl-direction", "--eps-axis", "0,0,1", "--eps-max", "0.3",
+        "--grid", "4", "--r", "1,0,0", "--v", "0,1.2,0", "--tmax", "1.0", "--dt-out", "0.5",
+    )
+    assert code == 4
+    assert out == ""
+
+
 def test_transform_rotation_and_time(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -87,6 +137,8 @@ def test_transform_rotation_and_time(capsys):
         capsys, "transform", "--kind", "time", "--eps", "0.5", "--r", "1,0,0", "--v", "0,1.2,0"
     )
     assert code == 0
+    # a time translation does not keep |r|, and every time parameter is admissible
+    assert json.loads(out)["admissible"] is True
 
 
 def test_brackets_command(capsys):
@@ -232,7 +284,7 @@ def deadline(seconds):
         (("orbit", "--r", "1e-7,0,0", "--v", "0,1e5,0", "--tmax", "3"), 3),
         (("orbit", "--r", "1e-300,0,0", "--v", "0,1.2,0", "--tmax", "3"), 3),
         (("orbit", "--r", "0.05,0,0", "--v=-0.5,0,0", "--tmax", "5"), 3),  # radial infall
-        (("orbit", "--r", "1e155,0,0", "--v", "0,1e-160,0", "--tmax", "3"), 0),
+        (("orbit", "--r", "1e155,0,0", "--v", "0,1e-160,0", "--tmax", "3"), 3),  # |r|^2 overflows
         (("transform", "--kind", "time", "--eps", "1e3", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
     ],
 )

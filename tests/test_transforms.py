@@ -11,20 +11,22 @@ from keplersym import (
     PhaseState,
     RadialStateError,
     admissibility,
-    basis_expand,
     conserved_set,
     direction_lrl_transform,
+    fields,
     lrl_transform,
     rotate,
     rotation_matrix,
     time_shift_quadrature,
     time_translate,
+    transform_batch,
     transform_constants_direction,
     transform_constants_lrl,
-    twisted_rotation_params,
+    transforms,
 )
 from keplersym.generators import GeneratorKind
-from keplersym.sampling import sample_flow_pairs
+from keplersym.sampling import sample_flow_pairs, sample_parabolic_states, sample_states
+from keplersym.verify import transforms_suite
 
 
 def test_rotate_quarter_turn(ksys, ell_x):
@@ -69,34 +71,38 @@ def test_time_translate_preserves_constants(ksys, ell_x):
 
 
 def test_basis_expand_ell(ksys, ell):
-    exp = basis_expand(ell, ksys)
-    assert exp.alpha_r == pytest.approx(0.44)
-    assert exp.beta_r == pytest.approx(0.0, abs=1e-15)
-    assert exp.alpha_v == pytest.approx(0.0, abs=1e-15)
-    assert exp.beta_v == pytest.approx(0.44)
-    assert exp.a_mag == pytest.approx(0.44)
-    r_back, v_back = exp.reconstruct()
-    assert_allclose(r_back, ell.r, atol=1e-10)
-    assert_allclose(v_back, ell.v, atol=1e-10)
+    # the in-plane expansion of `fields.reconstruct` rebuilds the state from its own invariants
+    vals = fields.values(ell.r, ell.v, 1.0)
+    assert vals["A_mag"][0] == pytest.approx(0.44)
+    r_back, v_back = fields.reconstruct(vals["r_mag"], 1.0, vals["E"], 1.0, vals["L"], vals["Theta"])
+    assert_allclose(r_back[0], ell.r, atol=1e-10)
+    assert_allclose(v_back[0], ell.v, atol=1e-10)
 
 
 def test_basis_expand_reconstruction_random(ksys):
-    from keplersym.sampling import sample_states
-
     r, v = sample_states(100, seed=17)
-    for ri, vi in zip(r, v):
-        state = PhaseState(ri, vi)
-        exp = basis_expand(state, ksys)
-        r_back, v_back = exp.reconstruct()
-        assert_allclose(r_back, ri, atol=1e-10 * max(1.0, np.linalg.norm(ri)))
-        assert_allclose(v_back, vi, atol=1e-10 * max(1.0, np.linalg.norm(vi)))
+    vals = fields.values(r, v, 1.0)
+    sigma = np.where(vals["r_dot_v"] >= 0.0, 1.0, -1.0)
+    r_back, v_back = fields.reconstruct(vals["r_mag"], sigma, vals["E"], 1.0, vals["L"], vals["Theta"])
+    assert_allclose(r_back, r, atol=1e-10 * max(1.0, np.max(np.linalg.norm(r, axis=1))))
+    assert_allclose(v_back, v, atol=1e-10 * max(1.0, np.max(np.linalg.norm(v, axis=1))))
 
 
-def test_basis_expand_degenerate(ksys, circ):
-    with pytest.raises(DegenerateDirectionError):
-        basis_expand(circ, ksys)
-    with pytest.raises(RadialStateError):
-        basis_expand(PhaseState((1, 0, 0), (0.5, 0, 0)), ksys)
+@pytest.mark.parametrize("kind", [GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION])
+def test_basis_expand_degenerate(ksys, circ, kind):
+    # the in-plane frame of the reconstruction needs Theta (not circular) and an
+    # orbital plane (not radial): both transforms refuse such states, batched and N=1
+    view = lrl_transform if kind is GeneratorKind.LRL else direction_lrl_transform
+    good = PhaseState((1, 0.2, 0), (0.1, 1.2, 0))
+    radial = PhaseState((1, 0, 0), (0.5, 0, 0))
+    for state, error in ((circ, DegenerateDirectionError), (radial, RadialStateError)):
+        with pytest.raises(error):
+            view(ExtendedState(0.0, state), ksys, (0, 0.1, 0))
+        with pytest.raises(error):
+            view(ExtendedState(0.0, state), ksys, (0, 0, 0))
+        rows = [good.r, state.r], [good.v, state.v]
+        with pytest.raises(error):
+            transform_batch(kind, np.zeros(2), *rows, np.full((2, 3), 0.1), 1.0)
 
 
 def test_admissibility_examples(ksys, ell):
@@ -218,6 +224,91 @@ def test_lrl_one_parameter_composition(ksys):
 
 
 def test_twisted_rotation_params():
-    params = twisted_rotation_params(-0.28, np.array([0, 0, 0.1]))
-    assert params.phi == pytest.approx(math.sqrt(0.56) * 0.1)
-    assert_allclose(params.axis, [0, 0, 1])
+    # the rotation angle phi = sqrt(2|E|) |eps| of the E < 0 map is x = sqrt|z|, z = 2E|eps|^2
+    phi = math.sqrt(0.56) * 0.1
+    c, sh = transforms._stumpff(np.array([2.0 * -0.28 * 0.1**2]))
+    assert c[0] == pytest.approx(math.cos(phi) - 1.0, rel=1e-14)
+    assert sh[0] == pytest.approx(math.sin(phi) / phi, rel=1e-14)
+
+
+def rodrigues(x, axis, angle):
+    return math.cos(angle) * x + math.sin(angle) * np.cross(axis, x) + (1 - math.cos(angle)) * (axis @ x) * axis
+
+
+def lrl_map_by_branch(e, l_vec, a_vec, eps, parabolic):
+    """(L*, A*) of the LRL group at s = 1, one energy branch at a time.
+
+    E < 0: L + M and L - M rotate by +phi and -phi about eps-hat, with
+    M = A/sqrt(2|E|) and phi = sqrt(2|E|) |eps|.  E > 0: the parts along
+    eps-hat stay, the rest mixes as L -> cosh L + sinh eps-hat x M and
+    M -> cosh M - sinh eps-hat x L.  E = 0: A stays, L -> L + eps x A.
+    """
+    if parabolic:
+        return l_vec + np.cross(eps, a_vec), a_vec
+    scale = math.sqrt(2.0 * abs(e))
+    m_vec = a_vec / scale
+    mag = math.sqrt(eps @ eps)
+    n, phi = eps / mag, scale * mag
+    if e < 0:
+        up, um = rodrigues(l_vec + m_vec, n, phi), rodrigues(l_vec - m_vec, n, -phi)
+        l_star, m_star = 0.5 * (up + um), 0.5 * (up - um)
+    else:
+        ch, sh = math.cosh(phi), math.sinh(phi)
+        l_par, m_par = (n @ l_vec) * n, (n @ m_vec) * n
+        l_star = l_par + ch * (l_vec - l_par) + sh * np.cross(n, m_vec)
+        m_star = m_par + ch * (m_vec - m_par) - sh * np.cross(n, l_vec)
+    return l_star, scale * m_star
+
+
+def lrl_map_error():
+    """Worst relative gap between the batched LRL map and `lrl_map_by_branch` over
+    elliptic, hyperbolic and parabolic states, with |2E||eps|^2 from 1e-14 to 1."""
+    rng = np.random.default_rng(5)
+    r, v = sample_states(40, seed=3)
+    rp, vp = sample_parabolic_states(10, seed=4)
+    r, v = np.concatenate([r, rp]), np.concatenate([v, vp])
+    vals = fields.values(r, v, 1.0)
+    e = vals["E"]
+    parabolic = np.abs(e) <= 1e-12
+    assert np.count_nonzero(e < -1e-3) and np.count_nonzero(e > 1e-3) and np.count_nonzero(parabolic)
+    zs = np.logspace(-14, 0, len(r))
+    # |eps| from |2E||eps|^2 = z, or at random where E = 0
+    mags = np.sqrt(zs / np.where(parabolic, 1.0, 2.0 * np.abs(e)))
+    mags[parabolic] = rng.uniform(0.05, 1.0, np.count_nonzero(parabolic))
+    direction = rng.normal(size=(len(r), 3))
+    eps = direction / np.linalg.norm(direction, axis=1)[:, None] * mags[:, None]
+    table = transforms._ray(GeneratorKind.LRL, e, vals["L"], vals["A"], eps, parabolic)
+    l_star, a_star, _ = transforms._ray_constants(GeneratorKind.LRL, table, np.ones(len(r)), 1.0)
+    worst = 0.0
+    for i in range(len(r)):
+        l_ref, a_ref = lrl_map_by_branch(e[i], vals["L"][i], vals["A"][i], eps[i], parabolic[i])
+        scale = max(np.max(np.abs(l_ref)), np.max(np.abs(a_ref)))
+        worst = max(worst, np.max(np.abs(l_star[i] - l_ref)) / scale, np.max(np.abs(a_star[i] - a_ref)) / scale)
+    return worst
+
+
+def test_lrl_map_is_one_formula_for_every_energy():
+    assert lrl_map_error() <= 1e-14
+
+
+def test_lrl_map_check_catches_a_scaled_sinc(monkeypatch):
+    stumpff = transforms._stumpff
+
+    def scaled(z):
+        c, sh = stumpff(z)
+        return c, sh * (1.0 + 1e-9)
+
+    monkeypatch.setattr(transforms, "_stumpff", scaled)
+    assert lrl_map_error() > 1e-14
+
+
+def test_unconverged_quadrature_fails_its_property():
+    # from one panel, six doublings leave time shifts off by up to about 1e-8;
+    # equivariance compares two transforms with the same quadrature error, so
+    # only the quadrature's own last difference can fail it
+    results = {r.name: r for r in transforms_suite(20, 1, rk_steps=50, quad_panels=1)}
+    res = results["transforms.direction_equivariance"]
+    assert res.worst <= res.tol
+    assert not res.passed and "did not converge" in res.note
+    # the exact invariants do not read the time shift
+    assert results["transforms.direction_exact"].passed
