@@ -13,7 +13,6 @@ from .core import (
     lagrangian,
     material_derivative,
     set_from_constants,
-    vec3,
 )
 from .errors import (
     ApsisError,

@@ -33,7 +33,6 @@ from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
-    _plane_constants,
     fd_grad_r,
     fd_grad_v,
 )
@@ -123,20 +122,20 @@ def structure_table(state: PhaseState, sys: KeplerSystem, fd_check: bool = False
     of the finite-difference gradients as an independent column, without its
     M rows below |E| = FD_M_FLOOR.
     """
-    c = _plane_constants(state, sys, "bracket table")
-    include_m = c.M is not None
     r = state.r[None, :]
     v = state.v[None, :]
+    vals = fields.values(r, v, sys.kappa)
+    include_m = not fields.plane_rows(vals, v, sys.kappa, "bracket table")[0]
     labels = fields.table_labels(include_m)
     upper = np.triu_indices(len(labels), 1)
-    expected = fields.expected_table(fields.values(r, v, sys.kappa), include_m)[0][upper]
+    expected = fields.expected_table(vals, include_m)[0][upper]
     computed = fields.bracket_table(fields.gradients(r, v, sys.kappa, include_m))[0][upper]
     residual = np.abs(computed - expected)
     fd_residual = [None] * len(residual)
     if fd_check:
         fd = fields.bracket_table(fields.fd_gradients(r, v, sys.kappa, include_m))[0][upper]
         has_m = upper[1] >= len(fields.SCALAR_LABELS)
-        fd_used = (~has_m | (abs(c.E) >= FD_M_FLOOR)).tolist()
+        fd_used = (~has_m | (abs(vals["E"][0]) >= FD_M_FLOOR)).tolist()
         fd_residual = [x if used else None for x, used in zip(np.abs(fd - expected).tolist(), fd_used)]
     entries = tuple(
         BracketEntry(labels[a], labels[b], *values)
@@ -179,11 +178,11 @@ def symmetry_action(
     """
     if target not in ACTION_TARGETS:
         raise UsageError(f"target must be one of {ACTION_TARGETS}, got {target!r}")
-    _plane_constants(state, sys, "symmetry action")
+    vals = fields.values(state.r[None, :], state.v[None, :], sys.kappa)
+    fields.plane_rows(vals, state.v[None, :], sys.kappa, "symmetry action")
     gen_label = FAMILY_LABEL[gen.kind]
     if gen_label != "E":
         gen_label = f"{gen_label}{gen.axis}"
-    vals = fields.values(state.r[None, :], state.v[None, :], sys.kappa)
     labels = fields.SCALAR_LABELS
     column = fields.expected_table(vals, include_m=False)[0, :, labels.index(gen_label)]
     if target == "E":

@@ -4,10 +4,13 @@ Subcommands: conserved, transform, brackets, verify, orbit, sweep.  JSON
 documents go to stdout with a schema_version field; orbit and sweep emit CSV.
 Exit codes: 0 success/admissible, 1 verification failure, 2 usage or parse
 error, 3 degenerate state, 4 inadmissible transform parameter (also a
-transform whose reply says admissible: false).
+transform whose reply says admissible: false, and a sweep with such a grid
+point, before it writes any row).
 
 Defaults may be supplied as a JSON config file via --config or the
-KEPLERSYM_CONFIG environment variable; explicit flags win over the file.
+KEPLERSYM_CONFIG environment variable.  `main` merges every given flag that
+names a RunConfig field over the file once, validates the result once, and
+the handlers read only that RunConfig.
 The argument parser is built on the first call of `main` and shared by every
 later call in the same process.
 """
@@ -33,9 +36,10 @@ from .errors import (
     KeplerError,
     UsageError,
 )
-from .flow import CSV_COLUMNS, integrate_orbit, write_rows
+from .flow import CSV_COLUMNS, ORBIT_TOL, RK_STEPS, integrate_orbit, write_rows
 from .generators import GeneratorKind
 from .transforms import (
+    QUAD_PANELS,
     TransformResult,
     direction_lrl_transform,
     lrl_transform,
@@ -54,23 +58,27 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_INADMISSIBLE = 4
 
+# The RunConfig fields that a config file and a flag of the same name may set
+SETTINGS = ("kappa", "rk_steps", "quad_panels", "seed", "samples")
+
 
 @dataclass
 class RunConfig:
     kappa: float = 1.0
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    rk_steps: int = 10_000
-    quad_panels: int = 64
+    rk_steps: int = RK_STEPS
+    quad_panels: int = QUAD_PANELS
     seed: int = 7
     samples: int = 200
 
     def validate(self) -> None:
         if self.kappa <= 0:
             raise UsageError("kappa must be positive")
-        if self.samples < 1:
-            raise UsageError("samples must be >= 1")
-        if self.rk_steps < 1 or self.quad_panels < 1:
-            raise UsageError("rk_steps and quad_panels must be >= 1")
+        for name in ("samples", "rk_steps", "quad_panels"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         for name, value in self.tolerances.items():
             if not (0.0 < value < float("inf")):
                 raise UsageError(f"tolerance {name!r} must be positive and finite, got {value}")
@@ -89,7 +97,7 @@ def _load_config(path: str | None) -> RunConfig:
     if not isinstance(data, dict) or not isinstance(data.get("tolerances", {}), dict):
         raise UsageError(f"config file {path} must hold a JSON object, its tolerances an object")
     try:
-        for key in ("kappa", "rk_steps", "quad_panels", "seed", "samples"):
+        for key in SETTINGS:
             if key in data:
                 setattr(cfg, key, type(getattr(cfg, key))(data[key]))
         cfg.tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
@@ -133,7 +141,7 @@ def _simple_result(state: ExtendedState, out: ExtendedState, sys: KeplerSystem) 
 
 
 def cmd_conserved(args, cfg: RunConfig) -> int:
-    sys = KeplerSystem(kappa=args.kappa if args.kappa is not None else cfg.kappa)
+    sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     c = conserved_set(state.state, sys)
     _emit_json(c.as_dict())
@@ -141,9 +149,8 @@ def cmd_conserved(args, cfg: RunConfig) -> int:
 
 
 def cmd_transform(args, cfg: RunConfig) -> int:
-    sys = KeplerSystem(kappa=args.kappa if args.kappa is not None else cfg.kappa)
+    sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
-    panels = args.quad_panels or cfg.quad_panels
     kind = args.kind
     try:
         if kind == "rotation":
@@ -155,9 +162,9 @@ def cmd_transform(args, cfg: RunConfig) -> int:
                 raise UsageError("--eps for a time translation is a single number") from exc
             result = _simple_result(state, time_translate(state, eps, sys), sys)
         elif kind == "lrl":
-            result = lrl_transform(state, sys, parse_vec3(args.eps, "--eps"), panels)
+            result = lrl_transform(state, sys, parse_vec3(args.eps, "--eps"), cfg.quad_panels)
         else:
-            result = direction_lrl_transform(state, sys, parse_vec3(args.eps, "--eps"), panels)
+            result = direction_lrl_transform(state, sys, parse_vec3(args.eps, "--eps"), cfg.quad_panels)
     except InadmissibleTransformError as exc:
         doc = {
             "admissible": False,
@@ -171,7 +178,7 @@ def cmd_transform(args, cfg: RunConfig) -> int:
 
 
 def cmd_brackets(args, cfg: RunConfig) -> int:
-    sys = KeplerSystem(kappa=args.kappa if args.kappa is not None else cfg.kappa)
+    sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     report = structure_table(state.state, sys, fd_check=args.fd_check)
     _emit_json(report.as_dict())
@@ -182,17 +189,8 @@ def cmd_brackets(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    if args.tol is not None:
-        cfg.tolerances = dict.fromkeys(cfg.tolerances, args.tol)
-        cfg.validate()
     results = run_suites(
-        args.suite,
-        samples=args.samples or cfg.samples,
-        seed=args.seed if args.seed is not None else cfg.seed,
-        kappa=args.kappa if args.kappa is not None else cfg.kappa,
-        rk_steps=args.rk_steps or cfg.rk_steps,
-        quad_panels=args.quad_panels or cfg.quad_panels,
-        tolerances=cfg.tolerances,
+        args.suite, cfg.samples, cfg.seed, cfg.kappa, cfg.rk_steps, cfg.quad_panels, cfg.tolerances
     )
     for res in results:
         _sys.stdout.write(res.line() + "\n")
@@ -210,19 +208,19 @@ def _write_rows(path, header: list[str], rows) -> None:
 
 
 def cmd_orbit(args, cfg: RunConfig) -> int:
-    sys = KeplerSystem(kappa=args.kappa if args.kappa is not None else cfg.kappa)
+    sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     traj = integrate_orbit(
         state, sys, args.tmax, tol=args.tol, max_step=args.max_step, dt_out=args.dt_out
     )
-    _write_rows(args.out, list(CSV_COLUMNS), traj.csv_rows(sys))
+    _write_rows(args.out, list(CSV_COLUMNS), traj.csv_rows())
     return EXIT_OK
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     if args.grid < 1:
         raise UsageError("--grid must be >= 1")
-    sys = KeplerSystem(kappa=args.kappa if args.kappa is not None else cfg.kappa)
+    sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     axis = parse_vec3(args.eps_axis, "--eps-axis")
     axis_norm = float(np.linalg.norm(axis))
@@ -238,14 +236,21 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         n = len(eps)
         out = transform_batch(
             kind, np.full(n, state.t), np.tile(state.r, (n, 1)), np.tile(state.v, (n, 1)), eps, sys.kappa,
-            args.quad_panels or cfg.quad_panels,
+            cfg.quad_panels,
         )
+        if not out.admissible.all():
+            bad = int(np.argmin(out.admissible))
+            raise InadmissibleTransformError(
+                f"grid point {bad} (|eps| = {float(np.linalg.norm(eps[bad])):.6g}) is not admissible: "
+                f"quadrature difference {out.diagnostics['quadrature_difference'][bad]:.3e}, "
+                f"reconstruction residual {out.diagnostics['reconstruction_residual'][bad]:.3e}"
+            )
         starts = [ExtendedState(t, PhaseState(r, v)) for t, r, v in zip(out.t, out.r, out.v)]
 
     def families():
         for index, start in enumerate(starts):
             traj = integrate_orbit(start, sys, args.tmax, tol=args.tol, dt_out=args.dt_out)
-            for row in traj.csv_rows(sys):
+            for row in traj.csv_rows():
                 yield [float(index), *row]
 
     _write_rows(args.out, ["family", *CSV_COLUMNS], families())
@@ -292,14 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--rk-steps", type=int, default=None)
     p.add_argument("--quad-panels", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="override every suite tolerance")
+    p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=None,
+                   help="override every suite tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="integrate an orbit and emit CSV samples")
     add_state(p)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--dt-out", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=ORBIT_TOL)
     p.add_argument("--max-step", type=float, default=None)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_orbit)
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True, help="number of grid points")
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--dt-out", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=ORBIT_TOL)
     p.add_argument("--quad-panels", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -324,6 +330,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        for key in SETTINGS:
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
+        if getattr(args, "tolerance", None) is not None:
+            cfg.tolerances = dict.fromkeys(cfg.tolerances, args.tolerance)
         cfg.validate()
         return args.func(args, cfg)
     except BrokenPipeError:

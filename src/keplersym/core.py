@@ -23,13 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateStateError,
-    RadialStateError,
-    SingularOriginError,
-    UsageError,
-)
+from .errors import DegenerateStateError, SingularOriginError, UsageError
 
 Vec3 = np.ndarray
 
@@ -41,9 +35,8 @@ ENERGY_BRANCH_TOL = 1e-12
 # Central finite differences (central_differences) step by FD_SCALE * max(1, |component|).
 FD_SCALE = 1e-6
 
-
-def vec3(x: float, y: float, z: float) -> Vec3:
-    return np.array([float(x), float(y), float(z)])
+# |r| below this is the force-law singularity (SingularOriginError).
+ORIGIN_FLOOR = 1e-12
 
 
 def as_vec3(value, name: str = "vector") -> Vec3:
@@ -71,16 +64,13 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
 
 @dataclass(frozen=True)
 class KeplerSystem:
-    """Force-law parameters: attraction strength and the origin-singularity floor."""
+    """Force-law parameters: the attraction strength."""
 
     kappa: float = 1.0
-    origin_floor: float = 1e-12
 
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
             raise UsageError(f"kappa must be a positive finite number, got {self.kappa}")
-        if not (self.origin_floor > 0):
-            raise UsageError("origin_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,29 +191,27 @@ def energy_branch_threshold(kappa: float, l_mag_sq, r_mag):
     return ENERGY_BRANCH_TOL * kappa**2 / np.maximum(l_mag_sq, kappa * r_mag)
 
 
-def _require_off_origin(state: PhaseState, sys: KeplerSystem) -> float:
-    r_mag = state.r_mag
-    if r_mag < sys.origin_floor:
-        raise SingularOriginError(
-            f"|r| = {r_mag:.3e} is below the origin floor {sys.origin_floor:.3e}"
-        )
+def _require_off_origin(r_mag: float) -> float:
+    """r_mag, the smallest radius of a state or of a batch; SingularOriginError below ORIGIN_FLOOR."""
+    if r_mag < ORIGIN_FLOOR:
+        raise SingularOriginError(f"|r| = {r_mag:.3e} is below the origin floor {ORIGIN_FLOOR:.3e}")
     return r_mag
 
 
 def acceleration(state: PhaseState, sys: KeplerSystem) -> Vec3:
     """Inverse-square acceleration -kappa |r|^-2 rhat."""
-    r_mag = _require_off_origin(state, sys)
+    r_mag = _require_off_origin(state.r_mag)
     return -sys.kappa / r_mag**3 * state.r
 
 
 def lagrangian(state: PhaseState, sys: KeplerSystem) -> float:
     """Kinetic term plus kappa/|r| (the action-principle integrand)."""
-    r_mag = _require_off_origin(state, sys)
+    r_mag = _require_off_origin(state.r_mag)
     return 0.5 * float(np.dot(state.v, state.v)) + sys.kappa / r_mag
 
 
 def energy(state: PhaseState, sys: KeplerSystem) -> float:
-    r_mag = _require_off_origin(state, sys)
+    r_mag = _require_off_origin(state.r_mag)
     return 0.5 * float(np.dot(state.v, state.v)) - sys.kappa / r_mag
 
 
@@ -232,7 +220,7 @@ def angular_momentum(state: PhaseState) -> Vec3:
 
 
 def lrl_vector(state: PhaseState, sys: KeplerSystem) -> Vec3:
-    r_mag = _require_off_origin(state, sys)
+    r_mag = _require_off_origin(state.r_mag)
     v_sq = float(np.dot(state.v, state.v))
     r_dot_v = float(np.dot(state.r, state.v))
     return (v_sq - sys.kappa / r_mag) * state.r - r_dot_v * state.v
@@ -240,7 +228,7 @@ def lrl_vector(state: PhaseState, sys: KeplerSystem) -> Vec3:
 
 def conserved_set(state: PhaseState, sys: KeplerSystem) -> ConservedSet:
     """Evaluate every conserved quantity of the state at once."""
-    r_mag = _require_off_origin(state, sys)
+    r_mag = _require_off_origin(state.r_mag)
     kappa = sys.kappa
     e = energy(state, sys)
     l_vec = angular_momentum(state)
@@ -249,16 +237,6 @@ def conserved_set(state: PhaseState, sys: KeplerSystem) -> ConservedSet:
     l_mag = norm(l_vec)
     parabolic = abs(e) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
     return _assemble(e, l_vec, a_vec, a_mag, l_mag, kappa, parabolic, rv_scale=r_mag * state.v_mag)
-
-
-def _plane_constants(state: PhaseState, sys: KeplerSystem, what: str) -> ConservedSet:
-    """The conserved set of a state whose orbital plane and LRL direction exist."""
-    c = conserved_set(state, sys)
-    if c.Theta is None:
-        raise DegenerateDirectionError(f"{what} undefined for circular orbits")
-    if is_radial(c.L_mag, state.r_mag, state.v_mag):
-        raise RadialStateError(f"{what} undefined for radial states")
-    return c
 
 
 def set_from_constants(

@@ -18,6 +18,9 @@ scalar APIs elsewhere are N=1 views of them:
                              and DtP, as per-row coefficients on (r, v, eps) (flow)
     reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*): the outputs
                              and the time-shift integrand of transforms.transform_batch
+    plane_rows               the origin, circular and radial checks of rows whose
+                             orbital plane and LRL direction must exist, and their
+                             parabolic-branch mask (transforms, brackets)
     cross                    row-wise a x b, the arithmetic of np.cross at less
                              fixed cost per call
 
@@ -35,8 +38,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CIRCULAR_TOL, central_differences
-from .errors import DegenerateDirectionError, InadmissibleTransformError
+from .core import (
+    CIRCULAR_TOL,
+    _require_off_origin,
+    central_differences,
+    energy_branch_threshold,
+    is_circular,
+    is_radial,
+)
+from .errors import DegenerateDirectionError, InadmissibleTransformError, RadialStateError
 
 # Reconstruction square-root arguments in [-ADMISSIBILITY_TOL, 0] are clamped
 # to zero; |A*|^2 must stay at or above ADMISSIBILITY_TOL^2.
@@ -109,6 +119,19 @@ def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
         "M": m_vec,
     }
     return out
+
+
+def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: str) -> np.ndarray:
+    """The parabolic-branch mask of the rows v, whose `values` are vals, when every
+    row's orbital plane and LRL direction exist; otherwise SingularOriginError,
+    DegenerateDirectionError or RadialStateError, saying what is undefined."""
+    r_mag, l_mag = vals["r_mag"], vals["L_mag"]
+    _require_off_origin(float(np.min(r_mag)))
+    if is_circular(vals["A_mag"], kappa).any():
+        raise DegenerateDirectionError(f"{what} undefined for circular orbits")
+    if is_radial(l_mag, r_mag, np.sqrt(_dot(v, v))).any():
+        raise RadialStateError(f"{what} undefined for radial states")
+    return np.abs(vals["E"]) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
 
 
 def scalar_values(
@@ -285,8 +308,7 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     k = kappa / np.sqrt(rr)
     k3, beta = k / rr, vv - k
     theta_rows = family == "Theta" if isinstance(family, str) else family
-    rv_sq = rv * rv
-    a_sq = beta * (beta * rr - 2.0 * rv_sq) + rv_sq * vv
+    a_sq = lrl_norm_sq(rr, rv, vv, beta)
     # also catches a roundoff-negative |A|^2
     if np.count_nonzero((a_sq <= (CIRCULAR_TOL * kappa) ** 2) & theta_rows):
         raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
@@ -302,6 +324,19 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     return rr * ve - rv * re, _contract("pbn,bcn->pcn", coef, basis)
 
 
+def lrl_norm_sq(rr, rv, vv, beta):
+    """|A|^2 of A = beta r - (r.v) v, beta = |v|^2 - kappa/|r|, from rr = |r|^2, rv = r.v
+    and vv = |v|^2: floats or arrays."""
+    rv_sq = rv * rv
+    return beta * (beta * rr - 2.0 * rv_sq) + rv_sq * vv
+
+
+def root_terms(e, kappa: float, r_mag, l_sq):
+    """The root argument 2(E + kappa/|r|) - |L*|^2/|r|^2 of the reconstruction, and
+    |A*|^2 = kappa^2 + 2E|L*|^2, at |L*|^2 = l_sq."""
+    return 2.0 * (e + kappa / r_mag) - l_sq / (r_mag * r_mag), kappa**2 + 2.0 * e * l_sq
+
+
 def reconstruction_terms(
     e, kappa: float, r_mag, l_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +347,7 @@ def reconstruction_terms(
     ADMISSIBILITY_TOL^2; otherwise InadmissibleTransformError, carrying the
     worst root argument (or |A*|^2).
     """
-    arg = 2.0 * (e + kappa / r_mag) - l_sq / (r_mag * r_mag)
+    arg, a_sq = root_terms(e, kappa, r_mag, l_sq)
     worst = float(arg.min())
     if worst < -ADMISSIBILITY_TOL:
         raise InadmissibleTransformError(
@@ -320,7 +355,6 @@ def reconstruction_terms(
             f"square-root argument {worst:.6e} < 0",
             root_argument=worst,
         )
-    a_sq = kappa**2 + 2.0 * e * l_sq
     if (a_sq < ADMISSIBILITY_TOL**2).any():
         raise InadmissibleTransformError(
             "transformed orbit is circular to working precision; the in-plane frame degenerates",

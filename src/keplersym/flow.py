@@ -37,6 +37,7 @@ from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
+    _require_off_origin,
     as_vec3,
     conserved_set,
     norm,
@@ -45,13 +46,15 @@ from .errors import (
     CollisionError,
     DegenerateDirectionError,
     FlowDegeneracyError,
-    SingularOriginError,
     StepUnderflowError,
     UsageError,
 )
 from .generators import FAMILY_LABEL, GeneratorId, GeneratorKind
-from .transforms import TransformResult, _transform_one
+from .transforms import QUAD_PANELS, TransformResult, _transform_one
 
+# Default DP5 tolerance of integrate_orbit and RK4 step count of the symmetry flows
+ORBIT_TOL = 1e-10
+RK_STEPS = 10_000
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
 # Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
@@ -72,26 +75,40 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered orbit samples, conserved-quantity drift along them, and the
+    """Ordered orbit samples, their `fields.values` (one call per orbit), and the
     accepted and rejected steps of the integrator that made them."""
 
     samples: tuple[ExtendedState, ...]
-    drift: dict
+    values: dict
     steps_accepted: int = 0
     steps_rejected: int = 0
 
-    def csv_rows(self, sys: KeplerSystem) -> list[list[float]]:
-        """One CSV_COLUMNS row per sample, E, L and A from one `fields.values` call."""
-        r = np.array([s.r for s in self.samples])
-        v = np.array([s.v for s in self.samples])
-        vals = fields.values(r, v, sys.kappa)
-        if np.min(vals["r_mag"]) < sys.origin_floor:
-            raise SingularOriginError(f"|r| = {np.min(vals['r_mag']):.3e} is below the origin floor")
+    @property
+    def drift(self) -> dict:
+        """Largest deviation of E, L and A over the samples from the first sample."""
+        return self.deviations()
+
+    def deviations(self, ref=None) -> dict:
+        """Largest deviation of E, L and A over the samples from ref (default: the first sample)."""
+        vals = self.values
+        e, l_vec, a_vec = (vals["E"][0], vals["L"][0], vals["A"][0]) if ref is None else (ref.E, ref.L, ref.A)
+        return {
+            "dE": float(np.max(np.abs(vals["E"] - e))),
+            "dL": float(np.max(np.linalg.norm(vals["L"] - l_vec, axis=1))),
+            "dA": float(np.max(np.linalg.norm(vals["A"] - a_vec, axis=1))),
+        }
+
+    def csv_rows(self) -> list[list[float]]:
+        """One CSV_COLUMNS row per sample."""
+        vals = self.values
+        _require_off_origin(float(np.min(vals["r_mag"])))
+        r = [s.r for s in self.samples]
+        v = [s.v for s in self.samples]
         t = [s.t for s in self.samples]
         return np.column_stack([t, r, v, vals["E"], vals["L"], vals["A"]]).tolist()
 
-    def write_csv(self, fh, sys: KeplerSystem) -> None:
-        write_rows(fh, CSV_COLUMNS, self.csv_rows(sys))
+    def write_csv(self, fh) -> None:
+        write_rows(fh, CSV_COLUMNS, self.csv_rows())
 
 
 def write_rows(fh, header, rows) -> None:
@@ -171,7 +188,7 @@ def integrate_orbit(
     state: ExtendedState,
     sys: KeplerSystem,
     t_span: float,
-    tol: float = 1e-10,
+    tol: float = ORBIT_TOL,
     max_step: float | None = None,
     dt_out: float | None = None,
 ) -> Trajectory:
@@ -257,18 +274,8 @@ def integrate_orbit(
 
 
 def _finish_trajectory(samples: list[ExtendedState], sys: KeplerSystem, *steps: int) -> Trajectory:
-    return Trajectory(tuple(samples), _deviations(samples, sys.kappa), *steps)
-
-
-def _deviations(samples, kappa: float, ref=None) -> dict:
-    """Largest deviation of E, L and A over the samples from ref (default: the first sample)."""
-    vals = fields.values(np.array([s.r for s in samples]), np.array([s.v for s in samples]), kappa)
-    e, l_vec, a_vec = (vals["E"][0], vals["L"][0], vals["A"][0]) if ref is None else (ref.E, ref.L, ref.A)
-    return {
-        "dE": float(np.max(np.abs(vals["E"] - e))),
-        "dL": float(np.max(np.linalg.norm(vals["L"] - l_vec, axis=1))),
-        "dA": float(np.max(np.linalg.norm(vals["A"] - a_vec, axis=1))),
-    }
+    vals = fields.values(np.array([s.r for s in samples]), np.array([s.v for s in samples]), sys.kappa)
+    return Trajectory(tuple(samples), vals, *steps)
 
 
 def _normalize_kind(gen) -> GeneratorKind:
@@ -322,7 +329,7 @@ def integrate_symmetry_flows(
     v: np.ndarray,
     eps: np.ndarray,
     kappa: float,
-    steps: int = 10_000,
+    steps: int = RK_STEPS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of a batch of flows over s in [0, 1].
 
@@ -366,7 +373,7 @@ def integrate_symmetry_flow(
     state: ExtendedState,
     sys: KeplerSystem,
     eps: Vec3,
-    steps: int = 10_000,
+    steps: int = RK_STEPS,
 ) -> SymmetryFlowResult:
     """Integrate one symmetry flow; eps = 0 returns the state unchanged."""
     kind = _normalize_kind(gen)
@@ -389,8 +396,8 @@ def compare_flow_vs_closed_form(
     state: ExtendedState,
     sys: KeplerSystem,
     eps: Vec3,
-    steps: int = 10_000,
-    quad_panels: int = 64,
+    steps: int = RK_STEPS,
+    quad_panels: int = QUAD_PANELS,
 ) -> FlowReport:
     """Residual between the closed-form transform and its integrated flow."""
     eps = as_vec3(eps, "eps")
@@ -398,12 +405,15 @@ def compare_flow_vs_closed_form(
         return FlowReport(state, state, 0.0, 0.0)
     closed = _closed_form(gen, state, sys, eps, quad_panels).out
     flown = integrate_symmetry_flow(gen, state, sys, eps, steps)
-    return FlowReport(closed, flown.out, max(_gap(closed, flown.out)), flown.r_mag_drift)
+    gap = gaps((closed.t, closed.r, closed.v), (flown.out.t, flown.out.r, flown.out.v))
+    return FlowReport(closed, flown.out, max(gap), flown.r_mag_drift)
 
 
-def _gap(a: ExtendedState, b: ExtendedState) -> tuple[float, float]:
-    """The t difference and the largest (r, v) component difference of two extended states."""
-    return abs(a.t - b.t), max(float(np.max(np.abs(a.r - b.r))), float(np.max(np.abs(a.v - b.v))))
+def gaps(a, b) -> tuple[float, float]:
+    """The largest t difference and the largest (r, v) component difference of two
+    (t, r, v) triples, of one extended state each or of arrays over rows."""
+    t_gap, *rv_gaps = (float(np.max(np.abs(np.subtract(x, y)), initial=0.0)) for x, y in zip(a[:3], b[:3]))
+    return t_gap, max(rv_gaps)
 
 
 def verify_solution_mapping(
@@ -412,7 +422,6 @@ def verify_solution_mapping(
     eps: Vec3,
     gen,
     t_span: float,
-    tol: float = 1e-10,
 ) -> SolutionMappingReport:
     """Re-integrate the orbit from a transformed state and hold it to its
     predicted conserved set."""
@@ -420,7 +429,7 @@ def verify_solution_mapping(
     if norm(eps) == 0.0:
         start, predicted = state, conserved_set(state.state, sys)
     else:
-        result = _closed_form(gen, state, sys, eps, quad_panels=64)
+        result = _closed_form(gen, state, sys, eps, QUAD_PANELS)
         start, predicted = result.out, result.constants_out
-    residuals = _deviations(integrate_orbit(start, sys, t_span, tol=tol).samples, sys.kappa, predicted)
+    residuals = integrate_orbit(start, sys, t_span).deviations(predicted)
     return SolutionMappingReport(residuals, max(residuals.values()))

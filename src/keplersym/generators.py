@@ -41,6 +41,8 @@ from .errors import ApsisError, UsageError
 
 # |r.v| below this (relative to |r||v|) counts as an apsis for gauge purposes.
 APSIS_FLOOR = 1e-12
+# classify_generator: largest entry of dP/dv minus its trace part for a point symmetry.
+POINT_TOL = 1e-4
 
 
 class GeneratorKind(Enum):
@@ -116,7 +118,7 @@ def _characteristics(gen: GeneratorId, r: np.ndarray, v: np.ndarray, sys: Kepler
 
 
 def _at_state(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> tuple[Vec3, Vec3]:
-    _require_off_origin(state, sys)
+    _require_off_origin(state.r_mag)
     p, dt_p = _characteristics(gen, state.r[None, :], state.v[None, :], sys)
     return p[0], dt_p[0]
 
@@ -148,7 +150,7 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
     """
     if gen.kind not in (GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION):
         raise UsageError("gauge-fixed components exist for the LRL and LRL-direction families")
-    _require_off_origin(state, sys)
+    _require_off_origin(state.r_mag)
     family, kappa = FAMILY_LABEL[gen.kind], sys.kappa
     eps = np.eye(3)[gen.axis - 1 : gen.axis]
     basis, gram = fields.frame(state.r[None, :], state.v[None, :], eps)
@@ -169,7 +171,7 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
         # (v x L)_axis/beta with v x L = A + kappa rhat = |v|^2 r - (r.v) v
         mu = (vv * re - rv * ve) / beta
         if gen.kind is GeneratorKind.LRL_DIRECTION:
-            a_sq = beta * (beta * rr - 2.0 * rv * rv) + rv * rv * vv
+            a_sq = fields.lrl_norm_sq(rr, rv, vv, beta)
             mu = mu / math.sqrt(a_sq) - l_sq * (beta * re - rv * ve) / a_sq**1.5
         mu = np.array([mu])
     dt, d = fields.gauge_field(family, basis, gram, kappa, mu)
@@ -187,13 +189,11 @@ def velocity_jacobian(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) ->
     return central_differences(lambda vs: _characteristics(gen, r, vs, sys)[0], state.v).T
 
 
-def classify_generator(
-    gen: GeneratorId, state: PhaseState, sys: KeplerSystem, tol: float = 1e-4
-) -> GeneratorClass:
+def classify_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> GeneratorClass:
     """Point iff dP/dv is a multiple of the identity (strict linearity in v)."""
     jac = velocity_jacobian(gen, state, sys)
     tau_hat = float(np.trace(jac)) / 3.0
     deviation = float(np.max(np.abs(jac - tau_hat * np.eye(3))))
     if not math.isfinite(deviation):
         return GeneratorClass.DYNAMICAL
-    return GeneratorClass.POINT if deviation <= tol else GeneratorClass.DYNAMICAL
+    return GeneratorClass.POINT if deviation <= POINT_TOL else GeneratorClass.DYNAMICAL

@@ -27,6 +27,12 @@ MIN_L = 0.1
 MIN_A_FACTOR = 0.05
 # sample_flow_pairs gives up after this many batches of candidate states
 MAX_PAIR_BATCHES = 100
+# |eps| of a flow pair is uniform in EPS_RANGE; its state has |r.v| >= APSIS_MARGIN |r||v|,
+# and at each of RAY_NODES nodes along its ray the root argument is at least RAY_MARGIN
+EPS_RANGE = (0.05, 0.35)
+APSIS_MARGIN = 5e-2
+RAY_NODES = 33
+RAY_MARGIN = 1e-4
 
 
 def canonical_states() -> dict[str, PhaseState]:
@@ -81,26 +87,17 @@ def sample_parabolic_states(
     return np.concatenate(r_out)[:n], np.concatenate(v_out)[:n]
 
 
-def _ray_admissible(
-    state: PhaseState,
-    eps: np.ndarray,
-    kind: GeneratorKind,
-    sys: KeplerSystem,
-    margin: float,
-    nodes: int = 33,
-) -> bool:
+def _ray_admissible(state: PhaseState, eps: np.ndarray, kind: GeneratorKind, sys: KeplerSystem) -> bool:
     c0 = conserved_set(state, sys)
     if c0.Theta is None:
         return False
     try:
-        l_s = _set_ray(kind, c0, eps, np.linspace(0.0, 1.0, nodes))[0]
+        l_s = _set_ray(kind, c0, eps, np.linspace(0.0, 1.0, RAY_NODES))[0]
     except InadmissibleTransformError:
         return False
-    r_mag = state.r_mag
     l_sq = np.einsum("ni,ni->n", l_s, l_s)
-    arg = 2.0 * (c0.E + sys.kappa / r_mag) - l_sq / r_mag**2
-    a_sq = sys.kappa**2 + 2.0 * c0.E * l_sq
-    return bool(np.all((arg >= margin) & (a_sq >= (0.02 * sys.kappa) ** 2) & (l_sq >= 0.05**2)))
+    arg, a_sq = fields.root_terms(c0.E, sys.kappa, state.r_mag, l_sq)
+    return bool(np.all((arg >= RAY_MARGIN) & (a_sq >= (0.02 * sys.kappa) ** 2) & (l_sq >= 0.05**2)))
 
 
 def sample_flow_pairs(
@@ -109,9 +106,6 @@ def sample_flow_pairs(
     kind: GeneratorKind,
     branch: str = "any",
     kappa: float = 1.0,
-    eps_range: tuple[float, float] = (0.05, 0.35),
-    margin: float = 1e-4,
-    apsis_margin: float = 5e-2,
 ) -> list[tuple[PhaseState, np.ndarray]]:
     """n (state, eps) pairs whose whole parameter ray is strictly admissible.
 
@@ -145,12 +139,12 @@ def sample_flow_pairs(
             keep = vals["E"] > 0.05
         else:
             keep = np.ones(len(r), dtype=bool)
-        keep &= np.abs(vals["r_dot_v"]) >= apsis_margin * vals["r_mag"] * np.linalg.norm(v, axis=1)
+        keep &= np.abs(vals["r_dot_v"]) >= APSIS_MARGIN * vals["r_mag"] * np.linalg.norm(v, axis=1)
         for ri, vi in zip(r[keep], v[keep]):
             state = PhaseState(ri, vi)
             for _ in range(20):
-                eps = _unit_vectors(rng, 1)[0] * rng.uniform(*eps_range)
-                if _ray_admissible(state, eps, kind, sys, margin):
+                eps = _unit_vectors(rng, 1)[0] * rng.uniform(*EPS_RANGE)
+                if _ray_admissible(state, eps, kind, sys):
                     pairs.append((state, eps))
                     break
             if len(pairs) >= n:

@@ -40,27 +40,19 @@ from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
-    _require_off_origin,
     as_vec3,
-    energy_branch_threshold,
-    is_circular,
-    is_radial,
     norm,
     set_from_constants,
 )
-from .errors import (
-    DegenerateDirectionError,
-    InadmissibleTransformError,
-    RadialStateError,
-    SingularOriginError,
-    UsageError,
-)
+from .errors import DegenerateDirectionError, InadmissibleTransformError, UsageError
 from .fields import _dot, cross
 from .generators import GeneratorKind
 
 ADMISSIBILITY_TOL = fields.ADMISSIBILITY_TOL
 QUADRATURE_TOL = 1e-10
 DIAGNOSTIC_TOL = 1e-9
+# Simpson panels the time-shift quadrature starts from
+QUAD_PANELS = 64
 
 
 def rotation_matrix(eps: Vec3) -> np.ndarray:
@@ -80,15 +72,13 @@ def rotate(state: ExtendedState, eps: Vec3) -> ExtendedState:
     return ExtendedState(state.t, PhaseState(rot @ state.r, rot @ state.v))
 
 
-def time_translate(
-    state: ExtendedState, eps: float, sys: KeplerSystem, tol: float = 1e-10
-) -> ExtendedState:
+def time_translate(state: ExtendedState, eps: float, sys: KeplerSystem) -> ExtendedState:
     """Advance (r, v) by eps along the true Kepler flow; t is unchanged."""
     if eps == 0.0:
         return state
     from .flow import integrate_orbit
 
-    traj = integrate_orbit(state, sys, t_span=float(eps), tol=tol, dt_out=abs(float(eps)))
+    traj = integrate_orbit(state, sys, t_span=float(eps), dt_out=abs(float(eps)))
     return ExtendedState(state.t, traj.samples[-1].state)
 
 
@@ -162,23 +152,26 @@ def _set_ray(kind: GeneratorKind, c: ConservedSet, eps: np.ndarray, s: np.ndarra
     return _ray_constants(kind, table[np.zeros(len(s), dtype=int)], s, c.kappa)
 
 
+def _constants_map(kind: GeneratorKind, c: ConservedSet, eps: Vec3, kappa: float) -> ConservedSet:
+    """The constants map of one conserved set at s = 1; eps = 0 returns c."""
+    if c.Theta is None:
+        name = "LRL" if kind is GeneratorKind.LRL else "direction"
+        raise DegenerateDirectionError(f"{name} transform undefined for circular orbits")
+    eps = as_vec3(eps, "eps")
+    if norm(eps) == 0.0:
+        return c
+    l_star, a_star, _ = _set_ray(kind, c, eps, np.ones(1))
+    return set_from_constants(c.E, l_star[0], a_star[0], kappa, parabolic=c.M is None)
+
+
 def transform_constants_direction(c: ConservedSet, eps: Vec3) -> ConservedSet:
     """Constants map of the LRL-direction group: L -> L + eps x Theta."""
-    if c.Theta is None:
-        raise DegenerateDirectionError("direction transform undefined for circular orbits")
-    l_star, a_star, _ = _set_ray(GeneratorKind.LRL_DIRECTION, c, as_vec3(eps, "eps"), np.ones(1))
-    return set_from_constants(c.E, l_star[0], a_star[0], c.kappa, parabolic=c.M is None)
+    return _constants_map(GeneratorKind.LRL_DIRECTION, c, eps, c.kappa)
 
 
 def transform_constants_lrl(c: ConservedSet, eps: Vec3, sys: KeplerSystem) -> ConservedSet:
     """Constants map of the LRL group at s = 1, the one formula of the module docstring."""
-    if c.Theta is None:
-        raise DegenerateDirectionError("LRL transform undefined for circular orbits")
-    eps = as_vec3(eps, "eps")
-    if norm(eps) == 0.0:
-        return c
-    l_star, a_star, _ = _set_ray(GeneratorKind.LRL, c, eps, np.ones(1))
-    return set_from_constants(c.E, l_star[0], a_star[0], sys.kappa, parabolic=c.M is None)
+    return _constants_map(GeneratorKind.LRL, c, eps, sys.kappa)
 
 
 def _at_nodes(kind: GeneratorKind, table: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
@@ -249,17 +242,16 @@ def transform_batch(
     v,
     eps,
     kappa: float,
-    quad_panels: int = 64,
-    diag_tol: float = DIAGNOSTIC_TOL,
+    quad_panels: int = QUAD_PANELS,
 ) -> TransformBatch:
     """Finite LRL or LRL-direction transformation (kind) of the N rows (t, r, v)
     with parameters eps (N, 3); rows with eps = 0 keep their (t, r, v).
 
-    Every row is checked as `core._plane_constants` does (SingularOriginError,
+    Every row is checked by `fields.plane_rows` (SingularOriginError,
     DegenerateDirectionError, RadialStateError); InadmissibleTransformError if
     any row's orbit cannot reach its radius.  A row is admissible when its
-    residuals are within diag_tol and its time shift converged to QUADRATURE_TOL
-    within six panel doublings.
+    residuals are within DIAGNOSTIC_TOL and its time shift converged to
+    QUADRATURE_TOL within six panel doublings.
     """
     if quad_panels < 1:
         raise UsageError("quad_panels must be >= 1")
@@ -267,14 +259,8 @@ def transform_batch(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r, v, eps = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (r, v, eps))
     vals = fields.values(r, v, kappa)
-    e, r_mag, l_mag = vals["E"], vals["r_mag"], vals["L_mag"]
-    if (r_mag < KeplerSystem.origin_floor).any():
-        raise SingularOriginError(f"|r| = {np.min(r_mag):.3e} is below the origin floor")
-    if is_circular(vals["A_mag"], kappa).any():
-        raise DegenerateDirectionError(f"{name} transform undefined for circular orbits")
-    if is_radial(l_mag, r_mag, np.sqrt(_dot(v, v))).any():
-        raise RadialStateError(f"{name} transform undefined for radial states")
-    parabolic = np.abs(e) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
+    e, r_mag = vals["E"], vals["r_mag"]
+    parabolic = fields.plane_rows(vals, v, kappa, f"{name} transform")
     sigma = np.where(vals["r_dot_v"] >= 0.0, 1.0, -1.0)
     a_vec = vals["A" if kind is GeneratorKind.LRL else "Theta"]
     table = _ray(kind, e, vals["L"], a_vec, eps, parabolic, r_mag, sigma, e, eps)
@@ -293,7 +279,7 @@ def transform_batch(
     }
     # the reconstruction residual includes the E misfit, so it bounds E_invariance
     residual = np.maximum(diagnostics["r_invariance"], diagnostics["reconstruction_residual"])
-    admissible = (residual <= diag_tol) & (difference <= QUADRATURE_TOL)
+    admissible = (residual <= DIAGNOSTIC_TOL) & (difference <= QUADRATURE_TOL)
     moved = _dot(eps, eps) > 0.0
     delta_t = np.where(moved, delta_t, 0.0)
     r_new, v_new = (np.where(moved[:, None], new, old) for new, old in ((r_new, r), (v_new, v)))
@@ -329,18 +315,12 @@ class TransformResult:
 
 
 def _transform_one(
-    kind: GeneratorKind,
-    state: ExtendedState,
-    sys: KeplerSystem,
-    eps: Vec3,
-    quad_panels: int = 64,
-    diag_tol: float = DIAGNOSTIC_TOL,
+    kind: GeneratorKind, state: ExtendedState, sys: KeplerSystem, eps: Vec3, quad_panels: int
 ) -> TransformResult:
     """One row of `transform_batch`, as a TransformResult."""
     eps = as_vec3(eps, "eps")
-    _require_off_origin(state.state, sys)  # sys may set a higher floor than the batch's default
     r, v = state.r[None], state.v[None]
-    b = transform_batch(kind, state.t, r, v, eps[None], sys.kappa, quad_panels, diag_tol)
+    b = transform_batch(kind, state.t, r, v, eps[None], sys.kappa, quad_panels)
     parabolic = bool(b.parabolic[0])
     warnings = ()
     if kind is GeneratorKind.LRL and parabolic and b.E[0] != 0.0 and float(eps @ eps) > 0.0:
@@ -360,7 +340,7 @@ def time_shift_quadrature(
     sys: KeplerSystem,
     eps: Vec3,
     kind: GeneratorKind,
-    quad_panels: int = 64,
+    quad_panels: int = QUAD_PANELS,
 ) -> float:
     """Delta t = integral over s in [0,1] of -(r*(s) x L*(s)) . eps: the time
     shift of one row of `transform_batch`."""
@@ -371,22 +351,14 @@ def time_shift_quadrature(
 
 
 def direction_lrl_transform(
-    state: ExtendedState,
-    sys: KeplerSystem,
-    eps: Vec3,
-    quad_panels: int = 64,
-    diag_tol: float = DIAGNOSTIC_TOL,
+    state: ExtendedState, sys: KeplerSystem, eps: Vec3, quad_panels: int = QUAD_PANELS
 ) -> TransformResult:
     """Finite LRL-direction transformation with parameter eps."""
-    return _transform_one(GeneratorKind.LRL_DIRECTION, state, sys, eps, quad_panels, diag_tol)
+    return _transform_one(GeneratorKind.LRL_DIRECTION, state, sys, eps, quad_panels)
 
 
 def lrl_transform(
-    state: ExtendedState,
-    sys: KeplerSystem,
-    eps: Vec3,
-    quad_panels: int = 64,
-    diag_tol: float = DIAGNOSTIC_TOL,
+    state: ExtendedState, sys: KeplerSystem, eps: Vec3, quad_panels: int = QUAD_PANELS
 ) -> TransformResult:
     """Finite LRL transformation with parameter eps (every energy)."""
-    return _transform_one(GeneratorKind.LRL, state, sys, eps, quad_panels, diag_tol)
+    return _transform_one(GeneratorKind.LRL, state, sys, eps, quad_panels)

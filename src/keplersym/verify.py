@@ -16,7 +16,9 @@ import numpy as np
 from . import fields
 from .core import ExtendedState, KeplerSystem, PhaseState, conserved_set
 from .flow import (
+    RK_STEPS,
     compare_flow_vs_closed_form,
+    gaps,
     integrate_orbit,
     integrate_symmetry_flows,
     verify_solution_mapping,
@@ -35,7 +37,7 @@ from .sampling import (
     sample_parabolic_states,
     sample_states,
 )
-from .transforms import QUADRATURE_TOL, rotation_matrix, time_translate, transform_batch
+from .transforms import QUAD_PANELS, QUADRATURE_TOL, rotation_matrix, time_translate, transform_batch
 from .brackets import FD_M_FLOOR, structure_residuals
 
 DEFAULT_TOLERANCES = {
@@ -236,12 +238,6 @@ def _worst(*diffs) -> float:
     return max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
 
 
-def _gaps(a, b) -> tuple[float, float]:
-    """The largest t difference and the largest (r, v) component difference over
-    the rows of two (t, r, v) triples of arrays."""
-    return _worst(a[0] - b[0]), _worst(a[1] - b[1], a[2] - b[2])
-
-
 def _stalled(tol: float, *batches) -> int:
     """Rows of transform batches whose time shift did not converge, and whose last
     Simpson difference (about 15 times the error left) exceeds tol, the tolerance
@@ -289,8 +285,8 @@ def transforms_suite(
     samples: int,
     seed: int,
     kappa: float = 1.0,
-    rk_steps: int = 10_000,
-    quad_panels: int = 64,
+    rk_steps: int = RK_STEPS,
+    quad_panels: int = QUAD_PANELS,
     tolerances: dict | None = None,
 ) -> list[PropertyResult]:
     """Every pair set is drawn, and its closed forms kept, before one RK4
@@ -335,7 +331,7 @@ def transforms_suite(
         rows = slice(lo, lo + len(pairs[name]))
         lo = rows.stop
         # the time shift and the (r, v) end apart, to say which side erred
-        gap_t, gap_rv = _gaps(once[name], [x[rows] for x in ends[:3]])
+        gap_t, gap_rv = gaps(once[name], [x[rows] for x in ends[:3]])
         note = f"t {gap_t:.1e}, r/v {gap_rv:.1e}"
         note += "" if name == "direction" else "; integrated in the direction_vs_flow pass"
         props[name].append(
@@ -352,7 +348,7 @@ def transforms_suite(
         _, r, v, eps = _stack([(kind, group)])
         part = closed(kind, np.zeros(len(r)), r, v, first * eps)
         full = closed(kind, part.t, part.r, part.v, then * eps)
-        return max(_gaps([x[: len(r)] for x in first_once], full)), _stalled(tol["group_law"], part, full)
+        return max(gaps([x[: len(r)] for x in first_once], full)), _stalled(tol["group_law"], part, full)
 
     n2 = max(samples // 4, 10)
     rng = np.random.default_rng(seed + 5)
@@ -373,7 +369,7 @@ def transforms_suite(
     t, r, v = (x[:m] for x in once["direction"][:3])
     _, r0, v0, eps = _stack([(direction_kind, group_pairs)])
     rhs = closed(direction_kind, np.zeros(m), *(np.einsum("nij,nj->ni", rot, x) for x in (r0, v0, eps)))
-    worst = max(_gaps((t, np.einsum("nij,nj->ni", rot, r), np.einsum("nij,nj->ni", rot, v)), rhs))
+    worst = max(gaps((t, np.einsum("nij,nj->ni", rot, r), np.einsum("nij,nj->ni", rot, v)), rhs))
     props["direction"].append(
         _result(
             "transforms.direction_equivariance", worst, tol["group_law"], m, t0,
@@ -395,8 +391,8 @@ def flows_suite(
     samples: int,
     seed: int,
     kappa: float = 1.0,
-    rk_steps: int = 10_000,
-    quad_panels: int = 64,
+    rk_steps: int = RK_STEPS,
+    quad_panels: int = QUAD_PANELS,
     tolerances: dict | None = None,
 ) -> list[PropertyResult]:
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
@@ -406,7 +402,7 @@ def flows_suite(
 
     t0 = time.perf_counter()
     circ = ExtendedState(0.0, refs["circ"])
-    traj = integrate_orbit(circ, sys, 2.0 * math.pi, tol=1e-10)
+    traj = integrate_orbit(circ, sys, 2.0 * math.pi)
     end = traj.samples[-1]
     worst = max(
         float(np.max(np.abs(end.r - circ.r))), float(np.max(np.abs(end.v - circ.v)))
@@ -416,12 +412,12 @@ def flows_suite(
     t0 = time.perf_counter()
     ell = ExtendedState(0.0, refs["ell"])
     period = conserved_set(refs["ell"], sys).period
-    traj = integrate_orbit(ell, sys, period, tol=1e-10)
+    traj = integrate_orbit(ell, sys, period)
     out.append(_result("flows.energy_drift_per_period", traj.drift["dE"], tol["energy_drift"], 1, t0))
 
     t0 = time.perf_counter()
     hyp = ExtendedState(0.0, refs["hyp"])
-    traj = integrate_orbit(hyp, sys, 10.0, tol=1e-10, dt_out=0.05)
+    traj = integrate_orbit(hyp, sys, 10.0, dt_out=0.05)
     radii = np.array([s.state.r_mag for s in traj.samples])
     worst = max(0.0, float(np.max(radii[:-1] - radii[1:])))
     out.append(_result("flows.hyperbolic_escape", worst, tol["monotone_escape"], len(radii), t0))
@@ -495,7 +491,7 @@ def _convergence_factor(sys: KeplerSystem, quad_panels: int) -> tuple[float, int
     eps = None
     for mag in (0.25, 0.2, 0.15, 0.1, 0.06):
         candidate = np.array([0.0, 0.0, mag])
-        if _ray_admissible(off.state, candidate, GeneratorKind.LRL, sys, margin=1e-4):
+        if _ray_admissible(off.state, candidate, GeneratorKind.LRL, sys):
             eps = candidate
             break
     if eps is None:
@@ -515,8 +511,8 @@ def run_suites(
     samples: int,
     seed: int,
     kappa: float = 1.0,
-    rk_steps: int = 10_000,
-    quad_panels: int = 64,
+    rk_steps: int = RK_STEPS,
+    quad_panels: int = QUAD_PANELS,
     tolerances: dict | None = None,
 ) -> list[PropertyResult]:
     if suite not in SUITES and suite != "all":

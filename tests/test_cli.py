@@ -1,11 +1,14 @@
 import contextlib
 import json
+import math
 import signal
 import time
 import warnings
 
+import numpy as np
 import pytest
 
+from keplersym import fields
 from keplersym.cli import main
 
 
@@ -122,6 +125,36 @@ def test_sweep_inadmissible_point_writes_nothing(capsys):
     )
     assert code == 4
     assert out == ""
+
+
+def test_sweep_unconverged_point_exit4(capsys):
+    # at one panel this point's time shift has not converged after six doublings
+    state = (
+        "--r=-1.0093184832806594,1.2447164078090283,-0.6161104459654111",
+        "--v=0.6306985324958218,0.14969561470428835,-1.6572877132678252",
+    )
+    eps = "-0.06234535838063827,0.02981075528078348,-0.15623586312404178"
+    code, out, _ = run_cli(capsys, "transform", "--kind", "lrl", f"--eps={eps}", *state, "--quad-panels", "1")
+    assert code == 4 and json.loads(out)["admissible"] is False
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--kind", "lrl", f"--eps-axis={eps}", f"--eps-max={math.hypot(*map(float, eps.split(',')))!r}",
+        "--grid", "2", "--tmax", "0.05", "--quad-panels", "1", *state,
+    )
+    assert code == 4
+    assert out == "" and "grid point 1" in err
+
+
+def test_orbit_request_evaluates_values_once(capsys, monkeypatch):
+    # the CSV columns are the values the drift is taken from
+    calls = []
+    values = fields.values
+    monkeypatch.setattr(fields, "values", lambda *args: calls.append(args) or values(*args))
+    code, out, _ = run_cli(capsys, "orbit", "--r", "1,0,0.1", "--v", "0,1.2,0", "--tmax", "2", "--dt-out", "0.25")
+    assert code == 0 and len(calls) == 1
+    again = values(*calls[0])
+    rows = [[float(x) for x in line.split(",")[7:]] for line in out.splitlines()[1:]]
+    assert rows == np.column_stack([again["E"], again["L"], again["A"]]).tolist()
 
 
 def test_transform_rotation_and_time(capsys):
@@ -345,6 +378,22 @@ def test_config_file_holding_a_list_exit2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", str(cfg), "conserved", "--r", "1,0,0", "--v", "0,1.2,0")
     assert code == 2
     assert out == "" and "JSON object" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--samples", "0"), "samples must be >= 1"),
+    (("verify", "--samples", "-5"), "samples must be >= 1"),
+    (("verify", "--suite", "flows", "--rk-steps", "0"), "rk_steps must be >= 1"),
+    (("transform", "--kind", "lrl", "--eps", "0,0.1,0", "--r", "1,0,0", "--v", "0,1.2,0", "--quad-panels", "0"),
+     "quad_panels must be >= 1"),
+    (("verify", "--suite", "algebra", "--seed", "-1"), "seed must be >= 0"),
+])
+def test_run_config_flags_out_of_range_exit2(capsys, argv, message):
+    # an explicit 0 used to fall back to the default, --samples -5 ran one state
+    # and a negative seed ended in a traceback from numpy
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])

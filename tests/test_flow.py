@@ -130,7 +130,7 @@ def test_solution_mapping_identity_and_inadmissible(ksys, ell_x):
 def test_trajectory_csv(ksys, ell_x):
     traj = integrate_orbit(ell_x, ksys, 0.5, tol=1e-10, dt_out=0.25)
     buf = io.StringIO()
-    traj.write_csv(buf, ksys)
+    traj.write_csv(buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(traj.samples)
