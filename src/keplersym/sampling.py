@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fields
-from .core import KeplerSystem, PhaseState, conserved_set
+from .core import ConservedSet, KeplerSystem, PhaseState, conserved_set
 from .errors import InadmissibleTransformError, UsageError
 from .generators import GeneratorKind
 from .transforms import _set_ray
@@ -87,8 +87,9 @@ def sample_parabolic_states(
     return np.concatenate(r_out)[:n], np.concatenate(v_out)[:n]
 
 
-def _ray_admissible(state: PhaseState, eps: np.ndarray, kind: GeneratorKind, sys: KeplerSystem) -> bool:
-    c0 = conserved_set(state, sys)
+def _ray_admissible(c0: ConservedSet, r_mag: float, eps: np.ndarray, kind: GeneratorKind) -> bool:
+    """Whether every node of the ray s eps, s in [0, 1], from a state of radius r_mag and
+    constants c0 keeps a strictly admissible reconstruction."""
     if c0.Theta is None:
         return False
     try:
@@ -96,8 +97,8 @@ def _ray_admissible(state: PhaseState, eps: np.ndarray, kind: GeneratorKind, sys
     except InadmissibleTransformError:
         return False
     l_sq = np.einsum("ni,ni->n", l_s, l_s)
-    arg, a_sq = fields.root_terms(c0.E, sys.kappa, state.r_mag, l_sq)
-    return bool(np.all((arg >= RAY_MARGIN) & (a_sq >= (0.02 * sys.kappa) ** 2) & (l_sq >= 0.05**2)))
+    arg, a_sq = fields.root_terms(c0.E, c0.kappa, r_mag, l_sq)
+    return bool(np.all((arg >= RAY_MARGIN) & (a_sq >= (0.02 * c0.kappa) ** 2) & (l_sq >= 0.05**2)))
 
 
 def sample_flow_pairs(
@@ -142,9 +143,10 @@ def sample_flow_pairs(
         keep &= np.abs(vals["r_dot_v"]) >= APSIS_MARGIN * vals["r_mag"] * np.linalg.norm(v, axis=1)
         for ri, vi in zip(r[keep], v[keep]):
             state = PhaseState(ri, vi)
+            c0 = conserved_set(state, sys)
             for _ in range(20):
                 eps = _unit_vectors(rng, 1)[0] * rng.uniform(*EPS_RANGE)
-                if _ray_admissible(state, eps, kind, sys):
+                if _ray_admissible(c0, state.r_mag, eps, kind):
                     pairs.append((state, eps))
                     break
             if len(pairs) >= n:

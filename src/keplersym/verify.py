@@ -38,7 +38,7 @@ from .sampling import (
     sample_states,
 )
 from .transforms import QUAD_PANELS, QUADRATURE_TOL, rotation_matrix, time_translate, transform_batch
-from .brackets import FD_M_FLOOR, structure_residuals
+from .brackets import FD_M_FLOOR
 
 DEFAULT_TOLERANCES = {
     "bracket_analytic": 1e-10,
@@ -99,6 +99,11 @@ def _result(name, worst, tol, count, t0, note="", passed=None, stalled=0) -> Pro
     return PropertyResult(name, float(worst), float(tol), passed, count, seconds, note)
 
 
+def _worst(*diffs) -> float:
+    """The largest magnitude over every entry of the given arrays."""
+    return max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
+
+
 def _jacobi_worst(r: np.ndarray, v: np.ndarray, kappa: float) -> float:
     """Jacobi identity over triples from {E, L_i, M_i}, analytic gradients.
 
@@ -121,6 +126,31 @@ def _jacobi_worst(r: np.ndarray, v: np.ndarray, kappa: float) -> float:
     return float(np.max(np.abs(jacobi), initial=0.0))
 
 
+def _table_pass(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The worst structure_analytic, structure_fd, noether_characteristics and antisymmetry
+    residuals over the rows (r, v), and their E, from tables formed once per `fields.FD_BATCH`
+    chunk; include_m adds M to the analytic table and to the FD one of rows with |E| >= FD_M_FLOOR.
+    Three oracles stay apart: each table against the expected one, velocity gradients against FD."""
+    found, energies = [], []
+    for lo in range(0, len(r), fields.FD_BATCH):
+        rc, vc = r[lo : lo + fields.FD_BATCH], v[lo : lo + fields.FD_BATCH]
+        vals = fields.values(rc, vc, kappa)
+        grads = fields.gradients(rc, vc, kappa, include_m)
+        expected = fields.expected_table(vals, include_m)
+        table = fields.bracket_table(grads)
+        analytic, antisymmetry = _worst(np.triu(table - expected, 1)), _worst(table + table.transpose(0, 2, 1))
+        big_e = include_m & (np.abs(vals["E"]) >= FD_M_FLOOR)
+        for rows, fd_m in ((big_e, True), (~big_e, False)):
+            if np.any(rows):
+                fd = fields.fd_gradients(rc[rows], vc[rows], kappa, fd_m)
+                k = len(fields.table_labels(fd_m))
+                numeric = _worst(np.triu(fields.bracket_table(fd) - expected[rows][:, :k, :k], 1))
+                noether = _worst(*(grads[lab][1][rows] - fd[lab][1] for lab in fields.SCALAR_LABELS))
+                found.append((analytic, numeric, noether, antisymmetry))
+        energies.append(vals["E"])
+    return np.max(found, axis=0), np.concatenate(energies)
+
+
 def algebra_suite(
     samples: int, seed: int, kappa: float = 1.0, tolerances: dict | None = None
 ) -> list[PropertyResult]:
@@ -134,43 +164,17 @@ def algebra_suite(
     rp, vp = sample_parabolic_states(n_par, seed + 1, kappa)
 
     t0 = time.perf_counter()
-    worst = max(
-        float(np.max(structure_residuals(r, v, kappa, use_fd=False, include_m=True))),
-        float(np.max(structure_residuals(rp, vp, kappa, use_fd=False, include_m=False))),
-    )
-    out.append(_result("algebra.structure_analytic", worst, tol["bracket_analytic"], samples, t0))
-
-    t0 = time.perf_counter()
-    big_e = np.abs(fields.values(r, v, kappa)["E"]) >= FD_M_FLOOR
-    worst = float(np.max(structure_residuals(rp, vp, kappa, use_fd=True, include_m=False)))
-    for rows, include_m in ((big_e, True), (~big_e, False)):
-        if np.any(rows):
-            residuals = structure_residuals(r[rows], v[rows], kappa, use_fd=True, include_m=include_m)
-            worst = max(worst, float(np.max(residuals)))
-    out.append(_result("algebra.structure_fd", worst, tol["bracket_fd"], samples, t0))
-
-    t0 = time.perf_counter()
-    r_all = np.concatenate([r, rp])
-    v_all = np.concatenate([v, vp])
-    analytic = fields.gradients(r_all, v_all, kappa, include_m=False)
-    numeric = fields.fd_gradients(r_all, v_all, kappa, include_m=False)
-    worst = max(
-        float(np.max(np.abs(analytic[lab][1] - numeric[lab][1])))
-        for lab in fields.SCALAR_LABELS
-    )
-    out.append(_result("algebra.noether_characteristics", worst, tol["noether"], samples, t0))
-
-    t0 = time.perf_counter()
-    worst = 0.0
-    for lo in range(0, n_rand, fields.FD_BATCH):
-        chunk = slice(lo, lo + fields.FD_BATCH)
-        table = fields.bracket_table(fields.gradients(r[chunk], v[chunk], kappa))
-        worst = max(worst, float(np.max(np.abs(table + table.transpose(0, 2, 1)))))
-    out.append(_result("algebra.antisymmetry", worst, tol["antisymmetry"], n_rand, t0))
+    worst, e_rand = _table_pass(r, v, kappa, include_m=True)
+    both = np.maximum(worst, _table_pass(rp, vp, kappa, include_m=False)[0])
+    out.append(_result("algebra.structure_analytic", both[0], tol["bracket_analytic"], samples, t0))
+    note = "read in the structure_analytic pass"
+    out.append(_result("algebra.structure_fd", both[1], tol["bracket_fd"], samples, None, note))
+    out.append(_result("algebra.noether_characteristics", both[2], tol["noether"], samples, None, note))
+    out.append(_result("algebra.antisymmetry", worst[3], tol["antisymmetry"], n_rand, None, note))
 
     t0 = time.perf_counter()
     n_jac = min(40, n_rand)
-    mask = np.abs(fields.values(r, v, kappa)["E"]) > 0.05
+    mask = np.abs(e_rand) > 0.05
     rj, vj = r[mask][:n_jac], v[mask][:n_jac]
     worst = _jacobi_worst(rj, vj, kappa)
     out.append(_result("algebra.jacobi_identity", worst, tol["jacobi"], len(rj), t0))
@@ -189,18 +193,14 @@ def algebra_suite(
 
     t0 = time.perf_counter()
     n_cls = min(25, n_rand)
-    wrong = 0
-    for ri, vi in zip(r[:n_cls], v[:n_cls]):
-        state = PhaseState(ri, vi)
-        expect = {
-            GeneratorId.energy(): GeneratorClass.POINT,
-            GeneratorId.angular_momentum(2): GeneratorClass.POINT,
-            GeneratorId.lrl(1): GeneratorClass.DYNAMICAL,
-            GeneratorId.lrl_direction(3): GeneratorClass.DYNAMICAL,
-        }
-        for gen, cls in expect.items():
-            if classify_generator(gen, state, sys) is not cls:
-                wrong += 1
+    expect = {
+        GeneratorId.energy(): GeneratorClass.POINT,
+        GeneratorId.angular_momentum(2): GeneratorClass.POINT,
+        GeneratorId.lrl(1): GeneratorClass.DYNAMICAL,
+        GeneratorId.lrl_direction(3): GeneratorClass.DYNAMICAL,
+    }
+    states = [PhaseState(ri, vi) for ri, vi in zip(r[:n_cls], v[:n_cls])]
+    wrong = sum(classify_generator(gen, state, sys) is not cls for state in states for gen, cls in expect.items())
     out.append(_result("algebra.point_vs_dynamical", float(wrong), tol["classification"], n_cls, t0))
 
     t0 = time.perf_counter()
@@ -231,11 +231,6 @@ def _stack(groups) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     v = np.array([p[0].v for p in pairs])
     eps = np.array([p[1] for p in pairs])
     return kinds, r, v, eps
-
-
-def _worst(*diffs) -> float:
-    """The largest magnitude over every entry of the given arrays."""
-    return max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
 
 
 def _stalled(tol: float, *batches) -> int:
@@ -488,22 +483,21 @@ def _convergence_factor(sys: KeplerSystem, quad_panels: int) -> tuple[float, int
     """Residual ratio when halving the RK4 step on the elliptic reference case."""
     ell = ExtendedState(0.0, canonical_states()["ell"])
     off = time_translate(ell, 0.7, sys)
+    c0 = conserved_set(off.state, sys)
     eps = None
     for mag in (0.25, 0.2, 0.15, 0.1, 0.06):
         candidate = np.array([0.0, 0.0, mag])
-        if _ray_admissible(off.state, candidate, GeneratorKind.LRL, sys):
+        if _ray_admissible(c0, off.state.r_mag, candidate, GeneratorKind.LRL):
             eps = candidate
             break
     if eps is None:
         raise RuntimeError("no admissible reference eps for the convergence check")
     steps = 64
-    res_coarse = compare_flow_vs_closed_form(
-        GeneratorKind.LRL, off, sys, eps, steps=steps, quad_panels=quad_panels
-    ).max_component_residual
-    res_fine = compare_flow_vs_closed_form(
-        GeneratorKind.LRL, off, sys, eps, steps=2 * steps, quad_panels=quad_panels
-    ).max_component_residual
-    return res_coarse / res_fine, steps
+    coarse, fine = (
+        compare_flow_vs_closed_form(GeneratorKind.LRL, off, sys, eps, steps=k, quad_panels=quad_panels)
+        for k in (steps, 2 * steps)
+    )
+    return coarse.max_component_residual / fine.max_component_residual, steps
 
 
 def run_suites(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from keplersym import KeplerSystem, UsageError, conserved_set
-from keplersym import fields
+from keplersym import fields, sampling
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import (
     sample_flow_pairs,
@@ -54,3 +54,14 @@ def test_flow_pair_branches(branch, sign):
 def test_flow_pairs_unknown_branch_is_usage_error():
     with pytest.raises(UsageError):
         sample_flow_pairs(3, seed=1, kind=GeneratorKind.LRL, branch="bogus")
+
+
+def test_flow_pairs_form_conserved_set_once_per_state(monkeypatch):
+    # every candidate eps of a state reads the one conserved_set of that state
+    calls = []
+    conserved = sampling.conserved_set
+    monkeypatch.setattr(sampling, "conserved_set", lambda state, sys: calls.append(state) or conserved(state, sys))
+    pairs = sample_flow_pairs(50, seed=1, kind=GeneratorKind.LRL, branch="pos")
+    tried = {(state.r.tobytes(), state.v.tobytes()) for state in calls}
+    assert len(pairs) == 50 and len(calls) == len(tried)
+    assert {id(state) for state, _ in pairs} <= {id(state) for state in calls}
