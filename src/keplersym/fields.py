@@ -64,8 +64,6 @@ BASE_LABELS = ("E", "L1", "L2", "L3", "A1", "A2", "A3", "_LSQ")
 # The L, A, Theta and M blocks of a bracket table.
 _L, _A, _THETA, _M = slice(1, 4), slice(4, 7), slice(7, 10), slice(10, 13)
 
-_A_AXIS = np.array([[0.0], [0.0], [1.0]])  # the A rows' axis: eps itself
-
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
     _EPS[_i, _j, _k] = _s
@@ -294,41 +292,56 @@ def characteristics(
 
 def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=None):
     """(dt/ds, (dr/ds, dv/ds)) of the radius-preserving gauge of the A/Theta
-    field (family as in `characteristics`) on a `frame`, the pair (2, 3, N):
+    field (family "A", "Theta", or a mixed batch's Theta rows as a mask or,
+    cheapest, a slice) on a `frame`, the pair (2, 3, N):
 
         dr/ds = P + tau v,  dv/ds = DtP + tau a,  dt/ds = -(r x L) . eps,  tau = -mu
 
-    A Theta row's axis eps~ is (-g beta, g r.v, 1/|A|) on (r, v, eps), with
-    A = beta r - (r.v) v, beta = |v|^2 - kappa/|r| and g = (A.eps)/|A|^3, an A
-    row's eps.  With rho = r.eps~, nu = v.eps~ and k3 = kappa/|r|^3, P = -nu r
-    + 2 rho v - (r.v) eps~, DtP = -k3 rho r + nu v - beta eps~, and unless given
-    (an apsis limit, or 0 for (P, DtP)) mu = (r.P)/(r.v) = rho - nu |r|^2/(r.v).
+    A Theta row's axis eps~ is eps/|A| - g A, with A = beta r - (r.v) v, beta =
+    |v|^2 - kappa/|r| and g = (A.eps)/|A|^3, an A row's eps.  With rho = r.eps~,
+    nu = v.eps~ and k3 = kappa/|r|^3, P = -nu r + 2 rho v - (r.v) eps~, DtP = -k3
+    rho r + nu v - beta eps~, and unless given (an apsis limit, or 0 for (P, DtP))
+    mu = rho - nu |r|^2/(r.v).  On (r, v, eps), a Theta row is 1/|A| times an A
+    row plus g times terms of the gram, as A.(r, v, eps) = beta gram[0] - (r.v)
+    gram[1], |A|^2 = beta A.r - (r.v) A.v and A.v = -kappa (r.v)/|r|.
     """
     rr, rv, re, vv, ve = gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2]
     k = kappa / np.sqrt(rr)
-    k3, beta = k / rr, vv - k
-    theta_rows = family == "Theta" if isinstance(family, str) else family
-    a_sq = lrl_norm_sq(rr, rv, vv, beta)
-    # also catches a roundoff-negative |A|^2
-    if np.count_nonzero((a_sq <= (CIRCULAR_TOL * kappa) ** 2) & theta_rows):
-        raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
-    # an A row keeps eps; keep its discarded Theta terms finite
-    a_sq = np.where(theta_rows, a_sq, 1.0)
-    inv_a = 1.0 / np.sqrt(a_sq)
-    g = (beta * re - rv * ve) * inv_a / a_sq
-    axis = np.where(theta_rows, np.array((-g * beta, g * rv, inv_a)), _A_AXIS)
-    rho, nu = _contract("abn,bn->an", gram, axis)
-    mu = rho - nu * rr / rv if mu is None else mu
-    coef = -np.array((rv, beta))[:, None] * axis
-    coef[:, :2] += ((-nu, 2.0 * rho - mu), ((mu - rho) * k3, nu))
+    # an A row's coefficients, dr/ds in coef[0] and dv/ds in coef[1]
+    coef = np.empty((2, 3, len(rr)))
+    np.negative(ve, out=coef[0, 0])
+    np.negative(rv, out=coef[0, 2])
+    coef[1, 1] = ve
+    np.subtract(k, vv, out=coef[1, 2])
+    q = ve / coef[0, 2] if mu is None else -re / rr  # (mu - rho)/|r|^2, mu = 0 if given
+    np.subtract(re, q * rr, out=coef[0, 1])
+    np.multiply(k, q, out=coef[1, 0])
+    theta = family if not isinstance(family, str) else slice(None) if family == "Theta" else None
+    if theta is not None:
+        coef_t, gram_t, k_t = coef[:, :, theta], gram[:, :, theta], k[theta]  # views for a slice theta
+        neg_beta, rv_t = coef_t[1, 2], gram_t[0, 1]
+        neg_a = neg_beta * gram_t[0] + rv_t * gram_t[1]  # -A.(r, v, eps)
+        a_sq = neg_beta * neg_a[0] + rv_t * neg_a[1]
+        # also catches a roundoff-negative |A|^2
+        if np.count_nonzero(a_sq <= (CIRCULAR_TOL * kappa) ** 2):
+            raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
+        inv_a = 1.0 / np.sqrt(a_sq)
+        neg_g = neg_a[2] * inv_a / a_sq
+        # the g terms, added to the coefficients on r and taken from those on v
+        z = (neg_g * (neg_beta + k_t)) * gram_t[:, 1::-1]
+        if mu is not None:
+            z[0, 1] = neg_g * (2.0 * neg_a[0] - rv_t * rv_t)
+            z[1, 0] = neg_g * (k_t / gram_t[0, 0] * neg_a[0] - neg_beta * neg_beta)
+        coef_t *= inv_a
+        on_r, on_v = coef_t[:, 0], coef_t[:, 1]
+        on_r += z[:, 0]
+        on_v -= z[:, 1]
+        if not isinstance(theta, slice):
+            coef[:, :, theta] = coef_t
+    if mu is not None:
+        coef[0, 1] -= mu
+        coef[1, 0] += k / rr * mu
     return rr * ve - rv * re, _contract("pbn,bcn->pcn", coef, basis)
-
-
-def lrl_norm_sq(rr, rv, vv, beta):
-    """|A|^2 of A = beta r - (r.v) v, beta = |v|^2 - kappa/|r|, from rr = |r|^2, rv = r.v
-    and vv = |v|^2: floats or arrays."""
-    rv_sq = rv * rv
-    return beta * (beta * rr - 2.0 * rv_sq) + rv_sq * vv
 
 
 def root_terms(e, kappa: float, r_mag, l_sq):

@@ -20,8 +20,8 @@ off-apsis.  The LRL-direction field is the LRL field at the projected axis
 eps~ = (eps - (Theta.eps) Theta)/|A|, dt/ds still along eps, so one RK4 batch
 may mix the two families row by row.  eps~ is a combination of (r, v, eps), so
 is the field: `fields.gauge_field` forms its six coefficients per row from five
-dot products.  The RK4 loop keeps r, v and eps in one (3, 3, N)
-component-major buffer, t in an (N,) array.
+dot products.  The RK4 loop puts the LRL-direction rows first, keeps t, r, v and
+eps in one (10, N) component-major stack, and reads |r|^2 from each first stage.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .errors import (
     StepUnderflowError,
     UsageError,
 )
-from .generators import FAMILY_LABEL, GeneratorId, GeneratorKind
-from .transforms import QUAD_PANELS, TransformResult, _transform_one
+from .generators import GeneratorId, GeneratorKind
+from .transforms import QUAD_PANELS, _transform_one
 
 # Default DP5 tolerance of integrate_orbit and RK4 step count of the symmetry flows
 ORBIT_TOL = 1e-10
@@ -286,14 +286,16 @@ def _normalize_kind(gen) -> GeneratorKind:
 
 
 class _Kinds(tuple):
-    """The per-row kinds of a flow batch, with the mask of its LRL-direction
-    rows worked out once: the RK4 loop passes one such batch on every call."""
+    """The per-row kinds of a flow batch, its LRL-direction rows as a mask and as the
+    `gauge_field` family (a slice when they lead), and the |r|^2 of its last RHS."""
 
     def __new__(cls, kinds):
         if isinstance(kinds, _Kinds):
             return kinds
         self = super().__new__(cls, map(_normalize_kind, kinds))
-        self.direction_rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in self], dtype=bool)
+        self.direction_rows = rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in self], dtype=bool)
+        n = int(np.count_nonzero(rows))
+        self.theta_rows = "A" if n == 0 else slice(0, n) if rows[:n].all() else rows
         return self
 
 
@@ -307,7 +309,7 @@ def symmetry_flow_rhs(
     FlowDegeneracyError if any row is at an apsis or is a direction row at a
     circular state.
     """
-    family = FAMILY_LABEL[kind] if isinstance(kind, GeneratorKind) else _Kinds(kind).direction_rows
+    batch = _Kinds([kind] * len(r) if isinstance(kind, GeneratorKind) else kind)
     basis, gram = fields.frame(r, v, eps)
     r_sq, r_dot_v, v_sq = gram[0, 0], gram[0, 1], gram[1, 1]
     # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
@@ -316,56 +318,63 @@ def symmetry_flow_rhs(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
     try:
-        dt, d = fields.gauge_field(family, basis, gram, kappa)
+        dt, d = fields.gauge_field(batch.theta_rows, basis, gram, kappa)
     except DegenerateDirectionError as exc:
         raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
+    batch.r_sq = r_sq
     return dt, d[0].T, d[1].T
 
 
 def integrate_symmetry_flows(
-    kind,
-    t: np.ndarray,
-    r: np.ndarray,
-    v: np.ndarray,
-    eps: np.ndarray,
-    kappa: float,
-    steps: int = RK_STEPS,
+    kind, t, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float, steps: int = RK_STEPS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of a batch of flows over s in [0, 1].
 
     kind is one GeneratorKind or a sequence of N kinds, one per row, so that
-    flows of both families run as one batch.  Returns (t, r, v, r_mag_drift),
-    each batched over the leading axis.
+    flows of both families run as one batch; t is a scalar or one value per row.
+    Returns (t, r, v, r_mag_drift), each batched over the leading axis, where the
+    drift is the largest change of |r| over the step ends.  Raises UsageError for
+    a steps that is not an integer >= 1 and for shapes that do not agree.
     """
-    if steps < 1:
-        raise UsageError("steps must be >= 1")
-    if not isinstance(kind, GeneratorKind):
-        kind = _Kinds(kind)
-    t = np.array(t, dtype=float)
-    # r, v and eps component-major, each (3, N); the steps update only r and v
-    y = np.array([np.atleast_2d(x).T for x in (r, v, eps)], dtype=float)
-    stage, k, k_t = y.copy(), np.empty((4, 2) + y.shape[1:]), np.empty((4, y.shape[2]))
-    y_rv, stage_rv = y[:2], stage[:2]
-    r_mag0 = np.sqrt(np.einsum("cn,cn->n", y[0], y[0]))
-    drift = np.zeros_like(r_mag0)
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise UsageError(f"steps must be an integer >= 1, got {steps!r}")
+    t, r, v, eps = (np.asarray(x, dtype=float) for x in (t, r, v, eps))
+    n = len(r) if r.ndim == 2 else -1
+    kinds = _Kinds([kind] * n if isinstance(kind, GeneratorKind) else kind)
+    if any(x.shape != (n, 3) for x in (r, v, eps)) or t.shape not in ((), (n,)) or len(kinds) != n:
+        raise UsageError(
+            f"a flow batch takes r, v and eps of shape (N, 3), a scalar t or N and one kind or N; "
+            f"got r {r.shape}, v {v.shape}, eps {eps.shape}, t {t.shape} and {len(kinds)} kinds"
+        )
+    # the LRL-direction rows first, and t, r, v, eps component-major in one (10, N) stack
+    order = np.argsort(~kinds.direction_rows, kind="stable")
+    batch, y = _Kinds([kinds[i] for i in order]), np.empty((10, n))
+    y[0], y[1:4], y[4:7], y[7:] = np.broadcast_to(t, (n,))[order], r[order].T, v[order].T, eps[order].T
+    stage, k = y.copy(), np.empty((4, 7, n))
+    state, stage_state = y[:7], stage[:7]
+    rows, stage_rows = (y[1:4].T, y[4:7].T, y[7:].T), (stage[1:4].T, stage[4:7].T, stage[7:].T)
+    (slope_t, slope_r, slope_v), *later = [(s[0], s[1:4].T, s[4:].T) for s in k]  # (dt/ds, dr/ds, dv/ds)
     h = 1.0 / steps
+    nodes = list(zip(k[:3], (0.5 * h, 0.5 * h, h), later))
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
+    r_sq_lo = r_sq_hi = r_sq0 = fields.frame(*rows)[1][0, 0]
 
     for _ in range(steps):
-        at = y
-        for i, node in enumerate((0.5 * h, 0.5 * h, h, None)):
-            k_t[i], dr, dv = symmetry_flow_rhs(kind, at[0].T, at[1].T, at[2].T, kappa)
-            k[i, 0], k[i, 1] = dr.T, dv.T
-            if node is not None:
-                at = stage
-                np.multiply(k[i], node, out=stage_rv)
-                stage_rv += y_rv
-        y_rv += (weights @ k.reshape(4, -1)).reshape(y_rv.shape)
-        t += weights @ k_t
-        if not np.isfinite(y_rv).all():
+        slope_t[...], slope_r[...], slope_v[...] = symmetry_flow_rhs(batch, *rows, kappa)
+        # |r|^2 at every step end but the last, from the gram of the next step's first stage
+        r_sq_lo, r_sq_hi = np.minimum(r_sq_lo, batch.r_sq), np.maximum(r_sq_hi, batch.r_sq)
+        for slope, node, (next_t, next_r, next_v) in nodes:
+            np.multiply(slope, node, out=stage_state)
+            stage_state += state
+            next_t[...], next_r[...], next_v[...] = symmetry_flow_rhs(batch, *stage_rows, kappa)
+        state += (weights @ k.reshape(4, -1)).reshape(state.shape)
+        if not np.isfinite(state).all():
             raise FlowDegeneracyError("symmetry flow produced a non-finite state")
-        np.maximum(drift, np.abs(np.sqrt(np.einsum("cn,cn->n", y[0], y[0])) - r_mag0), out=drift)
-    return t, y[0].T.copy(), y[1].T.copy(), drift
+    r_sq = fields.frame(*rows)[1][0, 0]
+    # |r| grows with |r|^2, so its largest change is at one of the two extremes
+    r_mag0 = np.sqrt(r_sq0)
+    drift = np.maximum(np.sqrt(np.maximum(r_sq_hi, r_sq)) - r_mag0, r_mag0 - np.sqrt(np.minimum(r_sq_lo, r_sq)))
+    return tuple(x[np.argsort(order)] for x in (y[0], rows[0], rows[1], drift))
 
 
 def integrate_symmetry_flow(
@@ -381,14 +390,10 @@ def integrate_symmetry_flow(
     if norm(eps) == 0.0:
         return SymmetryFlowResult(state, 0.0)
     t, r, v, drift = integrate_symmetry_flows(
-        kind, np.array([state.t]), state.r[None, :], state.v[None, :], eps[None, :], sys.kappa, steps
+        kind, state.t, state.r[None, :], state.v[None, :], eps[None, :], sys.kappa, steps
     )
     out = ExtendedState(float(t[0]), PhaseState(r[0], v[0]))
     return SymmetryFlowResult(out, float(drift[0]))
-
-
-def _closed_form(gen, state: ExtendedState, sys: KeplerSystem, eps, quad_panels: int) -> TransformResult:
-    return _transform_one(_normalize_kind(gen), state, sys, eps, quad_panels)
 
 
 def compare_flow_vs_closed_form(
@@ -403,7 +408,7 @@ def compare_flow_vs_closed_form(
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
         return FlowReport(state, state, 0.0, 0.0)
-    closed = _closed_form(gen, state, sys, eps, quad_panels).out
+    closed = _transform_one(_normalize_kind(gen), state, sys, eps, quad_panels).out
     flown = integrate_symmetry_flow(gen, state, sys, eps, steps)
     gap = gaps((closed.t, closed.r, closed.v), (flown.out.t, flown.out.r, flown.out.v))
     return FlowReport(closed, flown.out, max(gap), flown.r_mag_drift)
@@ -429,7 +434,7 @@ def verify_solution_mapping(
     if norm(eps) == 0.0:
         start, predicted = state, conserved_set(state.state, sys)
     else:
-        result = _closed_form(gen, state, sys, eps, QUAD_PANELS)
+        result = _transform_one(_normalize_kind(gen), state, sys, eps, QUAD_PANELS)
         start, predicted = result.out, result.constants_out
     residuals = integrate_orbit(start, sys, t_span).deviations(predicted)
     return SolutionMappingReport(residuals, max(residuals.values()))

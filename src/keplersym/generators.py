@@ -171,8 +171,8 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
         # (v x L)_axis/beta with v x L = A + kappa rhat = |v|^2 r - (r.v) v
         mu = (vv * re - rv * ve) / beta
         if gen.kind is GeneratorKind.LRL_DIRECTION:
-            a_sq = fields.lrl_norm_sq(rr, rv, vv, beta)
-            mu = mu / math.sqrt(a_sq) - l_sq * (beta * re - rv * ve) / a_sq**1.5
+            a_mag = float(fields.values(state.r, state.v, kappa)["A_mag"][0])
+            mu = mu / a_mag - l_sq * (beta * re - rv * ve) / a_mag**3
         mu = np.array([mu])
     dt, d = fields.gauge_field(family, basis, gram, kappa, mu)
     return GeneratorValue(dt[0], d[0, :, 0], d[1, :, 0])

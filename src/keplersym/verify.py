@@ -418,30 +418,31 @@ def flows_suite(
     out.append(_result("flows.hyperbolic_escape", worst, tol["monotone_escape"], len(radii), t0))
 
     # RK4 radius drift falls like h^4, so 2000 steps bounds the 10^4-step runs
-    # used everywhere else with margin to spare.
+    # used everywhere else with margin to spare.  The batch also carries the
+    # state at both interior nodes s of the dt/ds probe's flows.
     n3 = min(max(samples // 8, 6), 25)
     both = ((GeneratorKind.LRL_DIRECTION, 21), (GeneratorKind.LRL, 22))
     t0 = time.perf_counter()
     kinds, r0, v0, eps = _stack([(k, sample_flow_pairs(n3, seed + o, k, kappa=kappa)) for k, o in both])
-    drift = integrate_symmetry_flows(kinds, np.zeros(len(kinds)), r0, v0, eps, kappa, min(rk_steps, 2000))[3]
-    out.append(_result("flows.gauge_r_drift", float(np.max(drift)), tol["r_drift"], 2 * n3, t0))
+    probe_kinds, r1, v1, eps1 = _stack([(k, sample_flow_pairs(6, seed + o + 10, k, kappa=kappa)) for k, o in both])
+    eps1 = np.tile(eps1, (2, 1))
+    probe_kinds, m, n_drift = 2 * probe_kinds, len(eps1), len(kinds)
+    rows = (np.concatenate([x, np.tile(y, (2, 1))]) for x, y in ((r0, r1), (v0, v1)))
+    eps_s = np.concatenate([eps, eps1 * np.repeat([0.3, 0.65], m // 2)[:, None]])
+    ends = integrate_symmetry_flows(kinds + probe_kinds, 0.0, *rows, eps_s, kappa, min(rk_steps, 2000))
+    out.append(_result("flows.gauge_r_drift", float(np.max(ends[3][:n_drift])), tol["r_drift"], 2 * n3, t0))
 
+    # then short flows +-h from every node state, as one batch
     t0 = time.perf_counter()
     h = 1e-4
-    kinds, r0, v0, eps = _stack([(k, sample_flow_pairs(6, seed + o + 10, k, kappa=kappa)) for k, o in both])
-    # the state at both interior nodes s of every flow, as one batch; 1000
-    # steps put the node states far below the probe's FD error
-    kinds, m = 2 * kinds, 2 * len(kinds)
-    r0, v0, eps = (np.tile(x, (2, 1)) for x in (r0, v0, eps))
-    eps_s = eps * np.repeat([0.3, 0.65], m // 2)[:, None]
-    t_n, r_n, v_n, _ = integrate_symmetry_flows(kinds, np.zeros(m), r0, v0, eps_s, kappa, 1000)
-    # then short flows +-h from every node state, as one batch
-    probes = np.concatenate([h * eps, -h * eps])
+    t_n, r_n, v_n = (x[n_drift:] for x in ends[:3])
+    probes = np.concatenate([h * eps1, -h * eps1])
     r_2, v_2 = np.tile(r_n, (2, 1)), np.tile(v_n, (2, 1))
-    t_pm = integrate_symmetry_flows(2 * kinds, np.tile(t_n, 2), r_2, v_2, probes, kappa, 64)[0]
-    expected = -np.einsum("ni,ni->n", np.cross(r_n, np.cross(r_n, v_n)), eps)
+    t_pm = integrate_symmetry_flows(2 * probe_kinds, np.tile(t_n, 2), r_2, v_2, probes, kappa, 64)[0]
+    expected = -np.einsum("ni,ni->n", np.cross(r_n, np.cross(r_n, v_n)), eps1)
     worst = float(np.max(np.abs((t_pm[:m] - t_pm[m:]) / (2.0 * h) - expected)))
-    out.append(_result("flows.dt_ds_gauge_component", worst, tol["dt_ds"], 12, t0))
+    note = "node states integrated in the gauge_r_drift pass"
+    out.append(_result("flows.dt_ds_gauge_component", worst, tol["dt_ds"], 12, t0, note))
 
     t0 = time.perf_counter()
     n5 = max(samples // 10, 4)

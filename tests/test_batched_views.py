@@ -277,6 +277,36 @@ def test_mixed_flow_integration_matches_per_kind_runs(seed):
             assert_rows_match(one, part[rows], rel=1e-13)
 
 
+def reference_rk4(kind, t, r, v, eps, steps):
+    """Classical RK4 of one flow on `reference_flow_rhs`, and the largest change
+    of |r| over the step ends."""
+    h = 1.0 / steps
+    r_mag0, drift = np.linalg.norm(r), 0.0
+    for _ in range(steps):
+        k1 = reference_flow_rhs(kind, r, v, eps)
+        k2 = reference_flow_rhs(kind, r + 0.5 * h * k1[1], v + 0.5 * h * k1[2], eps)
+        k3 = reference_flow_rhs(kind, r + 0.5 * h * k2[1], v + 0.5 * h * k2[2], eps)
+        k4 = reference_flow_rhs(kind, r + h * k3[1], v + h * k3[2], eps)
+        t, r, v = (x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip((t, r, v), k1, k2, k3, k4))
+        drift = max(drift, abs(np.linalg.norm(r) - r_mag0))
+    return t, r, v, drift
+
+
+@settings(max_examples=5, deadline=None)
+@given(SEEDS)
+def test_rk4_matches_a_per_row_reference(seed):
+    kinds, r, v, eps = mixed_batch(seed, n=2)
+    # an LRL row first, so that the direction rows do not lead the batch
+    order = np.roll(np.arange(len(kinds)), -kinds.index(GeneratorKind.LRL))
+    kinds, r, v, eps = [kinds[i] for i in order], r[order], v[order], eps[order]
+    t0 = np.random.default_rng(seed).uniform(-1.0, 1.0, len(kinds))
+    got = integrate_symmetry_flows(kinds, t0, r, v, eps, 1.0, 20)
+    for i, kind in enumerate(kinds):
+        ref = reference_rk4(kind, t0[i], r[i], v[i], eps[i], 20)
+        for part, one in zip(got, ref):
+            assert_rows_match(one, part[i], rel=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(SEEDS, st.integers(0, 11))
 def test_apsis_in_one_row_stops_the_batch(seed, row):

@@ -13,6 +13,7 @@ from keplersym import (
     InadmissibleTransformError,
     KeplerSystem,
     PhaseState,
+    UsageError,
     compare_flow_vs_closed_form,
     conserved_set,
     integrate_orbit,
@@ -173,6 +174,46 @@ def test_rk4_calls_the_rhs_by_its_module_name_once_per_stage(monkeypatch):
     eps = np.array([p[1] for p in pairs])
     flow.integrate_symmetry_flows(kinds, np.zeros(6), r, v, eps, 1.0, steps=7)
     assert rows == [((6, 3), (6, 3), (6, 3))] * (4 * 7)
+
+
+def _four_flows():
+    """Kinds, r, v and eps of two LRL-direction and two LRL flows."""
+    pairs = sample_flow_pairs(2, seed=5, kind=GeneratorKind.LRL_DIRECTION, branch="any")
+    pairs += sample_flow_pairs(2, seed=6, kind=GeneratorKind.LRL, branch="neg")
+    kinds = [GeneratorKind.LRL_DIRECTION] * 2 + [GeneratorKind.LRL] * 2
+    return kinds, *(np.array(x) for x in zip(*((p[0].r, p[0].v, p[1]) for p in pairs)))
+
+
+@pytest.mark.parametrize("n_kinds", [3, 5])
+def test_rk4_rejects_a_kind_per_row_of_another_count(n_kinds):
+    kinds, r, v, eps = _four_flows()
+    with pytest.raises(UsageError, match=f"{n_kinds} kinds"):
+        flow.integrate_symmetry_flows((2 * kinds)[:n_kinds], np.zeros(4), r, v, eps, 1.0, 5)
+
+
+def test_rk4_rejects_a_t_per_row_of_another_count_and_broadcasts_a_scalar_t():
+    kinds, r, v, eps = _four_flows()
+    with pytest.raises(UsageError, match=r"t \(3,\)"):
+        flow.integrate_symmetry_flows(kinds, np.zeros(3), r, v, eps, 1.0, 5)
+    scalar = flow.integrate_symmetry_flows(kinds, 0.25, r, v, eps, 1.0, 5)
+    per_row = flow.integrate_symmetry_flows(kinds, np.full(4, 0.25), r, v, eps, 1.0, 5)
+    for one, each in zip(scalar, per_row):
+        assert np.array_equal(one, each)
+
+
+@pytest.mark.parametrize("which, shape", [(0, (3, 3)), (1, (4, 2)), (2, (3,)), (0, (4,))])
+def test_rk4_rejects_r_v_or_eps_that_are_not_n_by_3(which, shape):
+    kinds, *rows = _four_flows()
+    rows[which] = np.ones(shape)
+    with pytest.raises(UsageError, match=r"shape \(N, 3\)"):
+        flow.integrate_symmetry_flows(kinds, np.zeros(4), *rows, 1.0, 5)
+
+
+@pytest.mark.parametrize("steps", [2.5, 0, -3, True])
+def test_rk4_rejects_a_step_count_that_is_not_a_positive_integer(steps):
+    kinds, r, v, eps = _four_flows()
+    with pytest.raises(UsageError, match="steps must be"):
+        flow.integrate_symmetry_flows(kinds, np.zeros(4), r, v, eps, 1.0, steps)
 
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19, Table 2: RK5(4)7M.
