@@ -81,6 +81,21 @@ def test_gauge_direction_axis1_at_apsis(ksys, ell):
     assert abs(float(np.dot(ell.r, val.delta_r))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "gen", [GeneratorId.lrl(1), GeneratorId.lrl(3), GeneratorId.lrl_direction(1), GeneratorId.lrl_direction(3)]
+)
+def test_gauge_apsis_limit_joins_the_field_beside_it(ksys, ell, gen):
+    # (r x L) along these axes vanishes at the ELL periapsis, where the completion
+    # takes its apsis limit; it must join the field just before and after the apsis
+    from keplersym import time_translate, ExtendedState
+
+    at = gauge_fixed_generator(gen, ell, ksys)
+    for dt in (1e-5, -1e-5):
+        off = gauge_fixed_generator(gen, time_translate(ExtendedState(0.0, ell), dt, ksys).state, ksys)
+        assert_allclose(at.delta_r, off.delta_r, atol=1e-4)
+        assert_allclose(at.delta_v, off.delta_v, atol=1e-4)
+
+
 def test_gauge_apsis_error_for_transverse_axis(ksys, ell):
     with pytest.raises(ApsisError):
         gauge_fixed_generator(GeneratorId.lrl_direction(2), ell, ksys)
