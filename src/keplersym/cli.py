@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: conserved, transform, brackets, verify, orbit, sweep.  JSON
-documents go to stdout with a schema_version field; orbit and sweep emit CSV.
+documents go to stdout as one compact line each, with a schema_version field
+(`| python -m json.tool` indents them); orbit and sweep emit CSV.
 Exit codes: 0 success/admissible, 1 verification failure, 2 usage or parse
 error, 3 degenerate state, 4 inadmissible transform parameter (also a
 transform whose reply says admissible: false, and a sweep with such a grid
@@ -12,7 +13,8 @@ KEPLERSYM_CONFIG environment variable.  `main` merges every given flag that
 names a RunConfig field over the file once, validates the result once, and
 the handlers read only that RunConfig.
 The argument parser is built on the first call of `main` and shared by every
-later call in the same process.
+later call in the same process.  A flag's value may start with a minus sign in
+both forms, `--r -1,0,0` and `--r=-1,0,0`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys as _sys
 from dataclasses import dataclass, field
 
@@ -60,6 +63,10 @@ EXIT_INADMISSIBLE = 4
 
 # The RunConfig fields that a config file and a flag of the same name may set
 SETTINGS = ("kappa", "rk_steps", "quad_panels", "seed", "samples")
+# A minus sign, then a digit or a point: a negative value, never a flag.  argparse takes
+# it for a flag unless it is a plain decimal number, so "-1,0,0" and "-1e3" are joined
+# to the flag before them.
+NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 @dataclass
@@ -117,8 +124,9 @@ def parse_vec3(text: str, name: str) -> np.ndarray:
 
 
 def _emit_json(doc: dict) -> None:
+    """One line of compact JSON: without indent, json encodes in C."""
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    _sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _state_from_args(args) -> ExtendedState:
@@ -325,9 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each NEGATIVE_VALUE written as --flag=value onto the flag before it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
     try:
         cfg = _load_config(args.config)
         for key in SETTINGS:

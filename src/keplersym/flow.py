@@ -1,13 +1,16 @@
-"""Numerical integration oracles.
+"""Orbit propagation and numerical integration oracles.
 
-Two integrators live here.  Orbits are propagated with an embedded
-Dormand-Prince 5(4) pair under PI step-size control; this is the trusted
-reference dynamics every closed-form result is checked against.  Its step runs
-on six Python floats, the tableau unrolled: numpy's fixed cost per call is nearly
-all of a step on a 6-component array, and the float step takes a quarter of the
-time.  Symmetry flows (the ray from the identity to a finite LRL or
-LRL-direction transformation) are integrated with fixed-step classical RK4 so
-that runs are bit-reproducible and convergence-order checks are meaningful.
+Three propagators live here.  Time translation runs on the closed form of the
+Kepler flow in universal variables (`propagate_kepler`): one Newton solve of
+the universal Kepler equation, on six Python floats, for every energy branch.
+Orbits are integrated with an embedded Dormand-Prince 5(4) pair under PI
+step-size control; this is the trusted reference dynamics every closed-form
+transform is checked against.  Its step runs on six Python floats, the tableau
+unrolled: numpy's fixed cost per call is nearly all of a step on a 6-component
+array, and the float step takes a quarter of the time.  Symmetry flows (the
+ray from the identity to a finite LRL or LRL-direction transformation) are
+integrated with fixed-step classical RK4 so that runs are bit-reproducible and
+convergence-order checks are meaningful.
 
 The symmetry-flow vector field at (t, r, v) for parameter direction eps is
 
@@ -46,6 +49,7 @@ from .errors import (
     CollisionError,
     DegenerateDirectionError,
     FlowDegeneracyError,
+    IntegrationError,
     StepUnderflowError,
     UsageError,
 )
@@ -59,6 +63,14 @@ COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
 # Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
 MAX_ORBIT_SAMPLES = 1_000_000
+# The universal Kepler equation's solve: its iteration cap, and its stopping test, a residual
+# within a few units of roundoff of the sum of the magnitudes of the equation's terms
+KEPLER_ITERATIONS = 100
+KEPLER_TOL = 4 * 2.0**-52
+# Stumpff c2 and c3 to psi^9, highest power first: c_k(psi) = sum_j (-psi)^j / (2j + k)!.  The
+# first omitted term is below 1e-18 for |psi| < 1, where the closed forms lose digits.
+_C2_SERIES = tuple((-1) ** j / math.factorial(2 * j + 2) for j in reversed(range(10)))
+_C3_SERIES = tuple((-1) ** j / math.factorial(2 * j + 3) for j in reversed(range(10)))
 
 CSV_COLUMNS = ("t", "rx", "ry", "rz", "vx", "vy", "vz", "E", "Lx", "Ly", "Lz", "Ax", "Ay", "Az")
 
@@ -276,6 +288,164 @@ def integrate_orbit(
 def _finish_trajectory(samples: list[ExtendedState], sys: KeplerSystem, *steps: int) -> Trajectory:
     vals = fields.values(np.array([s.r for s in samples]), np.array([s.v for s in samples]), sys.kappa)
     return Trajectory(tuple(samples), vals, *steps)
+
+
+def _stumpff_c2_c3(psi: float) -> tuple[float, float]:
+    """The Stumpff functions c2(psi) and c3(psi).  A series below |psi| = 1, where
+    (1 - cos x)/x^2 and (x - sin x)/x^3 cancel; inf where cosh would overflow."""
+    if abs(psi) < 1.0:
+        c2 = c3 = 0.0
+        for a2, a3 in zip(_C2_SERIES, _C3_SERIES):
+            c2, c3 = c2 * psi + a2, c3 * psi + a3
+        return c2, c3
+    if psi > 0.0:
+        x = math.sqrt(psi)
+        half = math.sin(0.5 * x) / x
+        return 2.0 * half * half, (x - math.sin(x)) / (psi * x)
+    x = math.sqrt(-psi)
+    if x > 700.0:  # math.cosh raises OverflowError from about 710
+        return math.inf, math.inf
+    return (math.cosh(x) - 1.0) / -psi, (math.sinh(x) - x) / (-psi * x)
+
+
+def _universal_terms(chi: float, r0: float, sigma0: float, alpha: float) -> tuple:
+    """At the universal anomaly chi: sqrt(kappa) times the time to reach it, the sum of
+    the magnitudes of that time's three terms, the radius there, c2 and c3."""
+    chi_sq = chi * chi
+    psi = alpha * chi_sq
+    c2, c3 = _stumpff_c2_c3(psi)
+    terms = (r0 * chi, sigma0 * chi_sq * c2, (1.0 - alpha * r0) * chi_sq * chi * c3)
+    radius = chi_sq * c2 + sigma0 * chi * (1.0 - psi * c3) + r0 * (1.0 - psi * c2)
+    return sum(terms), sum(map(abs, terms)), radius, c2, c3
+
+
+def _universal_anomaly(tau: float, r0: float, sigma0: float, alpha: float, bound: float) -> tuple:
+    """The universal anomaly chi at which sqrt(kappa) times the elapsed time is tau != 0,
+    with the radius, c2 and c3 there; |chi| is at most bound.
+
+    The time rises with chi at the slope |r| > 0, so Newton's method is kept inside a
+    bracket of the root: a step that leaves it, or does not halve the step before it,
+    bisects instead (rtsafe of Numerical Recipes).  Off the ellipse the bracket starts
+    open on the far side; until it closes, a step that leaves it doubles chi instead.
+    It starts from the best of the short-span guess tau/r0, the mean-anomaly guess
+    (ellipses), the parabola's cubic (Cardano) and the hyperbola's logarithm (Vallado,
+    Algorithm 8).  A time that overflows lies beyond the root on the side of chi's sign.
+    """
+    lo, hi = (0.0, bound) if tau > 0.0 else (-bound, 0.0)
+    guesses = [tau / r0]
+    if not math.isfinite(guesses[0]):
+        raise IntegrationError(f"a span of sqrt(kappa) dt = {tau:.3e} overflows the universal anomaly")
+    if alpha > 0.0:
+        guesses.append(alpha * tau)
+    p = 6.0 * r0 - 3.0 * sigma0 * sigma0
+    if p >= 0.0:
+        q = 2.0 * sigma0 * sigma0 * sigma0 - 6.0 * r0 * sigma0 - 6.0 * tau
+        w = -0.5 * q - math.copysign(math.sqrt(0.25 * q * q + p * p * p / 27.0), q)
+        s = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        guesses.append((s - p / (3.0 * s) if s != 0.0 else 0.0) - sigma0)
+    if alpha < 0.0:
+        arg = -2.0 * alpha * tau / (sigma0 + math.copysign((1.0 - alpha * r0) / math.sqrt(-alpha), tau))
+        if arg > 0.0:
+            guesses.append(math.copysign(math.log(arg) / math.sqrt(-alpha), tau))
+    starts = (min(max(g, lo), hi) for g in guesses)
+    chi, terms = min(
+        ((g, _universal_terms(g, r0, sigma0, alpha)) for g in starts if math.isfinite(g)),
+        key=lambda start: abs(start[1][0] - tau) if math.isfinite(start[1][0]) else math.inf,
+    )
+    last_step = hi - lo
+    for _ in range(KEPLER_ITERATIONS):
+        time, scale, radius, c2, c3 = terms
+        residual = time - tau
+        if not math.isfinite(residual):  # an overflowed time lies beyond the root, on chi's side
+            residual = math.copysign(math.inf, chi)
+        elif abs(residual) <= KEPLER_TOL * scale:
+            return chi, radius, c2, c3
+        if residual > 0.0:
+            hi = chi
+        else:
+            lo = chi
+        new = chi - residual / radius
+        if math.isfinite(hi - lo) and (not lo < new < hi or abs(2.0 * residual) > abs(last_step * radius)):
+            new = 0.5 * (lo + hi)
+        elif not lo < new < hi:
+            new = 2.0 * chi
+        if new == chi:
+            return chi, radius, c2, c3
+        chi, last_step = new, new - chi
+        terms = _universal_terms(chi, r0, sigma0, alpha)
+    raise IntegrationError(
+        f"the universal Kepler equation did not converge in {KEPLER_ITERATIONS} iterations "
+        f"(time residual {residual:.3e})"
+    )
+
+
+def _passes_periapsis(
+    dt: float, period: float, r0: float, sigma0: float, alpha: float, ecc: float, root_mu: float
+) -> bool:
+    """Does the orbit pass its periapsis within the span dt?  An ellipse passes once per period."""
+    if alpha > 0.0:
+        chi = -math.atan2(sigma0 * math.sqrt(alpha), 1.0 - alpha * r0) / math.sqrt(alpha)
+    elif alpha < 0.0:
+        chi = -math.asinh(sigma0 * math.sqrt(-alpha) / ecc) / math.sqrt(-alpha)
+    else:
+        chi = -sigma0
+    ahead = _universal_terms(chi, r0, sigma0, alpha)[0] / root_mu  # time from the start to that periapsis
+    # a periapsis behind a forward span is never reached: -x % inf is inf
+    return (ahead if dt > 0.0 else -ahead) % period <= abs(dt)
+
+
+def propagate_kepler(r, v, dt: float, kappa: float) -> tuple[list, list]:
+    """(r, v) after the time dt (may be negative) on the Kepler orbit through the three
+    floats r and v.
+
+    Universal variables (Danby 1988, section 6.9; Vallado, Algorithm 8): with
+    alpha = 2/|r0| - |v0|^2/kappa, sigma0 = r0.v0/sqrt(kappa) and psi = alpha chi^2,
+    the universal anomaly chi solves
+
+        sqrt(kappa) dt = |r0| chi + sigma0 chi^2 c2(psi) + (1 - alpha |r0|) chi^3 c3(psi),
+
+    and the Lagrange f and g functions give the state; one formula serves every energy
+    branch.  An elliptic span is reduced modulo the period T first, so the phase error
+    grows as about u |dt| / T (u the unit roundoff).  Runs on Python floats, one orbit
+    per call.  Raises UsageError for a non-finite dt, CollisionError if the orbit comes
+    within COLLISION_FLOOR of the origin during the span (at its start, its end or a
+    periapsis passage), and IntegrationError if the solve does not converge within
+    KEPLER_ITERATIONS or its state is not finite.
+    """
+    if not math.isfinite(dt):
+        raise UsageError(f"the time span must be finite, got {dt}")
+    (x0, x1, x2), (u0, u1, u2) = r, v
+    r0 = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    if r0 < COLLISION_FLOOR:
+        raise CollisionError(f"|r| = {r0:.3e} is below the collision floor")
+    root_mu = math.sqrt(kappa)
+    sigma0 = (x0 * u0 + x1 * u1 + x2 * u2) / root_mu
+    alpha = 2.0 / r0 - (u0 * u0 + u1 * u1 + u2 * u2) / kappa
+    period = 2.0 * math.pi / (root_mu * alpha * math.sqrt(alpha)) if alpha > 0.0 else math.inf
+    # the periapsis radius p / (1 + e), from the semi-latus rectum p = |L|^2 / kappa
+    l0, l1, l2 = x1 * u2 - x2 * u1, x2 * u0 - x0 * u2, x0 * u1 - x1 * u0
+    p = (l0 * l0 + l1 * l1 + l2 * l2) / kappa
+    ecc = math.sqrt(max(1.0 - alpha * p, 0.0))
+    if p / (1.0 + ecc) < COLLISION_FLOOR and _passes_periapsis(dt, period, r0, sigma0, alpha, ecc, root_mu):
+        raise CollisionError(
+            f"the orbit passes its periapsis at |r| = {p / (1.0 + ecc):.3e}, below the collision floor"
+        )
+    span = math.remainder(dt, period)
+    if span == 0.0:
+        return [x0, x1, x2], [u0, u1, u2]
+    # on an ellipse |chi| = |Delta E| / sqrt(alpha), and |Delta E| <= |Delta M| + 2e by Kepler's equation
+    bound = alpha * abs(root_mu * span) + 2.0 / math.sqrt(alpha) if alpha > 0.0 else math.inf
+    chi, radius, c2, c3 = _universal_anomaly(root_mu * span, r0, sigma0, alpha, bound)
+    chi_sq = chi * chi
+    f, g = 1.0 - chi_sq * c2 / r0, span - chi_sq * chi * c3 / root_mu
+    f_dot, g_dot = root_mu * chi * (alpha * chi_sq * c3 - 1.0) / (radius * r0), 1.0 - chi_sq * c2 / radius
+    r_out = [f * x + g * u for x, u in zip(r, v)]
+    v_out = [f_dot * x + g_dot * u for x, u in zip(r, v)]
+    if not math.isfinite(sum(r_out) + sum(v_out)):
+        raise IntegrationError("universal-variable propagation gave a non-finite state")
+    if radius < COLLISION_FLOOR:
+        raise CollisionError(f"|r| = {radius:.3e} fell below the collision floor")
+    return r_out, v_out
 
 
 def _normalize_kind(gen) -> GeneratorKind:

@@ -3,7 +3,8 @@
 Four families act on extended states (t, r, v):
 
   * rotations (Rodrigues form, angle |eps| about eps-hat),
-  * time translation along the true orbit,
+  * time translation along the orbit, by the closed-form Kepler flow in
+    universal variables (`flow.propagate_kepler`),
   * the LRL-direction group: E and Theta fixed, L -> L + eps x Theta,
   * the LRL group: E fixed, one formula for every energy.  With the parallel
     parts taken along eps, z = 2E|s eps|^2 and x = sqrt|z|,
@@ -73,13 +74,14 @@ def rotate(state: ExtendedState, eps: Vec3) -> ExtendedState:
 
 
 def time_translate(state: ExtendedState, eps: float, sys: KeplerSystem) -> ExtendedState:
-    """Advance (r, v) by eps along the true Kepler flow; t is unchanged."""
+    """Advance (r, v) by eps along the Kepler flow, in closed form (`flow.propagate_kepler`);
+    t is unchanged."""
     if eps == 0.0:
         return state
-    from .flow import integrate_orbit
+    from .flow import propagate_kepler
 
-    traj = integrate_orbit(state, sys, t_span=float(eps), dt_out=abs(float(eps)))
-    return ExtendedState(state.t, traj.samples[-1].state)
+    r, v = propagate_kepler(state.r.tolist(), state.v.tolist(), float(eps), sys.kappa)
+    return ExtendedState(state.t, PhaseState(r, v))
 
 
 def admissibility(c: ConservedSet, r_mag: float, l_star_sq: float, sys: KeplerSystem) -> bool:

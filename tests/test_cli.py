@@ -10,6 +10,7 @@ import pytest
 
 from keplersym import fields
 from keplersym.cli import main
+from test_flow import _kepler_propagate
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +320,12 @@ def deadline(seconds):
         (("orbit", "--r", "0.05,0,0", "--v=-0.5,0,0", "--tmax", "5"), 3),  # radial infall
         (("orbit", "--r", "1e155,0,0", "--v", "0,1e-160,0", "--tmax", "3"), 3),  # |r|^2 overflows
         (("transform", "--kind", "time", "--eps", "1e3", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+        (("transform", "--kind", "time", "--eps", "5", "--r", "0.05,0,0", "--v=-0.5,0,0"), 3),  # radial infall
+        (("transform", "--kind", "time", "--eps", "0.01", "--r", "0.05,0,0", "--v=-0.5,0,0"), 0),  # ends short of it
+        (("transform", "--kind", "time", "--eps", "3", "--r", "1e155,0,0", "--v", "0,1e-160,0"), 3),
+        # periapsis at 1e-7, above the collision floor
+        (("transform", "--kind", "time", "--eps", "3", "--r", "1e-7,0,0", "--v", "0,1e5,0"), 0),
+        (("transform", "--kind", "time", "--eps", "1e300", "--r", "1,0,0", "--v", "0,2,0"), 3),  # |r|^2 overflows
     ],
 )
 def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
@@ -419,3 +426,54 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
     assert code == 2
     code, again, _ = run_cli(capsys, "brackets", *state)
     assert code == 0 and again == plain
+
+
+def test_time_translation_over_many_periods_is_closed_form(capsys):
+    # 6670 periods: DP5 took 38 s here; the propagator reduces the span modulo the period
+    r0, v0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])
+    start = time.perf_counter()
+    with deadline(10):
+        code, out, _ = run_cli(capsys, "transform", "--kind", "time", "--eps", "1e5", "--r", "1,0,0", "--v", "0,1.2,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    r_ref, v_ref = _kepler_propagate(r0, v0, math.remainder(1e5, doc["constants"]["period"]), 1.0, False)
+    assert np.max(np.abs(np.subtract(doc["state"]["r"], r_ref))) <= 1e-9
+    assert np.max(np.abs(np.subtract(doc["state"]["v"], v_ref))) <= 1e-9
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("conserved", "--r", "-1,0,0", "--v", "0,1,0"), ("conserved", "--r=-1,0,0", "--v=0,1,0")),
+    (("transform", "--kind", "time", "--eps", "-1e3", "--r", "-1,0.2,0", "--v", "0,-1.2,0", "--t", "-2"),
+     ("transform", "--kind", "time", "--eps=-1e3", "--r=-1,0.2,0", "--v=0,-1.2,0", "--t=-2")),
+    (("transform", "--kind", "rotation", "--eps", "-.5,0,0", "--r", "1,0,0", "--v", "0,1.2,0"),
+     ("transform", "--kind", "rotation", "--eps=-.5,0,0", "--r=1,0,0", "--v=0,1.2,0")),
+])
+def test_negative_values_read_in_both_forms(capsys, spaced, joined):
+    code, out, _ = run_cli(capsys, *spaced)
+    assert code == 0
+    assert run_cli(capsys, *joined) == (0, out, "")
+
+
+def test_negative_value_reader_still_reports_a_missing_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conserved", "--r", "--v", "0,1,0"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("conserved", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+    (("transform", "--kind", "rotation", "--eps", "0,0,1", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+    (("transform", "--kind", "time", "--eps", "0.5", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+    (("transform", "--kind", "lrl", "--eps", "0,0.3,0", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+    (("transform", "--kind", "lrl-direction", "--eps", "0,0.3,0", "--r", "1,0,0", "--v", "0,1.2,0"), 0),
+    (("transform", "--kind", "lrl-direction", "--eps", "0,0,0.2", "--r", "1,0,0", "--v", "0,1.2,0"), 4),
+    (("brackets", "--r", "1,0,0.1", "--v", "0.1,1.2,0"), 0),
+    (("brackets", "--fd-check", "--r", "1,0,0.1", "--v", "0.1,1.2,0"), 0),
+])
+def test_json_replies_are_one_line(capsys, argv, code):
+    exit_code, out, _ = run_cli(capsys, *argv)
+    assert exit_code == code
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["schema_version"] == 1

@@ -11,6 +11,7 @@ from keplersym import (
     ExtendedState,
     FlowDegeneracyError,
     InadmissibleTransformError,
+    IntegrationError,
     KeplerSystem,
     PhaseState,
     UsageError,
@@ -341,3 +342,89 @@ def test_orbit_matches_kepler_equation(branch, bound):
             r_ref, v_ref = _kepler_propagate(r0, v0, sample.t, kappa, branch == "par")
             worst = max(worst, np.max(np.abs(sample.r - r_ref)), np.max(np.abs(sample.v - v_ref)))
     assert worst <= bound
+
+
+@pytest.mark.parametrize("branch", ["ell", "hyp", "par"])
+def test_propagator_matches_kepler_equation(branch):
+    # both signs of the span, and on ellipses spans of several periods, which the
+    # propagator reduces modulo the period and the oracle does not
+    kappa = 1.3
+    ksys = KeplerSystem(kappa=kappa)
+    worst = 0.0
+    for seed in range(3):
+        for r0, v0 in _kepler_states(branch, 12, kappa, seed):
+            period = conserved_set(PhaseState(r0, v0), ksys).period if branch == "ell" else 10.0
+            for dt in (1e-3, 0.3, -0.7, 2.5, -4.0, 0.37 * period, 3.3 * period, -5.7 * period):
+                r, v = flow.propagate_kepler(r0.tolist(), v0.tolist(), dt, kappa)
+                r_ref, v_ref = _kepler_propagate(r0, v0, dt, kappa, branch == "par")
+                worst = max(worst, np.max(np.abs(np.subtract(r, r_ref))), np.max(np.abs(np.subtract(v, v_ref))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("dt", [1e-9, 0.4, -2.0, 35.0])
+def test_propagator_on_an_exact_parabola(dt):
+    # 2 kappa/|r| = |v|^2 exactly, so psi = 0 for every chi and only the series runs
+    r0, v0 = np.array([2.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+    r, v = flow.propagate_kepler(r0.tolist(), v0.tolist(), dt, 1.0)
+    r_ref, v_ref = _kepler_propagate(r0, v0, dt, 1.0, parabolic=True)
+    assert_allclose(r, r_ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(r_ref))))
+    assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("branch", ["ell", "hyp", "par"])
+def test_orbit_matches_propagator(branch):
+    # DP5 at tol 1e-11 against the closed form: over one period on ellipses, t = 10 on
+    # the other branches, sampled at fifths
+    kappa = 1.3
+    ksys = KeplerSystem(kappa=kappa)
+    worst = 0.0
+    for r0, v0 in _kepler_states(branch, 12, kappa, seed=["ell", "hyp", "par"].index(branch)):
+        start = ExtendedState(0.0, PhaseState(r0, v0))
+        span = conserved_set(start.state, ksys).period if branch == "ell" else 10.0
+        for sample in integrate_orbit(start, ksys, span, tol=1e-11, dt_out=span / 5).samples[1:]:
+            r, v = flow.propagate_kepler(r0.tolist(), v0.tolist(), sample.t, kappa)
+            worst = max(worst, np.max(np.abs(sample.r - r)), np.max(np.abs(sample.v - v)))
+    assert worst <= 1e-8
+
+
+def test_propagator_refuses_a_span_through_the_collision_floor():
+    # radial infall from 0.05: it reaches the origin in about 0.014, and the orbit
+    # returns to it every period (0.025)
+    r0, v0 = [0.05, 0.0, 0.0], [-0.5, 0.0, 0.0]
+    for dt in (0.02, 5.0, -5.0):
+        with pytest.raises(CollisionError):
+            flow.propagate_kepler(r0, v0, dt, 1.0)
+    r, v = flow.propagate_kepler(r0, v0, 0.01, 1.0)
+    assert 0.0 < r[0] < 0.05 and v[0] < -0.5
+    # a periapsis of 1e-9 behind the start of a forward span is never reached
+    r, _ = flow.propagate_kepler([1.0, 0.0, 0.0], [1.0, 1e-9, 0.0], 3.0, 1.0)
+    assert math.hypot(*r) > 1.0
+    with pytest.raises(CollisionError):
+        flow.propagate_kepler([1.0, 0.0, 0.0], [1.0, 1e-9, 0.0], -3.0, 1.0)
+    with pytest.raises(CollisionError):
+        flow.propagate_kepler([1e-9, 0.0, 0.0], [0.0, 1.0, 0.0], 1.0, 1.0)
+
+
+def test_propagator_raises_when_the_solve_does_not_converge(monkeypatch):
+    monkeypatch.setattr(flow, "KEPLER_ITERATIONS", 1)
+    with pytest.raises(IntegrationError, match="did not converge"):
+        flow.propagate_kepler([1.0, 0.0, 0.0], [0.0, 1.2, 0.0], 2.0, 1.0)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_propagator_refuses_a_span_that_is_not_finite(dt):
+    with pytest.raises(UsageError, match="finite"):
+        flow.propagate_kepler([1.0, 0.0, 0.0], [0.0, 1.2, 0.0], dt, 1.0)
+
+
+def test_time_translate_calls_no_integrator(ksys, ell_x, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("time translation integrated an orbit")
+
+    monkeypatch.setattr(flow, "integrate_orbit", refuse)
+    monkeypatch.setattr(flow, "_dp_step", refuse)
+    out = time_translate(ell_x, 4.2, ksys)
+    r_ref, v_ref = _kepler_propagate(ell_x.r, ell_x.v, 4.2, ksys.kappa, False)
+    assert_allclose(out.r, r_ref, rtol=0, atol=1e-12)
+    assert_allclose(out.v, v_ref, rtol=0, atol=1e-12)
+    assert out.t == ell_x.t
