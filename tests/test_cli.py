@@ -429,7 +429,8 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
 
 
 def test_time_translation_over_many_periods_is_closed_form(capsys):
-    # 6670 periods: DP5 took 38 s here; the propagator reduces the span modulo the period
+    # 6670 periods, which DP5 stepped through in tens of seconds; the propagator reduces
+    # the span modulo the period
     r0, v0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])
     start = time.perf_counter()
     with deadline(10):
