@@ -4,7 +4,8 @@ Everything here operates on batches: r and v are (N, 3) arrays and scalar
 results are (N,).  This module is the only home of these formulas; the
 scalar APIs elsewhere are N=1 views of them:
 
-    values / scalar_values   conserved quantities (core.conserved_set stays scalar)
+    values / scalar_values   conserved quantities (core.conserved_set stays scalar);
+                             scalar_values forms only the labels of the tables
     gradients                analytic phase-space gradients, from the (N, 8, 3)
                              base tensors of {E, L_i, A_i, |L|^2}
     fd_gradients             their finite-difference twin (step rule in core)
@@ -78,34 +79,43 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", a, b)
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (N, 3) arrays: the products and differences of np.cross,
-    bit for bit, at a third of its time per call on a few rows or on 10^5."""
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise a x b of (N, 3) arrays, into out when given: the products and differences
+    of np.cross, bit for bit, at a third of its time per call on a few rows or on 10^5."""
     (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    out = np.empty_like(a)
+    out = np.empty_like(a) if out is None else out
     out[:, 0] = a1 * b2 - a2 * b1
     out[:, 1] = a2 * b0 - a0 * b2
     out[:, 2] = a0 * b1 - a1 * b0
     return out
 
 
-def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
-    """Batched conserved quantities; vector entries have shape (N, 3)."""
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
+def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple[np.ndarray, ...]:
+    """Write E, L, A, Theta and, unless m_vec is None, M of the rows (r, v) into the given
+    (N,) and (N, 3) arrays, which may be columns of one table; returns |r|, r.v and |A|."""
     r_mag = np.linalg.norm(r, axis=1)
     v_sq = _dot(v, v)
     r_dot_v = _dot(r, v)
-    e = 0.5 * v_sq - kappa / r_mag
-    l_vec = cross(r, v)
-    a_vec = (v_sq - kappa / r_mag)[:, None] * r - r_dot_v[:, None] * v
+    np.subtract(0.5 * v_sq, kappa / r_mag, out=e)
+    cross(r, v, out=l_vec)
+    np.subtract((v_sq - kappa / r_mag)[:, None] * r, r_dot_v[:, None] * v, out=a_vec)
     a_mag = np.linalg.norm(a_vec, axis=1)
     # Theta and M rows are simply unused by callers at circular or exactly
     # parabolic states; keep the division quiet there.
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = a_vec / a_mag[:, None]
-        m_vec = a_vec / np.sqrt(2.0 * np.abs(e))[:, None]
-    out = {
+        np.divide(a_vec, a_mag[:, None], out=theta)
+        if m_vec is not None:
+            np.divide(a_vec, np.sqrt(2.0 * np.abs(e))[:, None], out=m_vec)
+    return r_mag, r_dot_v, a_mag
+
+
+def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
+    """Batched conserved quantities; vector entries have shape (N, 3)."""
+    r = np.atleast_2d(np.asarray(r, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    e, l_vec, a_vec, theta, m_vec = np.empty(len(r)), *(np.empty((len(r), 3)) for _ in range(4))
+    r_mag, r_dot_v, a_mag = _write_labels(r, v, kappa, e, l_vec, a_vec, theta, m_vec)
+    return {
         "r_mag": r_mag,
         "r_dot_v": r_dot_v,
         "E": e,
@@ -116,7 +126,14 @@ def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
         "Theta": theta,
         "M": m_vec,
     }
-    return out
+
+
+def _label_table(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> np.ndarray:
+    """The (N, L) values of the rows (r, v) under `table_labels`, and nothing else."""
+    table = np.empty((len(r), len(table_labels(include_m))))
+    m_vec = table[:, _M] if include_m else None
+    _write_labels(r, v, kappa, table[:, 0], table[:, _L], table[:, _A], table[:, _THETA], m_vec)
+    return table
 
 
 def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: str) -> np.ndarray:
@@ -135,15 +152,11 @@ def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: s
 def scalar_values(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, np.ndarray]:
-    vals = values(r, v, kappa)
-    out = {"E": vals["E"]}
-    for name, key in (("L", "L"), ("A", "A"), ("Theta", "Theta")):
-        for i in range(3):
-            out[f"{name}{i + 1}"] = vals[key][:, i]
-    if include_m:
-        for i in range(3):
-            out[f"M{i + 1}"] = vals["M"][:, i]
-    return out
+    """Each label of `table_labels` as an (N,) column of one `_label_table`."""
+    r = np.atleast_2d(np.asarray(r, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    table = _label_table(r, v, kappa, include_m)
+    return {lab: table[:, j] for j, lab in enumerate(table_labels(include_m))}
 
 
 def gradients(
@@ -217,7 +230,8 @@ def fd_gradients(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Central-difference twin of `gradients`, built on `core.central_differences`.
 
-    The gradients of every label are stacked as (N, L, 3) tensors under
+    Its perturbed tables hold only the labels (`_label_table`), and one batch of
+    `FD_BATCH` states is perturbed at a time.  The gradients of every label are stacked as (N, L, 3) tensors under
     "_base"; each label maps to a view of them.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -227,15 +241,18 @@ def fd_gradients(
     g_v = np.empty_like(g_r)
 
     def table(r_: np.ndarray, v_: np.ndarray) -> np.ndarray:
-        vals = scalar_values(r_.reshape(-1, 3), v_.reshape(-1, 3), kappa, include_m)
-        return np.stack([vals[lab] for lab in labels], axis=-1).reshape(r_.shape[:-1] + (-1,))
+        return _label_table(r_.reshape(-1, 3), v_.reshape(-1, 3), kappa, include_m).reshape(r_.shape[:-1] + (-1,))
 
     for lo in range(0, r.shape[0], FD_BATCH):
         rb, vb = r[lo : lo + FD_BATCH], v[lo : lo + FD_BATCH]
-        d_r = central_differences(lambda rs: table(rs, np.broadcast_to(vb, rs.shape)), rb)
-        d_v = central_differences(lambda vs: table(np.broadcast_to(rb, vs.shape), vs), vb)
-        g_r[lo : lo + FD_BATCH] = d_r.transpose(1, 2, 0)
-        g_v[lo : lo + FD_BATCH] = d_v.transpose(1, 2, 0)
+        # each set of differences is stored before the next is formed, so that one
+        # perturbed table of the batch is held at a time
+        g_r[lo : lo + FD_BATCH] = central_differences(
+            lambda rs: table(rs, np.broadcast_to(vb, rs.shape)), rb
+        ).transpose(1, 2, 0)
+        g_v[lo : lo + FD_BATCH] = central_differences(
+            lambda vs: table(np.broadcast_to(rb, vs.shape), vs), vb
+        ).transpose(1, 2, 0)
     grads: dict = {lab: (g_r[:, j], g_v[:, j]) for j, lab in enumerate(labels)}
     grads["_base"] = (g_r, g_v)
     return grads

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from keplersym import fields
+from keplersym.core import central_differences
 from keplersym.brackets import FD_M_FLOOR, structure_residuals
 from keplersym.sampling import sample_parabolic_states, sample_states
 from keplersym.verify import DEFAULT_TOLERANCES, algebra_suite
@@ -118,3 +119,36 @@ def test_pass_memory_holds_one_chunk():
     # the tables of one chunk are held at a time, so four times the states
     # adds only the sampled states themselves
     assert _traced_peak(40_000) < 1.5 * _traced_peak(10_000)
+
+
+def test_suite_memory_at_1e5_states_holds_one_chunk():
+    # the samplers test their candidates one chunk at a time too, so ten times the
+    # states still adds only the sampled states themselves
+    assert _traced_peak(100_000) < 1.5 * _traced_peak(10_000)
+
+
+def _fd_reference(r: np.ndarray, v: np.ndarray, include_m: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_r, grad_v) as (N, L, 3) tensors, with the perturbed tables stacked from every
+    quantity of `fields.values` on all rows at once."""
+    labels = fields.table_labels(include_m)
+
+    def table(r_, v_):
+        vals = fields.values(r_.reshape(-1, 3), v_.reshape(-1, 3), KAPPA)
+        columns = [vals[lab[:-1]][:, int(lab[-1]) - 1] if lab != "E" else vals["E"] for lab in labels]
+        return np.stack(columns, axis=-1).reshape(r_.shape[:-1] + (-1,))
+
+    d_r = central_differences(lambda rs: table(rs, np.broadcast_to(v, rs.shape)), r)
+    d_v = central_differences(lambda vs: table(np.broadcast_to(r, vs.shape), vs), v)
+    return d_r.transpose(1, 2, 0), d_v.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("include_m", [True, False])
+def test_fd_gradients_match_a_reference_through_values(include_m):
+    r, v = sample_states(300, 5, KAPPA)
+    rp, vp = sample_parabolic_states(40, 6, KAPPA)
+    for rows in (slice(0, 1), slice(0, 2), slice(None)):
+        for rs, vs in ((r, v), (rp, vp)):
+            got = fields.fd_gradients(rs[rows], vs[rows], KAPPA, include_m)["_base"]
+            want = _fd_reference(rs[rows], vs[rows], include_m)
+            for side in (0, 1):
+                assert _same_bits(got[side], want[side]), side

@@ -65,3 +65,78 @@ def test_flow_pairs_form_conserved_set_once_per_state(monkeypatch):
     tried = {(state.r.tobytes(), state.v.tobytes()) for state in calls}
     assert len(pairs) == 50 and len(calls) == len(tried)
     assert {id(state) for state, _ in pairs} <= {id(state) for state in calls}
+
+
+def _all_at_once(n: int, seed: int, kappa: float, parabolic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The samplers as they were before they tested candidates chunk by chunk: each round's
+    candidates normalised and scaled as new arrays, tested by one `fields.values` call on all
+    of them, and the kept rows of every round joined by np.concatenate."""
+    rng = np.random.default_rng(seed)
+
+    def unit(m):
+        raw = rng.normal(size=(m, 3))
+        return raw / np.linalg.norm(raw, axis=1)[:, None]
+
+    r_out, v_out = [], []
+    have = 0
+    while have < n:
+        m = max(2 * (n - have), 16)
+        r = unit(m) * rng.uniform(*sampling.R_RANGE, size=m)[:, None]
+        if parabolic:
+            v = unit(m) * np.sqrt(2.0 * kappa / np.linalg.norm(r, axis=1))[:, None]
+        else:
+            v = unit(m) * rng.uniform(*sampling.V_RANGE, size=m)[:, None]
+        vals = fields.values(r, v, kappa)
+        keep = vals["L_mag"] >= sampling.MIN_L
+        if not parabolic:
+            keep &= vals["A_mag"] >= sampling.MIN_A_FACTOR * kappa
+        r_out.append(r[keep])
+        v_out.append(v[keep])
+        have += int(np.count_nonzero(keep))
+    return np.concatenate(r_out)[:n], np.concatenate(v_out)[:n]
+
+
+def _same_bits(got, want) -> bool:
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+SAMPLERS = [(sample_states, False), (sample_parabolic_states, True)]
+
+
+@pytest.mark.parametrize("batch", [None, 256], ids=["fd_batch", "batch256"])
+@pytest.mark.parametrize("seed", [1, 7, 12])
+def test_samplers_match_the_all_at_once_reference(seed, batch, monkeypatch):
+    # batch 256 puts chunk boundaries inside every size but the first two
+    if batch is not None:
+        monkeypatch.setattr(fields, "FD_BATCH", batch)
+    for sampler, parabolic in SAMPLERS:
+        for n in (1, 5, 2047, 2049, 10_000):
+            assert _same_bits(sampler(n, seed), _all_at_once(n, seed, 1.0, parabolic)), (sampler.__name__, n)
+
+
+@pytest.mark.parametrize("batch", [None, 256], ids=["fd_batch", "batch256"])
+def test_samplers_match_the_reference_over_several_rounds(batch, monkeypatch):
+    # kappa = 0.006 puts |L| of most parabolic candidates below MIN_L, and a MIN_L of
+    # 1.2 does the same for sample_states, so that the first round falls short
+    if batch is not None:
+        monkeypatch.setattr(fields, "FD_BATCH", batch)
+    sizes = []
+    unit_vectors = sampling._unit_vectors
+    monkeypatch.setattr(sampling, "_unit_vectors", lambda rng, m: sizes.append(m) or unit_vectors(rng, m))
+    got = sample_parabolic_states(2049, 12, kappa=0.006)
+    # two unit-vector draws, for r and for v, per round
+    assert len(sizes) >= 4 and len(sizes) % 2 == 0
+    assert _same_bits(got, _all_at_once(2049, 12, 0.006, True))
+    monkeypatch.setattr(sampling, "MIN_L", 1.2)
+    sizes.clear()
+    got = sample_states(2049, 7)
+    assert len(sizes) >= 4 and len(sizes) % 2 == 0
+    assert _same_bits(got, _all_at_once(2049, 7, 1.0, False))
+
+
+@pytest.mark.parametrize("sampler", [sample_states, sample_parabolic_states])
+def test_sampler_counts_of_zero_or_less(sampler):
+    r, v = sampler(0, 1)
+    assert r.shape == (0, 3) and v.shape == (0, 3)
+    with pytest.raises(UsageError, match="-1"):
+        sampler(-1, 1)
