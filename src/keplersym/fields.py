@@ -231,8 +231,8 @@ def fd_gradients(
     """Central-difference twin of `gradients`, built on `core.central_differences`.
 
     Its perturbed tables hold only the labels (`_label_table`), and one batch of
-    `FD_BATCH` states is perturbed at a time.  The gradients of every label are stacked as (N, L, 3) tensors under
-    "_base"; each label maps to a view of them.
+    `FD_BATCH` states is perturbed at a time.  The gradients of every label are
+    stacked as (N, L, 3) tensors under "_base"; each label maps to a view of them.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
