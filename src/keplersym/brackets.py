@@ -141,7 +141,7 @@ def structure_table(state: PhaseState, sys: KeplerSystem, fd_check: bool = False
         BracketEntry(labels[a], labels[b], *values)
         for a, b, *values in zip(*upper, computed.tolist(), expected.tolist(), residual.tolist(), fd_residual)
     )
-    max_fd = max((x for x in fd_residual if x is not None), default=0.0) if fd_check else None
+    max_fd = float(np.max([x for x in fd_residual if x is not None], initial=0.0)) if fd_check else None
     return BracketReport(entries, float(np.max(residual)), max_fd)
 
 

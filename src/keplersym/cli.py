@@ -9,9 +9,10 @@ transform whose reply says admissible: false, and a sweep with such a grid
 point, before it writes any row).
 
 Defaults may be supplied as a JSON config file via --config or the
-KEPLERSYM_CONFIG environment variable.  `main` merges every given flag that
-names a RunConfig field over the file once, validates the result once, and
-the handlers read only that RunConfig.
+KEPLERSYM_CONFIG environment variable; its keys are SETTINGS and
+"tolerances", and any other key is a usage error.  `main` merges every given
+flag that names a RunConfig field over the file once, validates the result
+once, and the handlers read only that RunConfig.
 The argument parser is built on the first call of `main` and shared by every
 later call in the same process.  A flag's value may start with a minus sign in
 both forms, `--r -1,0,0` and `--r=-1,0,0`.
@@ -42,7 +43,6 @@ from .errors import (
 from .flow import CSV_COLUMNS, ORBIT_TOL, RK_STEPS, integrate_orbit, write_rows
 from .generators import GeneratorKind
 from .transforms import (
-    QUAD_PANELS,
     TransformResult,
     direction_lrl_transform,
     lrl_transform,
@@ -62,7 +62,7 @@ EXIT_DEGENERATE = 3
 EXIT_INADMISSIBLE = 4
 
 # The RunConfig fields that a config file and a flag of the same name may set
-SETTINGS = ("kappa", "rk_steps", "quad_panels", "seed", "samples")
+SETTINGS = ("kappa", "rk_steps", "seed", "samples")
 # A minus sign, then a digit or a point: a negative value, never a flag.  argparse takes
 # it for a flag unless it is a plain decimal number, so "-1,0,0" and "-1e3" are joined
 # to the flag before them.
@@ -74,14 +74,13 @@ class RunConfig:
     kappa: float = 1.0
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     rk_steps: int = RK_STEPS
-    quad_panels: int = QUAD_PANELS
     seed: int = 7
     samples: int = 200
 
     def validate(self) -> None:
         if self.kappa <= 0:
             raise UsageError("kappa must be positive")
-        for name in ("samples", "rk_steps", "quad_panels"):
+        for name in ("samples", "rk_steps"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -103,6 +102,9 @@ def _load_config(path: str | None) -> RunConfig:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("tolerances", {}), dict):
         raise UsageError(f"config file {path} must hold a JSON object, its tolerances an object")
+    unknown = sorted(set(data) - {*SETTINGS, "tolerances"})
+    if unknown:
+        raise UsageError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}")
     try:
         for key in SETTINGS:
             if key in data:
@@ -170,9 +172,9 @@ def cmd_transform(args, cfg: RunConfig) -> int:
                 raise UsageError("--eps for a time translation is a single number") from exc
             result = _simple_result(state, time_translate(state, eps, sys), sys)
         elif kind == "lrl":
-            result = lrl_transform(state, sys, parse_vec3(args.eps, "--eps"), cfg.quad_panels)
+            result = lrl_transform(state, sys, parse_vec3(args.eps, "--eps"))
         else:
-            result = direction_lrl_transform(state, sys, parse_vec3(args.eps, "--eps"), cfg.quad_panels)
+            result = direction_lrl_transform(state, sys, parse_vec3(args.eps, "--eps"))
     except InadmissibleTransformError as exc:
         doc = {
             "admissible": False,
@@ -197,9 +199,7 @@ def cmd_brackets(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    results = run_suites(
-        args.suite, cfg.samples, cfg.seed, cfg.kappa, cfg.rk_steps, cfg.quad_panels, cfg.tolerances
-    )
+    results = run_suites(args.suite, cfg.samples, cfg.seed, cfg.kappa, cfg.rk_steps, tolerances=cfg.tolerances)
     for res in results:
         _sys.stdout.write(res.line() + "\n")
     failed = [r for r in results if not r.passed]
@@ -218,9 +218,7 @@ def _write_rows(path, header: list[str], rows) -> None:
 def cmd_orbit(args, cfg: RunConfig) -> int:
     sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
-    traj = integrate_orbit(
-        state, sys, args.tmax, tol=args.tol, max_step=args.max_step, dt_out=args.dt_out
-    )
+    traj = integrate_orbit(state, sys, args.tmax, tol=args.tol, dt_out=args.dt_out)
     _write_rows(args.out, list(CSV_COLUMNS), traj.csv_rows())
     return EXIT_OK
 
@@ -243,8 +241,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         kind = GeneratorKind.LRL if args.kind == "lrl" else GeneratorKind.LRL_DIRECTION
         n = len(eps)
         out = transform_batch(
-            kind, np.full(n, state.t), np.tile(state.r, (n, 1)), np.tile(state.v, (n, 1)), eps, sys.kappa,
-            cfg.quad_panels,
+            kind, np.full(n, state.t), np.tile(state.r, (n, 1)), np.tile(state.v, (n, 1)), eps, sys.kappa
         )
         if not out.admissible.all():
             bad = int(np.argmin(out.admissible))
@@ -290,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p)
     p.add_argument("--kind", required=True, choices=["rotation", "time", "lrl", "lrl-direction"])
     p.add_argument("--eps", required=True, help="parameter: x,y,z (a number for --kind time)")
-    p.add_argument("--quad-panels", type=int, default=None)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("brackets", help="Poisson bracket structure table")
@@ -304,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--rk-steps", type=int, default=None)
-    p.add_argument("--quad-panels", type=int, default=None)
     p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=None,
                    help="override every suite tolerance")
     p.set_defaults(func=cmd_verify)
@@ -314,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--dt-out", type=float, default=None)
     p.add_argument("--tol", type=float, default=ORBIT_TOL)
-    p.add_argument("--max-step", type=float, default=None)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_orbit)
 
@@ -327,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--dt-out", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=ORBIT_TOL)
-    p.add_argument("--quad-panels", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
     return parser

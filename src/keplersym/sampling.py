@@ -33,7 +33,8 @@ R_RANGE = (0.5, 2.0)
 V_RANGE = (0.3, 2.0)
 MIN_L = 0.1
 MIN_A_FACTOR = 0.05
-# sample_flow_pairs gives up after this many batches of candidate states
+# sample_flow_pairs gives up after this many batches of candidate states, and
+# sample_states and sample_parabolic_states after this many rounds of candidates
 MAX_PAIR_BATCHES = 100
 # |eps| of a flow pair is uniform in EPS_RANGE; its state has |r.v| >= APSIS_MARGIN |r||v|,
 # and at each of RAY_NODES nodes along its ray the root argument is at least RAY_MARGIN
@@ -71,12 +72,18 @@ def _admitted(n: int, draw, admissible, kappa: float) -> tuple[np.ndarray, np.nd
     """The first n candidate states that pass admissible(`fields.values` of a chunk), as
     (r, v) arrays of shape (n, 3).  Each round draws m = max(2 * (n - have), 16) candidates
     with draw(m) and tests them one `fields.FD_BATCH` chunk at a time, writing the rows it
-    keeps straight into the outputs, until they are full."""
+    keeps straight into the outputs, until they are full.  Raises UsageError when
+    MAX_PAIR_BATCHES rounds hold fewer than n admissible states."""
     if n < 0:
         raise UsageError(f"cannot sample a negative number of states, got {n}")
     r_out, v_out = np.empty((n, 3)), np.empty((n, 3))
-    have = 0
+    have = rounds = 0
     while have < n:
+        if rounds == MAX_PAIR_BATCHES:
+            raise UsageError(
+                f"found {have} of {n} admissible states at kappa = {kappa} in {MAX_PAIR_BATCHES} rounds of candidates"
+            )
+        rounds += 1
         r, v = draw(max(2 * (n - have), 16))
         for lo in range(0, len(r), fields.FD_BATCH):
             rc, vc = r[lo : lo + fields.FD_BATCH], v[lo : lo + fields.FD_BATCH]

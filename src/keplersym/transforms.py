@@ -22,8 +22,10 @@ Four families act on extended states (t, r, v):
 rows of one kind: it counts the constants once, maps them, rebuilds (r, v)
 at the invariant radius (`fields.reconstruct`, which keeps |r| and E exact)
 and integrates the time shift Delta t = integral_0^1 -(r*(s) x L*(s)) . eps ds
-by composite Simpson quadrature with panel doubling per row.  The two
-transforms, `time_shift_quadrature` and the two constants maps are its N=1 views.
+by composite Simpson quadrature: every row starts at QUAD_PANELS panels and
+doubles them until its last two estimates agree to QUADRATURE_TOL, up to
+MAX_QUAD_PANELS.  The two transforms, `time_shift_quadrature` and the two
+constants maps are its N=1 views.
 """
 
 from __future__ import annotations
@@ -45,15 +47,16 @@ from .core import (
     norm,
     set_from_constants,
 )
-from .errors import DegenerateDirectionError, InadmissibleTransformError, UsageError
+from .errors import DegenerateDirectionError, InadmissibleTransformError
 from .fields import _dot, cross
 from .generators import GeneratorKind
 
 ADMISSIBILITY_TOL = fields.ADMISSIBILITY_TOL
 QUADRATURE_TOL = 1e-10
 DIAGNOSTIC_TOL = 1e-9
-# Simpson panels the time-shift quadrature starts from
+# Simpson panels the time-shift quadrature starts from, and the most it doubles them to
 QUAD_PANELS = 64
+MAX_QUAD_PANELS = 16_384
 
 
 def rotation_matrix(eps: Vec3) -> np.ndarray:
@@ -179,26 +182,25 @@ def transform_constants_lrl(c: ConservedSet, eps: Vec3, sys: KeplerSystem) -> Co
 def _at_nodes(kind: GeneratorKind, table: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
     """The time-shift integrand -(r*(s) x L*(s)) . eps of every row of a `_ray` table
     that ends in |r|, sgn(r.v), E and eps, at every node s: (rows, nodes), formed
-    in chunks of at most fields.FD_BATCH node-rows."""
-    rows = np.repeat(np.arange(len(table)), len(s))
-    s_all = np.tile(s, len(table))
-    f = np.empty(len(rows))
-    for lo in range(0, len(rows), fields.FD_BATCH):
-        at = slice(lo, lo + fields.FD_BATCH)
-        g = table[rows[at]]
-        l_star, _, theta = _ray_constants(kind, g, s_all[at], kappa)
+    in chunks of at most fields.FD_BATCH node-rows, each indexing only its own."""
+    f = np.empty(len(table) * len(s))
+    for lo in range(0, len(f), fields.FD_BATCH):
+        rows, nodes = np.divmod(np.arange(lo, min(lo + fields.FD_BATCH, len(f))), len(s))
+        g = table[rows]
+        l_star, _, theta = _ray_constants(kind, g, s[nodes], kappa)
         r_star, _ = fields.reconstruct(g[:, -6], g[:, -5], g[:, -4], kappa, l_star, theta)
-        f[at] = -_dot(cross(r_star, l_star), g[:, -3:])
+        f[lo : lo + len(rows)] = -_dot(cross(r_star, l_star), g[:, -3:])
     return f.reshape(len(table), len(s))
 
 
-def _time_shift(kind: GeneratorKind, table: np.ndarray, kappa: float, panels: int):
+def _time_shift(kind: GeneratorKind, table: np.ndarray, kappa: float):
     """(Delta t, panels used, last difference) per row of a `_ray` table.
 
-    Composite Simpson over s in [0, 1]; on the rows whose last two estimates
-    differ by more than QUADRATURE_TOL the panels double, at most six times,
-    and only the new midpoints are evaluated.
+    Composite Simpson over s in [0, 1] from QUAD_PANELS panels; on the rows whose
+    last two estimates differ by more than QUADRATURE_TOL the panels double, up
+    to MAX_QUAD_PANELS, and only the new midpoints are evaluated.
     """
+    panels = QUAD_PANELS
     k = 2 * panels
     f = _at_nodes(kind, table, np.arange(k + 1) / k, kappa)
     ends, odd, even = f[:, 0] + f[:, -1], f[:, 1::2].sum(axis=1), f[:, 2:-1:2].sum(axis=1)
@@ -206,7 +208,7 @@ def _time_shift(kind: GeneratorKind, table: np.ndarray, kappa: float, panels: in
     used = np.full(len(table), panels)
     diff = np.full(len(table), np.inf)
     todo = np.arange(len(table))
-    for _ in range(6):
+    while len(todo) and panels < MAX_QUAD_PANELS:
         panels *= 2
         k = 2 * panels
         even[todo] += odd[todo]
@@ -215,8 +217,6 @@ def _time_shift(kind: GeneratorKind, table: np.ndarray, kappa: float, panels: in
         diff[todo] = np.abs(refined - value[todo])
         value[todo], used[todo] = refined, panels
         todo = todo[~(diff[todo] <= QUADRATURE_TOL)]
-        if not len(todo):
-            break
     return value, used, diff
 
 
@@ -244,7 +244,6 @@ def transform_batch(
     v,
     eps,
     kappa: float,
-    quad_panels: int = QUAD_PANELS,
 ) -> TransformBatch:
     """Finite LRL or LRL-direction transformation (kind) of the N rows (t, r, v)
     with parameters eps (N, 3); rows with eps = 0 keep their (t, r, v).
@@ -253,10 +252,8 @@ def transform_batch(
     DegenerateDirectionError, RadialStateError); InadmissibleTransformError if
     any row's orbit cannot reach its radius.  A row is admissible when its
     residuals are within DIAGNOSTIC_TOL and its time shift converged to
-    QUADRATURE_TOL within six panel doublings.
+    QUADRATURE_TOL by MAX_QUAD_PANELS panels.
     """
-    if quad_panels < 1:
-        raise UsageError("quad_panels must be >= 1")
     name = "LRL" if kind is GeneratorKind.LRL else "direction"
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r, v, eps = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (r, v, eps))
@@ -269,7 +266,7 @@ def transform_batch(
 
     l_star, a_star, theta = _ray_constants(kind, table, np.ones(len(t)), kappa)
     r_new, v_new = fields.reconstruct(r_mag, sigma, e, kappa, l_star, theta)
-    delta_t, panels, difference = _time_shift(kind, table, kappa, quad_panels)
+    delta_t, panels, difference = _time_shift(kind, table, kappa)
     check = fields.values(r_new, v_new, kappa)
     misfit = np.column_stack((check["E"] - e, check["L"] - l_star, check["A"] - a_star))
     diagnostics = {
@@ -316,13 +313,11 @@ class TransformResult:
         }
 
 
-def _transform_one(
-    kind: GeneratorKind, state: ExtendedState, sys: KeplerSystem, eps: Vec3, quad_panels: int
-) -> TransformResult:
+def _transform_one(kind: GeneratorKind, state: ExtendedState, sys: KeplerSystem, eps: Vec3) -> TransformResult:
     """One row of `transform_batch`, as a TransformResult."""
     eps = as_vec3(eps, "eps")
     r, v = state.r[None], state.v[None]
-    b = transform_batch(kind, state.t, r, v, eps[None], sys.kappa, quad_panels)
+    b = transform_batch(kind, state.t, r, v, eps[None], sys.kappa)
     parabolic = bool(b.parabolic[0])
     warnings = ()
     if kind is GeneratorKind.LRL and parabolic and b.E[0] != 0.0 and float(eps @ eps) > 0.0:
@@ -337,30 +332,20 @@ def _transform_one(
     )
 
 
-def time_shift_quadrature(
-    state: ExtendedState,
-    sys: KeplerSystem,
-    eps: Vec3,
-    kind: GeneratorKind,
-    quad_panels: int = QUAD_PANELS,
-) -> float:
+def time_shift_quadrature(state: ExtendedState, sys: KeplerSystem, eps: Vec3, kind: GeneratorKind) -> float:
     """Delta t = integral over s in [0,1] of -(r*(s) x L*(s)) . eps: the time
     shift of one row of `transform_batch`."""
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
         return 0.0
-    return _transform_one(kind, state, sys, eps, quad_panels).delta_t
+    return _transform_one(kind, state, sys, eps).delta_t
 
 
-def direction_lrl_transform(
-    state: ExtendedState, sys: KeplerSystem, eps: Vec3, quad_panels: int = QUAD_PANELS
-) -> TransformResult:
+def direction_lrl_transform(state: ExtendedState, sys: KeplerSystem, eps: Vec3) -> TransformResult:
     """Finite LRL-direction transformation with parameter eps."""
-    return _transform_one(GeneratorKind.LRL_DIRECTION, state, sys, eps, quad_panels)
+    return _transform_one(GeneratorKind.LRL_DIRECTION, state, sys, eps)
 
 
-def lrl_transform(
-    state: ExtendedState, sys: KeplerSystem, eps: Vec3, quad_panels: int = QUAD_PANELS
-) -> TransformResult:
+def lrl_transform(state: ExtendedState, sys: KeplerSystem, eps: Vec3) -> TransformResult:
     """Finite LRL transformation with parameter eps (every energy)."""
-    return _transform_one(GeneratorKind.LRL, state, sys, eps, quad_panels)
+    return _transform_one(GeneratorKind.LRL, state, sys, eps)

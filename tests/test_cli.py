@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from keplersym import fields
+from keplersym import fields, transforms
 from keplersym.cli import main
 from test_flow import _kepler_propagate
 
@@ -89,8 +89,16 @@ UNCONVERGED = (
 )
 
 
-def test_transform_unconverged_quadrature_exit4(capsys):
-    code, out, _ = run_cli(capsys, *UNCONVERGED, "--quad-panels", "1")
+def from_one_panel(monkeypatch):
+    """The quadrature's schedule of six doublings from one panel to 64."""
+    monkeypatch.setattr(transforms, "QUAD_PANELS", 1)
+    monkeypatch.setattr(transforms, "MAX_QUAD_PANELS", 64)
+
+
+def test_transform_unconverged_quadrature_exit4(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        from_one_panel(m)
+        code, out, _ = run_cli(capsys, *UNCONVERGED)
     assert code == 4
     doc = json.loads(out)
     assert doc["admissible"] is False
@@ -128,22 +136,37 @@ def test_sweep_inadmissible_point_writes_nothing(capsys):
     assert out == ""
 
 
-def test_sweep_unconverged_point_exit4(capsys):
+def test_sweep_unconverged_point_exit4(capsys, monkeypatch):
     # at one panel this point's time shift has not converged after six doublings
+    from_one_panel(monkeypatch)
     state = (
         "--r=-1.0093184832806594,1.2447164078090283,-0.6161104459654111",
         "--v=0.6306985324958218,0.14969561470428835,-1.6572877132678252",
     )
     eps = "-0.06234535838063827,0.02981075528078348,-0.15623586312404178"
-    code, out, _ = run_cli(capsys, "transform", "--kind", "lrl", f"--eps={eps}", *state, "--quad-panels", "1")
+    code, out, _ = run_cli(capsys, "transform", "--kind", "lrl", f"--eps={eps}", *state)
     assert code == 4 and json.loads(out)["admissible"] is False
     code, out, err = run_cli(
         capsys,
         "sweep", "--kind", "lrl", f"--eps-axis={eps}", f"--eps-max={math.hypot(*map(float, eps.split(',')))!r}",
-        "--grid", "2", "--tmax", "0.05", "--quad-panels", "1", *state,
+        "--grid", "2", "--tmax", "0.05", *state,
     )
     assert code == 4
     assert out == "" and "grid point 1" in err
+
+
+def test_transform_slowly_converging_time_shift_exit0(capsys):
+    # row 0 of sample_flow_pairs(2, 1736, LRL, "zero"): its quadrature needs 8192 panels,
+    # and stopping at 4096 used to report it inadmissible
+    code, out, _ = run_cli(
+        capsys, "transform", "--kind", "lrl",
+        "--r=-0.7987555720999076,-0.4389616992224677,0.5092960707261984",
+        "--v=0.26516481882050547,0.0531746076691317,1.3573658569203981",
+        "--eps=0.24585573978221065,-0.12901869902296303,-0.04710212281146777",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["admissible"] is True and doc["diagnostics"]["quadrature_panels"] == 8192
 
 
 def test_orbit_request_evaluates_values_once(capsys, monkeypatch):
@@ -335,16 +358,45 @@ def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "1e-160"), ("--tol", "1e-300"), ("--tol", "nan"),
-                                         ("--tol", "inf"), ("--max-step", "-1"), ("--max-step", "inf")])
+                                         ("--tol", "inf")])
 def test_orbit_bad_step_control_exit2(capsys, flag, value):
     # tol below about 1e-154 overflowed the initial-step estimate into a NaN step
-    # that was rejected forever, and a negative max_step stepped away from tmax
+    # that was rejected forever
     start = time.perf_counter()
     with deadline(5):
         code, out, err = run_cli(capsys, "orbit", "--r", "1,0,0", "--v", "0,1.2,0", "--tmax", "3", flag, value)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == "" and flag[2:].replace("-", "_") in err
+
+
+def test_verify_parabolic_sampling_out_of_reach_exit2(capsys):
+    # at kappa = 1e-4 no parabolic state has |L| >= MIN_L; the algebra suite used to hang
+    with deadline(10):
+        code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--kappa", "1e-4", "--samples", "50")
+    assert code == 2
+    assert out == "" and "kappa = 0.0001" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--kind", "lrl", "--eps", "0,0.1,0", "--r", "1,0,0", "--v", "0,1.2,0", "--quad-panels", "64"),
+    ("verify", "--suite", "algebra", "--samples", "20", "--quad-panels", "64"),
+    ("orbit", "--r", "1,0,0", "--v", "0,1.2,0", "--tmax", "3", "--max-step", "0.1"),
+])
+def test_removed_flags_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_unknown_key_exit2(tmp_path, capsys):
+    # a key the program does not read, such as the removed quad_panels, used to be ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": 1.0, "quad_panels": 64}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "conserved", "--r", "1,0,0", "--v", "0,1.2,0")
+    assert code == 2
+    assert out == "" and "'quad_panels'" in err
 
 
 def test_verify_unreachable_branch_exit2(capsys):
@@ -391,8 +443,7 @@ def test_config_file_holding_a_list_exit2(tmp_path, capsys):
     (("verify", "--samples", "0"), "samples must be >= 1"),
     (("verify", "--samples", "-5"), "samples must be >= 1"),
     (("verify", "--suite", "flows", "--rk-steps", "0"), "rk_steps must be >= 1"),
-    (("transform", "--kind", "lrl", "--eps", "0,0.1,0", "--r", "1,0,0", "--v", "0,1.2,0", "--quad-panels", "0"),
-     "quad_panels must be >= 1"),
+    (("conserved", "--r", "1,0,0", "--v", "0,1.2,0", "--kappa", "0"), "kappa must be positive"),
     (("verify", "--suite", "algebra", "--seed", "-1"), "seed must be >= 0"),
 ])
 def test_run_config_flags_out_of_range_exit2(capsys, argv, message):

@@ -9,6 +9,7 @@ from keplersym.sampling import (
     sample_parabolic_states,
     sample_states,
 )
+from test_cli import deadline
 
 
 def test_sampler_deterministic():
@@ -140,3 +141,10 @@ def test_sampler_counts_of_zero_or_less(sampler):
     assert r.shape == (0, 3) and v.shape == (0, 3)
     with pytest.raises(UsageError, match="-1"):
         sampler(-1, 1)
+
+
+def test_parabolic_sampler_gives_up_when_no_candidate_passes():
+    # at kappa = 1e-4 every parabolic candidate has |L| <= 0.02 < MIN_L, and the
+    # sampler used to draw round after round forever
+    with deadline(1), pytest.raises(UsageError, match="found 0 of 10 admissible states at kappa = 0.0001"):
+        sample_parabolic_states(10, 1, kappa=1e-4)

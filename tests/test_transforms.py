@@ -24,9 +24,10 @@ from keplersym import (
     transform_constants_lrl,
     transforms,
 )
+from keplersym.flow import RK_STEPS, gaps, integrate_symmetry_flows
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import sample_flow_pairs, sample_parabolic_states, sample_states
-from keplersym.verify import transforms_suite
+from keplersym.verify import _worst, transforms_suite
 
 
 def test_rotate_quarter_turn(ksys, ell_x):
@@ -302,13 +303,55 @@ def test_lrl_map_check_catches_a_scaled_sinc(monkeypatch):
     assert lrl_map_error() > 1e-14
 
 
-def test_unconverged_quadrature_fails_its_property():
+def test_unconverged_quadrature_fails_its_property(monkeypatch):
     # from one panel, six doublings leave time shifts off by up to about 1e-8;
     # equivariance compares two transforms with the same quadrature error, so
     # only the quadrature's own last difference can fail it
-    results = {r.name: r for r in transforms_suite(20, 1, rk_steps=50, quad_panels=1)}
+    monkeypatch.setattr(transforms, "QUAD_PANELS", 1)
+    monkeypatch.setattr(transforms, "MAX_QUAD_PANELS", 64)
+    results = {r.name: r for r in transforms_suite(20, 1, rk_steps=50)}
     res = results["transforms.direction_equivariance"]
     assert res.worst <= res.tol
     assert not res.passed and "did not converge" in res.note
     # the exact invariants do not read the time shift
     assert results["transforms.direction_exact"].passed
+
+
+# (seed, row) of the pos-branch pair sets of transforms_suite whose time shift
+# needs 8192 panels
+SLOW_POS_ROWS = ((237, 28), (262, 38), (311, 45), (315, 11), (332, 36), (485, 8))
+
+
+def test_slowly_converging_time_shifts_are_admissible():
+    # these rows and row 0 of the zero-branch set of seed 1736 stopped at 4096 panels
+    # with a last difference of 1.3e-10 to 1.25e-9, and were refused although their
+    # time shift was right
+    lrl = GeneratorKind.LRL
+    pairs = [sample_flow_pairs(2, 1736, lrl, "zero")[0]]
+    pairs += [sample_flow_pairs(50, seed + 12, lrl, "pos")[row] for seed, row in SLOW_POS_ROWS]
+    r, v, eps = (np.array(x) for x in zip(*((state.r, state.v, e) for state, e in pairs)))
+    out = transform_batch(lrl, np.zeros(len(r)), r, v, eps, 1.0)
+    assert out.admissible.all()
+    assert (out.diagnostics["quadrature_panels"] == 8192).all()
+    assert (out.diagnostics["quadrature_difference"] <= transforms.QUADRATURE_TOL).all()
+    # RK4 integrates the same dt/ds; at 2000 steps its own t error on these rows is up to 3.8e-9
+    t_flow = integrate_symmetry_flows(lrl, 0.0, r, v, eps, 1.0, RK_STEPS)[0]
+    assert np.max(np.abs(out.delta_t - t_flow)) <= 1e-9
+
+
+@pytest.mark.parametrize("at", range(3))
+def test_worst_and_gaps_keep_a_nan_in_any_position(at):
+    # Python's max never replaces a number with NaN, so a NaN past the first
+    # argument used to read as a pass
+    def with_nan(parts):
+        parts = [np.array(x, dtype=float) for x in parts]
+        parts[at].flat[-1] = np.nan
+        return parts
+
+    diffs = [np.zeros(2), np.full(3, -2.0), np.ones((2, 3))]
+    assert _worst(*diffs) == 2.0
+    assert math.isnan(_worst(*with_nan(diffs)))
+    a, b = [np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3))], [np.ones(2), np.full((2, 3), 2.0), np.ones((2, 3))]
+    assert gaps(a, b) == (1.0, 2.0)
+    for gap in (gaps(with_nan(a), b), gaps(a, with_nan(b))):
+        assert math.isnan(gap[0] if at == 0 else gap[1])
