@@ -28,6 +28,7 @@ from keplersym.flow import RK_STEPS, gaps, integrate_symmetry_flows
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import sample_flow_pairs, sample_parabolic_states, sample_states
 from keplersym.verify import _worst, transforms_suite
+from test_cli import from_one_panel
 
 
 def test_rotate_quarter_turn(ksys, ell_x):
@@ -307,8 +308,7 @@ def test_unconverged_quadrature_fails_its_property(monkeypatch):
     # from one panel, six doublings leave time shifts off by up to about 1e-8;
     # equivariance compares two transforms with the same quadrature error, so
     # only the quadrature's own last difference can fail it
-    monkeypatch.setattr(transforms, "QUAD_PANELS", 1)
-    monkeypatch.setattr(transforms, "MAX_QUAD_PANELS", 64)
+    from_one_panel(monkeypatch)
     results = {r.name: r for r in transforms_suite(20, 1, rk_steps=50)}
     res = results["transforms.direction_equivariance"]
     assert res.worst <= res.tol
