@@ -247,8 +247,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
             bad = int(np.argmin(out.admissible))
             raise InadmissibleTransformError(
                 f"grid point {bad} (|eps| = {float(np.linalg.norm(eps[bad])):.6g}) is not admissible: "
-                f"quadrature difference {out.diagnostics['quadrature_difference'][bad]:.3e}, "
-                f"reconstruction residual {out.diagnostics['reconstruction_residual'][bad]:.3e}"
+                f"reconstruction residual {out.diagnostics['reconstruction_residual'][bad]:.3e}, "
+                f"r invariance {out.diagnostics['r_invariance'][bad]:.3e}"
             )
         starts = [ExtendedState(t, PhaseState(r, v)) for t, r, v in zip(out.t, out.r, out.v)]
 

@@ -312,7 +312,8 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     field (family "A", "Theta", or a mixed batch's Theta rows as a mask or,
     cheapest, a slice) on a `frame`, the pair (2, 3, N):
 
-        dr/ds = P + tau v,  dv/ds = DtP + tau a,  dt/ds = -(r x L) . eps,  tau = -mu
+        dr/ds = P + tau v,  dv/ds = DtP + tau a,  tau = -mu,
+        dt/ds = tau + (eps.A) |L|^2/|A|^2 on an A row,  tau on a Theta row.
 
     A Theta row's axis eps~ is eps/|A| - g A, with A = beta r - (r.v) v, beta =
     |v|^2 - kappa/|r| and g = (A.eps)/|A|^3, an A row's eps.  With rho = r.eps~,
@@ -320,7 +321,10 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     rho r + nu v - beta eps~, and unless given (an apsis limit, or 0 for (P, DtP))
     mu = rho - nu |r|^2/(r.v).  On (r, v, eps), a Theta row is 1/|A| times an A
     row plus g times terms of the gram, as A.(r, v, eps) = beta gram[0] - (r.v)
-    gram[1], |A|^2 = beta A.r - (r.v) A.v and A.v = -kappa (r.v)/|r|.
+    gram[1], |A|^2 = beta A.r - (r.v) A.v and A.v = -kappa (r.v)/|r|; its tau is
+    1/|A| times the A row's dt/ds.  The A row's added term is a constant of the
+    motion, so the field stays a symmetry, and with it both fields keep the time of
+    periapsis passage t - tau_p (`flow.time_since_periapsis`).
     """
     rr, rv, re, vv, ve = gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2]
     k = kappa / np.sqrt(rr)
@@ -331,18 +335,31 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     coef[1, 1] = ve
     np.subtract(k, vv, out=coef[1, 2])
     q = ve / coef[0, 2] if mu is None else -re / rr  # (mu - rho)/|r|^2, mu = 0 if given
-    np.subtract(re, q * rr, out=coef[0, 1])
+    q_rr = q * rr
+    np.subtract(re, q_rr, out=coef[0, 1])
     np.multiply(k, q, out=coef[1, 0])
+    neg_beta = coef[1, 2]
+    neg_a = neg_beta * gram[0] + rv * gram[1]  # -A.(r, v, eps)
+    a_sq = neg_beta * neg_a[0] + rv * neg_a[1]
     theta = family if not isinstance(family, str) else slice(None) if family == "Theta" else None
+    if mu is None:  # tau of an A row is -(q |r|^2 + r.eps), and |L|^2 = A.r + kappa |r|
+        dt = (neg_a[0] - k * rr) * neg_a[2] / a_sq - q_rr - re
+    else:
+        # (P, DtP) at mu = 0 do not read it, and at a circular state it is 0/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = (neg_a[0] - k * rr) * neg_a[2] / a_sq
+        if theta is not None:
+            dt[theta] = 0.0
+        dt -= mu
     if theta is not None:
         coef_t, gram_t, k_t = coef[:, :, theta], gram[:, :, theta], k[theta]  # views for a slice theta
-        neg_beta, rv_t = coef_t[1, 2], gram_t[0, 1]
-        neg_a = neg_beta * gram_t[0] + rv_t * gram_t[1]  # -A.(r, v, eps)
-        a_sq = neg_beta * neg_a[0] + rv_t * neg_a[1]
+        neg_beta, rv_t, neg_a, a_sq = coef_t[1, 2], gram_t[0, 1], neg_a[:, theta], a_sq[theta]
         # also catches a roundoff-negative |A|^2
         if np.count_nonzero(a_sq <= (CIRCULAR_TOL * kappa) ** 2):
             raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
         inv_a = 1.0 / np.sqrt(a_sq)
+        if mu is None:
+            dt[theta] *= inv_a
         neg_g = neg_a[2] * inv_a / a_sq
         # the g terms, added to the coefficients on r and taken from those on v
         z = (neg_g * (neg_beta + k_t)) * gram_t[:, 1::-1]
@@ -358,7 +375,7 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     if mu is not None:
         coef[0, 1] -= mu
         coef[1, 0] += k / rr * mu
-    return rr * ve - rv * re, _contract("pbn,bcn->pcn", coef, basis)
+    return dt, _contract("pbn,bcn->pcn", coef, basis)
 
 
 def root_terms(e, kappa: float, r_mag, l_sq):

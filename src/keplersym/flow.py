@@ -15,12 +15,14 @@ convergence-order checks are meaningful.
 The symmetry-flow vector field at (t, r, v) for parameter direction eps is
 
     dr/ds = P_eps + tau v,      dv/ds = DtP_eps + tau a,
-    dt/ds = -(r x L) . eps,     tau   = -(r . P_eps) / (r . v)
+    dt/ds = tau (+ (eps.A) |L|^2/|A|^2 for the LRL vector),   tau = -(r . P_eps) / (r . v)
 
 where P_eps is the contracted characteristic of the family.  tau keeps |r|
 exactly invariant and is singular at apsides (r.v = 0), so flows must start
-off-apsis.  The LRL-direction field is the LRL field at the projected axis
-eps~ = (eps - (Theta.eps) Theta)/|A|, dt/ds still along eps, so one RK4 batch
+off-apsis.  The added term is a constant of the motion; with it both fields keep
+the time of periapsis passage t - tau_p (`time_since_periapsis`), and the finite
+transforms shift t by the change of tau_p.  The LRL-direction field is the LRL
+field at the projected axis eps~ = (eps - (Theta.eps) Theta)/|A|, so one RK4 batch
 may mix the two families row by row.  eps~ is a combination of (r, v, eps), so
 is the field: `fields.gauge_field` forms its six coefficients per row from five
 dot products.  The RK4 loop puts the LRL-direction rows first, keeps t, r, v and
@@ -49,6 +51,7 @@ from .errors import (
     CollisionError,
     DegenerateDirectionError,
     FlowDegeneracyError,
+    InadmissibleTransformError,
     IntegrationError,
     StepUnderflowError,
     UsageError,
@@ -63,6 +66,9 @@ COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
 # Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
 MAX_ORBIT_SAMPLES = 1_000_000
+# Most DP5 steps, accepted and rejected, over one span.  Without dt_out every accepted step is
+# a held sample, so this is the same bound; a run that needs more is refused, not left running.
+MAX_ORBIT_STEPS = MAX_ORBIT_SAMPLES
 # The universal Kepler equation's solve: its iteration cap, and its stopping test, a residual
 # within a few units of roundoff of the sum of the magnitudes of the equation's terms
 KEPLER_ITERATIONS = 100
@@ -148,7 +154,8 @@ class FlowReport:
 
 @dataclass(frozen=True)
 class SolutionMappingReport:
-    """Conserved-set deviations of the orbit re-integrated from a transformed state."""
+    """Conserved-set deviations of the orbit re-integrated from a transformed state and,
+    under "solution", how far the transform of a second state of the solution lies off it."""
 
     residuals: dict
     max_residual: float
@@ -210,7 +217,8 @@ def integrate_orbit(
     UsageError for a non-finite t_span or dt_out, a tol that is not positive
     and finite, a tol too small to size the first step or a dt_out grid
     of more than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches
-    the collision floor and StepUnderflowError if adaptive control stalls.
+    the collision floor, StepUnderflowError if adaptive control stalls and
+    IntegrationError if the span takes more than MAX_ORBIT_STEPS steps.
     """
     if not math.isfinite(t_span):
         raise UsageError(f"t_span must be finite, got {t_span}")
@@ -255,6 +263,8 @@ def integrate_orbit(
                         f"|r| = {r_now:.3e} is collapsing onto the singularity at t = {t:.6g}"
                     )
                 raise StepUnderflowError(f"step size {h:.3e} underflowed at t = {t:.6g}")
+            if accepted + rejected == MAX_ORBIT_STEPS:
+                raise IntegrationError(f"{MAX_ORBIT_STEPS} steps reached t = {t:.6g} of a span to {t_end:.6g}")
 
             y_new, f_new, err_vec = _dp_step(y, f, h, kappa)
             err = _rms_scaled(err_vec, y, y_new, tol)
@@ -373,19 +383,49 @@ def _universal_anomaly(tau: float, r0: float, sigma0: float, alpha: float, bound
     )
 
 
-def _passes_periapsis(
-    dt: float, period: float, r0: float, sigma0: float, alpha: float, ecc: float, root_mu: float
-) -> bool:
-    """Does the orbit pass its periapsis within the span dt?  An ellipse passes once per period."""
+def _elements(r, v, kappa: float) -> tuple:
+    """(|r|, sqrt(kappa), sigma = r.v/sqrt(kappa), alpha = 2/|r| - |v|^2/kappa, the semi-latus
+    rectum p = |L|^2/kappa, e) of the orbit through the three floats r and v; CollisionError
+    for |r| below COLLISION_FLOOR."""
+    (x0, x1, x2), (u0, u1, u2) = r, v
+    r0 = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    if r0 < COLLISION_FLOOR:
+        raise CollisionError(f"|r| = {r0:.3e} is below the collision floor")
+    root_mu = math.sqrt(kappa)
+    alpha = 2.0 / r0 - (u0 * u0 + u1 * u1 + u2 * u2) / kappa
+    l0, l1, l2 = x1 * u2 - x2 * u1, x2 * u0 - x0 * u2, x0 * u1 - x1 * u0
+    p = (l0 * l0 + l1 * l1 + l2 * l2) / kappa
+    return r0, root_mu, (x0 * u0 + x1 * u1 + x2 * u2) / root_mu, alpha, p, math.sqrt(max(1.0 - alpha * p, 0.0))
+
+
+def _since_periapsis(r0: float, root_mu: float, sigma0: float, alpha: float, p: float, ecc: float) -> float:
+    """The time since periapsis of an orbit's `_elements`, (r_p chi + e chi^3 c3(alpha chi^2))
+    / sqrt(kappa) with r_p = p/(1 + e).  chi, the universal anomaly from periapsis, is the
+    eccentric anomaly over sqrt(alpha) (within half a period), the hyperbolic one over
+    sqrt(-alpha), or sigma on a parabola.  Every term has the sign of chi: none cancels near e = 1."""
     if alpha > 0.0:
-        chi = -math.atan2(sigma0 * math.sqrt(alpha), 1.0 - alpha * r0) / math.sqrt(alpha)
+        chi = math.atan2(sigma0 * math.sqrt(alpha), 1.0 - alpha * r0) / math.sqrt(alpha)
     elif alpha < 0.0:
-        chi = -math.asinh(sigma0 * math.sqrt(-alpha) / ecc) / math.sqrt(-alpha)
+        chi = math.asinh(sigma0 * math.sqrt(-alpha) / ecc) / math.sqrt(-alpha)
     else:
-        chi = -sigma0
-    ahead = _universal_terms(chi, r0, sigma0, alpha)[0] / root_mu  # time from the start to that periapsis
+        chi = sigma0
+    chi_sq = chi * chi
+    return (p / (1.0 + ecc) + ecc * chi_sq * _stumpff_c2_c3(alpha * chi_sq)[1]) * chi / root_mu
+
+
+def time_since_periapsis(r: np.ndarray, v: np.ndarray, kappa: float) -> np.ndarray:
+    """The time since periapsis of each row of the (N, 3) r and v, within half a period on an
+    ellipse.  The time of periapsis passage t - tau_p is constant along a solution, and
+    every LRL and LRL-direction flow keeps it (`fields.gauge_field`)."""
+    return np.array([_since_periapsis(*_elements(ri, vi, kappa)) for ri, vi in zip(r.tolist(), v.tolist())])
+
+
+def _passes_periapsis(dt: float, period: float, elements: tuple) -> bool:
+    """Does the orbit of `_elements` pass its periapsis within the span dt?  An ellipse passes
+    once per period."""
+    since = _since_periapsis(*elements)
     # a periapsis behind a forward span is never reached: -x % inf is inf
-    return (ahead if dt > 0.0 else -ahead) % period <= abs(dt)
+    return (-since if dt > 0.0 else since) % period <= abs(dt)
 
 
 def propagate_kepler(r, v, dt: float, kappa: float) -> tuple[list, list]:
@@ -408,25 +448,16 @@ def propagate_kepler(r, v, dt: float, kappa: float) -> tuple[list, list]:
     """
     if not math.isfinite(dt):
         raise UsageError(f"the time span must be finite, got {dt}")
-    (x0, x1, x2), (u0, u1, u2) = r, v
-    r0 = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if r0 < COLLISION_FLOOR:
-        raise CollisionError(f"|r| = {r0:.3e} is below the collision floor")
-    root_mu = math.sqrt(kappa)
-    sigma0 = (x0 * u0 + x1 * u1 + x2 * u2) / root_mu
-    alpha = 2.0 / r0 - (u0 * u0 + u1 * u1 + u2 * u2) / kappa
+    elements = r0, root_mu, sigma0, alpha, p, ecc = _elements(r, v, kappa)
     period = 2.0 * math.pi / (root_mu * alpha * math.sqrt(alpha)) if alpha > 0.0 else math.inf
-    # the periapsis radius p / (1 + e), from the semi-latus rectum p = |L|^2 / kappa
-    l0, l1, l2 = x1 * u2 - x2 * u1, x2 * u0 - x0 * u2, x0 * u1 - x1 * u0
-    p = (l0 * l0 + l1 * l1 + l2 * l2) / kappa
-    ecc = math.sqrt(max(1.0 - alpha * p, 0.0))
-    if p / (1.0 + ecc) < COLLISION_FLOOR and _passes_periapsis(dt, period, r0, sigma0, alpha, ecc, root_mu):
+    # the periapsis radius p / (1 + e)
+    if p / (1.0 + ecc) < COLLISION_FLOOR and _passes_periapsis(dt, period, elements):
         raise CollisionError(
             f"the orbit passes its periapsis at |r| = {p / (1.0 + ecc):.3e}, below the collision floor"
         )
     span = math.remainder(dt, period)
     if span == 0.0:
-        return [x0, x1, x2], [u0, u1, u2]
+        return list(r), list(v)
     # on an ellipse |chi| = |Delta E| / sqrt(alpha), and |Delta E| <= |Delta M| + 2e by Kepler's equation
     bound = alpha * abs(root_mu * span) + 2.0 / math.sqrt(alpha) if alpha > 0.0 else math.inf
     chi, radius, c2, c3 = _universal_anomaly(root_mu * span, r0, sigma0, alpha, bound)
@@ -590,14 +621,26 @@ def verify_solution_mapping(
     eps: Vec3,
     gen,
     t_span: float,
+    step: float = 0.1,
 ) -> SolutionMappingReport:
-    """Re-integrate the orbit from a transformed state and hold it to its
-    predicted conserved set."""
+    """Re-integrate the orbit from a transformed state T(x0) and hold it to its
+    predicted conserved set.  Then, with x1 the state step after x0 on its DP5 orbit
+    (or step before, where T(x1) is not admissible), hold T(x1) to T(x0) integrated
+    by t(T(x1)) - t(T(x0)): the residual "solution", absent if neither is admissible.
+    """
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
-        start, predicted = state, conserved_set(state.state, sys)
-    else:
-        result = _transform_one(_normalize_kind(gen), state, sys, eps)
-        start, predicted = result.out, result.constants_out
-    residuals = integrate_orbit(start, sys, t_span).deviations(predicted)
+        residuals = integrate_orbit(state, sys, t_span).deviations(conserved_set(state.state, sys))
+        return SolutionMappingReport(residuals, float(np.max(list(residuals.values()))))
+    kind = _normalize_kind(gen)
+    image = _transform_one(kind, state, sys, eps)
+    residuals = integrate_orbit(image.out, sys, t_span).deviations(image.constants_out)
+    for delta in (step, -step):
+        try:
+            later = _transform_one(kind, integrate_orbit(state, sys, delta).samples[-1], sys, eps).out
+        except InadmissibleTransformError:
+            continue
+        end = integrate_orbit(image.out, sys, later.t - image.out.t).samples[-1]
+        residuals["solution"] = gaps((0.0, end.r, end.v), (0.0, later.r, later.v))[1]
+        break
     return SolutionMappingReport(residuals, float(np.max(list(residuals.values()))))

@@ -13,8 +13,10 @@ P = dC/dv.  The four families handled here:
 Prolongation to phase space appends the on-shell derivative of P.  The
 coordinate-space version adds a time component; the gauge is fixed so that the
 flow leaves |r| invariant, which makes r . delta_r vanish identically.  The
-reported delta_t is -(r x L)_axis, the component whose ray integral defines
-the time shift of the finite transformations.
+reported delta_t is the completion tau = -(r . P)/(r . v), plus A_axis
+|L|^2/|A|^2 for the LRL vector: the field keeps the time of periapsis passage,
+so the finite transformations shift t by the change of the time since
+periapsis.
 """
 
 from __future__ import annotations
@@ -140,13 +142,13 @@ def prolonged_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) 
 def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> GeneratorValue:
     """Coordinate-space generator with the radius-preserving gauge.
 
-    delta_t is -(r x L)_axis, the component the time-shift quadrature
-    integrates.  delta_r and delta_v carry the velocity-direction completion
-    tau = -(r . P)/(r . v), which makes r . delta_r vanish identically.  At an
-    apsis that completion is finite only when (r x L)_axis also vanishes, in
-    which case the on-shell limit -(A + kappa rhat)_axis / (|v|^2 - kappa/|r|)
-    (scaled by 1/|A| for the direction family) is used, as mu = -tau;
-    otherwise ApsisError.  The field itself is `fields.gauge_field`.
+    delta_r and delta_v carry the velocity-direction completion tau =
+    -(r . P)/(r . v), which makes r . delta_r vanish identically; delta_t is
+    tau, plus the constant A_axis |L|^2/|A|^2 for the LRL vector.  At an apsis
+    that completion is finite only when (r x L)_axis also vanishes, in which
+    case the on-shell limit -(A + kappa rhat)_axis / (|v|^2 - kappa/|r|) (scaled
+    by 1/|A| for the direction family) is used, as mu = -tau; otherwise
+    ApsisError.  The field itself is `fields.gauge_field`.
     """
     if gen.kind not in (GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION):
         raise UsageError("gauge-fixed components exist for the LRL and LRL-direction families")

@@ -19,13 +19,13 @@ Four families act on extended states (t, r, v):
     parabolic branch threshold).
 
 `transform_batch` is the one implementation of the two LRL families, over N
-rows of one kind: it counts the constants once, maps them, rebuilds (r, v)
-at the invariant radius (`fields.reconstruct`, which keeps |r| and E exact)
-and integrates the time shift Delta t = integral_0^1 -(r*(s) x L*(s)) . eps ds
-by composite Simpson quadrature: every row starts at QUAD_PANELS panels and
-doubles them until its last two estimates agree to QUADRATURE_TOL, up to
-MAX_QUAD_PANELS.  The two transforms, `time_shift_quadrature` and the two
-constants maps are its N=1 views.
+rows of one kind: it counts the constants once, maps them, and rebuilds (r, v)
+at the invariant radius (`fields.reconstruct`, which keeps |r| and E exact).
+Both groups keep the time of periapsis passage t - tau_p (`fields.gauge_field`),
+so the time shift is Delta t = tau_p(r*, v*) - tau_p(r, v), with tau_p the time
+since periapsis (`flow.time_since_periapsis`), and each transform maps a
+solution onto a solution.  The two transforms, `time_shift_quadrature` and the
+two constants maps are its N=1 views.
 """
 
 from __future__ import annotations
@@ -52,11 +52,7 @@ from .fields import _dot, cross
 from .generators import GeneratorKind
 
 ADMISSIBILITY_TOL = fields.ADMISSIBILITY_TOL
-QUADRATURE_TOL = 1e-10
 DIAGNOSTIC_TOL = 1e-9
-# Simpson panels the time-shift quadrature starts from, and the most it doubles them to
-QUAD_PANELS = 64
-MAX_QUAD_PANELS = 16_384
 
 
 def rotation_matrix(eps: Vec3) -> np.ndarray:
@@ -107,12 +103,12 @@ def _stumpff(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _ray(kind: GeneratorKind, e, l_vec, a_vec, eps, parabolic, *extra) -> np.ndarray:
+def _ray(kind: GeneratorKind, e, l_vec, a_vec, eps, parabolic) -> np.ndarray:
     """The s-independent terms of the constants map, one (N, K) row per input row.
 
     LRL, a_vec = A: [L, A | L - L_par, A - A_par | eps x A, -2E eps x L | 2E|eps|^2],
     with E = 0 on the parabolic-branch rows.  LRL-direction, a_vec = Theta:
-    [L, Theta | eps x Theta | 2E].  The columns of `extra` follow.
+    [L, Theta | eps x Theta | 2E].
     """
     if kind is GeneratorKind.LRL:
         e = np.where(parabolic, 0.0, e)
@@ -124,7 +120,7 @@ def _ray(kind: GeneratorKind, e, l_vec, a_vec, eps, parabolic, *extra) -> np.nda
         ]
     else:
         blocks = [l_vec, a_vec, cross(eps, a_vec), 2.0 * e]
-    return np.column_stack(blocks + list(extra))
+    return np.column_stack(blocks)
 
 
 def _ray_constants(kind: GeneratorKind, g: np.ndarray, s: np.ndarray, kappa: float):
@@ -179,47 +175,6 @@ def transform_constants_lrl(c: ConservedSet, eps: Vec3, sys: KeplerSystem) -> Co
     return _constants_map(GeneratorKind.LRL, c, eps, sys.kappa)
 
 
-def _at_nodes(kind: GeneratorKind, table: np.ndarray, s: np.ndarray, kappa: float) -> np.ndarray:
-    """The time-shift integrand -(r*(s) x L*(s)) . eps of every row of a `_ray` table
-    that ends in |r|, sgn(r.v), E and eps, at every node s: (rows, nodes), formed
-    in chunks of at most fields.FD_BATCH node-rows, each indexing only its own."""
-    f = np.empty(len(table) * len(s))
-    for lo in range(0, len(f), fields.FD_BATCH):
-        rows, nodes = np.divmod(np.arange(lo, min(lo + fields.FD_BATCH, len(f))), len(s))
-        g = table[rows]
-        l_star, _, theta = _ray_constants(kind, g, s[nodes], kappa)
-        r_star, _ = fields.reconstruct(g[:, -6], g[:, -5], g[:, -4], kappa, l_star, theta)
-        f[lo : lo + len(rows)] = -_dot(cross(r_star, l_star), g[:, -3:])
-    return f.reshape(len(table), len(s))
-
-
-def _time_shift(kind: GeneratorKind, table: np.ndarray, kappa: float):
-    """(Delta t, panels used, last difference) per row of a `_ray` table.
-
-    Composite Simpson over s in [0, 1] from QUAD_PANELS panels; on the rows whose
-    last two estimates differ by more than QUADRATURE_TOL the panels double, up
-    to MAX_QUAD_PANELS, and only the new midpoints are evaluated.
-    """
-    panels = QUAD_PANELS
-    k = 2 * panels
-    f = _at_nodes(kind, table, np.arange(k + 1) / k, kappa)
-    ends, odd, even = f[:, 0] + f[:, -1], f[:, 1::2].sum(axis=1), f[:, 2:-1:2].sum(axis=1)
-    value = (ends + 4.0 * odd + 2.0 * even) / (3.0 * k)
-    used = np.full(len(table), panels)
-    diff = np.full(len(table), np.inf)
-    todo = np.arange(len(table))
-    while len(todo) and panels < MAX_QUAD_PANELS:
-        panels *= 2
-        k = 2 * panels
-        even[todo] += odd[todo]
-        odd[todo] = _at_nodes(kind, table[todo], np.arange(1, k, 2) / k, kappa).sum(axis=1)
-        refined = (ends[todo] + 4.0 * odd[todo] + 2.0 * even[todo]) / (3.0 * k)
-        diff[todo] = np.abs(refined - value[todo])
-        value[todo], used[todo] = refined, panels
-        todo = todo[~(diff[todo] <= QUADRATURE_TOL)]
-    return value, used, diff
-
-
 class TransformBatch(NamedTuple):
     """Rows of `transform_batch`: the transformed (t, r, v), the constants (L*, A*),
     the time shift, the diagnostics (a dict of (N,) arrays) and the verdict, and
@@ -251,9 +206,10 @@ def transform_batch(
     Every row is checked by `fields.plane_rows` (SingularOriginError,
     DegenerateDirectionError, RadialStateError); InadmissibleTransformError if
     any row's orbit cannot reach its radius.  A row is admissible when its
-    residuals are within DIAGNOSTIC_TOL and its time shift converged to
-    QUADRATURE_TOL by MAX_QUAD_PANELS panels.
+    residuals are within DIAGNOSTIC_TOL.
     """
+    from .flow import time_since_periapsis
+
     name = "LRL" if kind is GeneratorKind.LRL else "direction"
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r, v, eps = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (r, v, eps))
@@ -262,26 +218,22 @@ def transform_batch(
     parabolic = fields.plane_rows(vals, v, kappa, f"{name} transform")
     sigma = np.where(vals["r_dot_v"] >= 0.0, 1.0, -1.0)
     a_vec = vals["A" if kind is GeneratorKind.LRL else "Theta"]
-    table = _ray(kind, e, vals["L"], a_vec, eps, parabolic, r_mag, sigma, e, eps)
+    table = _ray(kind, e, vals["L"], a_vec, eps, parabolic)
 
     l_star, a_star, theta = _ray_constants(kind, table, np.ones(len(t)), kappa)
     r_new, v_new = fields.reconstruct(r_mag, sigma, e, kappa, l_star, theta)
-    delta_t, panels, difference = _time_shift(kind, table, kappa)
     check = fields.values(r_new, v_new, kappa)
     misfit = np.column_stack((check["E"] - e, check["L"] - l_star, check["A"] - a_star))
     diagnostics = {
         "r_invariance": np.abs(check["r_mag"] - r_mag),
         "E_invariance": np.abs(check["E"] - e),
         "reconstruction_residual": np.max(np.abs(misfit), axis=1),
-        "quadrature_panels": panels.astype(float),
-        "quadrature_difference": difference,
     }
     # the reconstruction residual includes the E misfit, so it bounds E_invariance
-    residual = np.maximum(diagnostics["r_invariance"], diagnostics["reconstruction_residual"])
-    admissible = (residual <= DIAGNOSTIC_TOL) & (difference <= QUADRATURE_TOL)
-    moved = _dot(eps, eps) > 0.0
-    delta_t = np.where(moved, delta_t, 0.0)
-    r_new, v_new = (np.where(moved[:, None], new, old) for new, old in ((r_new, r), (v_new, v)))
+    admissible = np.maximum(diagnostics["r_invariance"], diagnostics["reconstruction_residual"]) <= DIAGNOSTIC_TOL
+    moved = (_dot(eps, eps) > 0.0)[:, None]
+    r_new, v_new = np.where(moved, r_new, r), np.where(moved, v_new, v)
+    delta_t = time_since_periapsis(r_new, v_new, kappa) - time_since_periapsis(r, v, kappa)
     return TransformBatch(
         t + delta_t, r_new, v_new, l_star, a_star, delta_t, diagnostics, admissible, e, parabolic
     )
@@ -333,8 +285,8 @@ def _transform_one(kind: GeneratorKind, state: ExtendedState, sys: KeplerSystem,
 
 
 def time_shift_quadrature(state: ExtendedState, sys: KeplerSystem, eps: Vec3, kind: GeneratorKind) -> float:
-    """Delta t = integral over s in [0,1] of -(r*(s) x L*(s)) . eps: the time
-    shift of one row of `transform_batch`."""
+    """The time shift tau_p(r*, v*) - tau_p(r, v) of one row of `transform_batch`, a closed
+    form; the name is kept because the benchmark's tracer wraps it."""
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
         return 0.0

@@ -38,7 +38,7 @@ from .sampling import (
     sample_parabolic_states,
     sample_states,
 )
-from .transforms import QUAD_PANELS, QUADRATURE_TOL, rotation_matrix, time_translate, transform_batch
+from .transforms import rotation_matrix, time_translate, transform_batch
 from .brackets import FD_M_FLOOR
 
 DEFAULT_TOLERANCES = {
@@ -88,14 +88,10 @@ class PropertyResult:
         )
 
 
-def _result(name, worst, tol, count, t0, note="", passed=None, stalled=0) -> PropertyResult:
-    """t0 None marks a property read from another property's pass, which holds its time;
-    stalled rows (see `_stalled`) fail the property."""
+def _result(name, worst, tol, count, t0, note="", passed=None) -> PropertyResult:
+    """t0 None marks a property read from another property's pass, which holds its time."""
     if passed is None:
         passed = bool(worst <= tol)
-    if stalled:
-        passed = False
-        note = "; ".join(filter(None, (note, f"{stalled} time-shift quadratures did not converge")))
     seconds = 0.0 if t0 is None else time.perf_counter() - t0
     return PropertyResult(name, float(worst), float(tol), passed, count, seconds, note)
 
@@ -247,14 +243,6 @@ def _stack(groups) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     return kinds, r, v, eps
 
 
-def _stalled(tol: float, *batches) -> int:
-    """Rows of transform batches whose time shift did not converge, and whose last
-    Simpson difference (about 15 times the error left) exceeds tol, the tolerance
-    of the property that reads the time shift."""
-    bound = max(tol, QUADRATURE_TOL)
-    return sum(int(np.count_nonzero(~(b.diagnostics["quadrature_difference"] <= bound))) for b in batches)
-
-
 def _group_law_worst(branch: str, eps, c0: dict, once, kappa: float) -> float:
     """The largest departure of one pair set's closed forms (a transform batch)
     from what its group does to the constants c0 (`fields.values`); branch
@@ -300,9 +288,7 @@ def transforms_suite(
     """Every pair set is drawn, and its closed forms kept, before one RK4
     batch integrates the flows of all of them, so that an unreachable branch
     fails before any flow work.  Each set's closed forms are one
-    `transform_batch` call; a row whose time shift did not converge fails the
-    properties that read its time shift, where its last difference exceeds their
-    tolerance."""
+    `transform_batch` call."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     direction_kind, lrl_kind = GeneratorKind.LRL_DIRECTION, GeneratorKind.LRL
     branches = ("neg", "pos", "zero")
@@ -345,27 +331,25 @@ def transforms_suite(
         props[name].append(
             _result(
                 f"transforms.{name}_vs_flow", np.max((gap_t, gap_rv)), tol["flow_residual"], len(pairs[name]),
-                t0, note, stalled=_stalled(tol["flow_residual"], once[name]),
+                t0, note,
             )
         )
         t0 = time.perf_counter()
 
     def composed(kind, group, first_once, first, then):
         """Worst gap between the kept closed forms of group and the transform by
-        first * eps followed by then * eps, and the stalled rows of both at the group-law tolerance."""
+        first * eps followed by then * eps."""
         _, r, v, eps = _stack([(kind, group)])
         part = closed(kind, np.zeros(len(r)), r, v, first * eps)
         full = closed(kind, part.t, part.r, part.v, then * eps)
-        return np.max(gaps([x[: len(r)] for x in first_once], full)), _stalled(tol["group_law"], part, full)
+        return np.max(gaps([x[: len(r)] for x in first_once], full))
 
     n2 = max(samples // 4, 10)
     rng = np.random.default_rng(seed + 5)
     group_pairs = pairs["direction"][:n2]
     t0 = time.perf_counter()
-    worst, stalled = composed(direction_kind, group_pairs, once["direction"][:3], 0.5, 0.5)
-    props["direction"].append(
-        _result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0, stalled=stalled)
-    )
+    worst = composed(direction_kind, group_pairs, once["direction"][:3], 0.5, 0.5)
+    props["direction"].append(_result("transforms.direction_abelian", worst, tol["group_law"], len(group_pairs), t0))
 
     t0 = time.perf_counter()
     rot = []
@@ -378,20 +362,13 @@ def transforms_suite(
     _, r0, v0, eps = _stack([(direction_kind, group_pairs)])
     rhs = closed(direction_kind, np.zeros(m), *(np.einsum("nij,nj->ni", rot, x) for x in (r0, v0, eps)))
     worst = np.max(gaps((t, np.einsum("nij,nj->ni", rot, r), np.einsum("nij,nj->ni", rot, v)), rhs))
-    props["direction"].append(
-        _result(
-            "transforms.direction_equivariance", worst, tol["group_law"], m, t0,
-            stalled=_stalled(tol["group_law"], rhs),
-        )
-    )
+    props["direction"].append(_result("transforms.direction_equivariance", worst, tol["group_law"], m, t0))
 
     t0 = time.perf_counter()
     group = (pairs["lrl_neg"] + pairs["lrl_pos"])[:n2]
     first_once = [np.concatenate(x) for x in zip(once["lrl_neg"][:3], once["lrl_pos"][:3])]
-    worst, stalled = composed(lrl_kind, group, first_once, 0.4, 0.6)
-    composition = _result(
-        "transforms.lrl_composition", worst, tol["group_law"], len(group), t0, stalled=stalled
-    )
+    worst = composed(lrl_kind, group, first_once, 0.4, 0.6)
+    composition = _result("transforms.lrl_composition", worst, tol["group_law"], len(group), t0)
     return [res for name, _, _, _ in sets for res in props[name]] + [composition]
 
 
@@ -449,15 +426,20 @@ def flows_suite(
     probes = np.concatenate([h * eps1, -h * eps1])
     r_2, v_2 = np.tile(r_n, (2, 1)), np.tile(v_n, (2, 1))
     t_pm = integrate_symmetry_flows(2 * probe_kinds, np.tile(t_n, 2), r_2, v_2, probes, kappa, 64)[0]
-    expected = -np.einsum("ni,ni->n", np.cross(r_n, np.cross(r_n, v_n)), eps1)
+    # the field's dt/ds apart from fields.gauge_field: tau = -(r.P)/(r.v), plus on an A row the
+    # constant (eps.A)|L|^2/|A|^2 with which it keeps the time of periapsis passage
+    theta_rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in probe_kinds])
+    p, vals = fields.characteristics(theta_rows, r_n, v_n, eps1, kappa)[0], fields.values(r_n, v_n, kappa)
+    kept = np.where(theta_rows, 0.0, fields._dot(eps1, vals["A"]) * vals["L_mag"] ** 2 / vals["A_mag"] ** 2)
+    expected = kept - fields._dot(r_n, p) / vals["r_dot_v"]
     worst = float(np.max(np.abs((t_pm[:m] - t_pm[m:]) / (2.0 * h) - expected)))
     note = "node states integrated in the gauge_r_drift pass"
     out.append(_result("flows.dt_ds_gauge_component", worst, tol["dt_ds"], 12, t0, note))
 
     t0 = time.perf_counter()
     n5 = max(samples // 10, 4)
-    worst = 0.0
-    count = 0
+    worst = gap = 0.0
+    count = mapped = 0
     cases = [
         (GeneratorKind.LRL_DIRECTION, "neg", seed + 41),
         (GeneratorKind.LRL_DIRECTION, "pos", seed + 42),
@@ -472,7 +454,10 @@ def flows_suite(
             report = verify_solution_mapping(ExtendedState(0.0, state), sys, eps, kind, span)
             worst = np.maximum(worst, report.max_residual)
             count += 1
-    out.append(_result("flows.solution_mapping", worst, tol["solution_mapping"], count, t0))
+            mapped += "solution" in report.residuals
+            gap = max(gap, report.residuals.get("solution", 0.0))
+    note = f"{mapped} of {count} pairs also map a second state of their solution, to {gap:.1e}"
+    out.append(_result("flows.solution_mapping", worst, tol["solution_mapping"], count, t0, note))
 
     t0 = time.perf_counter()
     factor, steps_used = _convergence_factor(sys)
@@ -517,20 +502,19 @@ def run_suites(
     seed: int,
     kappa: float = 1.0,
     rk_steps: int = RK_STEPS,
-    quad_panels: int = QUAD_PANELS,
+    quad_panels: int = 64,
     tolerances: dict | None = None,
 ) -> list[PropertyResult]:
     """The results of one suite, or of all three in order.
 
-    quad_panels takes only transforms.QUAD_PANELS, where the time-shift quadrature
-    always starts, and raises UsageError otherwise.  It stays only because the
-    benchmark's `perfbench/workloads.py` passes it; a change to the benchmark
-    should drop it.
+    quad_panels takes only 64 and raises UsageError otherwise: the time shift is a
+    closed form with no panels, and the keyword stays only because the benchmark's
+    `perfbench/workloads.py` passes it.  A change to the benchmark should drop it.
     """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
-    if quad_panels != QUAD_PANELS:
-        raise UsageError(f"quad_panels is fixed at {QUAD_PANELS}, got {quad_panels}")
+    if quad_panels != 64:
+        raise UsageError(f"quad_panels is fixed at 64, got {quad_panels}")
     results: list[PropertyResult] = []
     if suite in ("algebra", "all"):
         results += algebra_suite(samples, seed, kappa, tolerances)

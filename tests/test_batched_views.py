@@ -232,22 +232,24 @@ def test_mixed_flow_rhs_rows(seed):
 def reference_flow_rhs(kind, r, v, eps, kappa=1.0):
     """(dt/ds, dr/ds, dv/ds) of one row in vectors, apart from `fields`: P and
     DtP as the `fields.characteristics` docstring writes them, then the
-    completion dr = P + tau v, dv = DtP + tau a, dt = -(r x L).eps with
-    tau = -(r.P)/(r.v)."""
+    completion dr = P + tau v, dv = DtP + tau a with tau = -(r.P)/(r.v), and
+    dt = tau, plus (A.eps)|L|^2/|A|^2 on an LRL row."""
     r_mag = np.linalg.norm(r)
     l_vec = np.cross(r, v)
     acc = -kappa * r / r_mag**3
+    a_vec = np.cross(v, l_vec) - kappa * r / r_mag
+    a_mag = np.linalg.norm(a_vec)
     p = 2.0 * (r @ eps) * v - (v @ eps) * r - (r @ v) * eps
     dtp = (v @ eps) * v - kappa * (r @ eps) * r / r_mag**3 - (v @ v - kappa / r_mag) * eps
+    kept = (a_vec @ eps) * (l_vec @ l_vec) / a_mag**2
     if kind is GeneratorKind.LRL_DIRECTION:
         energy = 0.5 * (v @ v) - kappa / r_mag
-        a_vec = np.cross(v, l_vec) - kappa * r / r_mag
-        a_mag = np.linalg.norm(a_vec)
         scale = (a_vec @ eps) / a_mag**3
         p = p / a_mag + scale * (2.0 * energy * np.cross(r, l_vec) - (l_vec @ l_vec) * v)
         dtp = dtp / a_mag + scale * (2.0 * energy * np.cross(v, l_vec) - (l_vec @ l_vec) * acc)
+        kept = 0.0
     tau = -(r @ p) / (r @ v)
-    return -np.cross(r, l_vec) @ eps, p + tau * v, dtp + tau * acc
+    return tau + kept, p + tau * v, dtp + tau * acc
 
 
 @settings(max_examples=30, deadline=None)

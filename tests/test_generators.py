@@ -7,6 +7,7 @@ from keplersym import (
     DegenerateDirectionError,
     GeneratorClass,
     GeneratorId,
+    GeneratorKind,
     PhaseState,
     characteristic,
     classify_generator,
@@ -54,14 +55,18 @@ def test_prolonged_point_generators(ksys, circ):
 
 def test_gauge_delta_t_near_ell(ksys, ell):
     # At the exact ELL periapsis the axis-2 completion diverges (r.v = 0 with
-    # (r x L)_2 != 0), so probe delta_t = -(r x L)_2 just off the apsis.
+    # (r x L)_2 != 0), so probe delta_t = tau + A_2 |L|^2/|A|^2 just off the apsis,
+    # where tau = -(r x L)_2/(r.v) for the LRL vector.
     from keplersym import time_translate, ExtendedState
 
     off = time_translate(ExtendedState(0.0, ell), 1e-3, ksys).state
     val = gauge_fixed_generator(GeneratorId.lrl(2), off, ksys)
-    expected = -np.cross(off.r, np.cross(off.r, off.v))[1]
+    l_vec = np.cross(off.r, off.v)
+    a_vec = np.cross(off.v, l_vec) - off.r / off.r_mag
+    expected = -np.cross(off.r, l_vec)[1] / (off.r @ off.v) + a_vec[1] * (l_vec @ l_vec) / (a_vec @ a_vec)
     assert val.delta_t == pytest.approx(expected)
-    assert val.delta_t == pytest.approx(1.2, abs=5e-3)
+    # r.v grows from the periapsis as |r| d^2|r|/dt^2 = 0.44 times the time, and -(r x L)_2 = 1.2 there
+    assert val.delta_t == pytest.approx(1.2 / 0.44e-3, rel=5e-3)
 
 
 def test_gauge_apsis_transverse_axis_raises(ksys, ell):
@@ -94,6 +99,7 @@ def test_gauge_apsis_limit_joins_the_field_beside_it(ksys, ell, gen):
         off = gauge_fixed_generator(gen, time_translate(ExtendedState(0.0, ell), dt, ksys).state, ksys)
         assert_allclose(at.delta_r, off.delta_r, atol=1e-4)
         assert_allclose(at.delta_v, off.delta_v, atol=1e-4)
+        assert at.delta_t == pytest.approx(off.delta_t, abs=1e-4)
 
 
 def test_gauge_apsis_error_for_transverse_axis(ksys, ell):
@@ -112,8 +118,14 @@ def test_gauge_radius_condition_random(ksys):
             val = gauge_fixed_generator(gen, state, ksys)
             scale = state.r_mag * (np.linalg.norm(val.delta_r) + 1.0)
             assert abs(float(np.dot(ri, val.delta_r))) <= 1e-12 * scale
+            # tau + A_axis |L|^2/|A|^2 of the LRL vector, and 1/|A| times it for its direction
             l_vec = np.cross(ri, vi)
-            assert val.delta_t == pytest.approx(-np.cross(ri, l_vec)[gen.axis - 1])
+            a_vec = np.cross(vi, l_vec) - ri / state.r_mag
+            j = gen.axis - 1
+            expected = -np.cross(ri, l_vec)[j] / (ri @ vi) + a_vec[j] * (l_vec @ l_vec) / (a_vec @ a_vec)
+            if gen.kind is GeneratorKind.LRL_DIRECTION:
+                expected /= np.linalg.norm(a_vec)
+            assert val.delta_t == pytest.approx(expected)
 
 
 def test_noether_matches_analytic(ksys, ell):

@@ -24,11 +24,10 @@ from keplersym import (
     transform_constants_lrl,
     transforms,
 )
-from keplersym.flow import RK_STEPS, gaps, integrate_symmetry_flows
+from keplersym.flow import gaps, integrate_orbit, integrate_symmetry_flows
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import sample_flow_pairs, sample_parabolic_states, sample_states
-from keplersym.verify import _worst, transforms_suite
-from test_cli import from_one_panel
+from keplersym.verify import _worst
 
 
 def test_rotate_quarter_turn(ksys, ell_x):
@@ -155,8 +154,12 @@ def test_direction_transform_inadmissible(ksys, ell_x):
 
 def test_quadrature_examples(ksys, ell_x, circ):
     assert time_shift_quadrature(ell_x, ksys, (0, 0, 0), GeneratorKind.LRL_DIRECTION) == 0.0
+    # from the periapsis of ell, L -> L + eps x Theta = 1.19 z keeps |r| = 1 and E = -0.28; the
+    # new orbit is there outbound, the mean anomaly over the mean motion past its periapsis
     dt = time_shift_quadrature(ell_x, ksys, (0, 0.01, 0), GeneratorKind.LRL_DIRECTION)
-    assert dt == pytest.approx(0.012, abs=1e-3)
+    a, ecc = 1.0 / 0.56, math.sqrt(1.0 - 0.56 * 1.19**2)
+    anomaly = math.acos((1.0 - 1.0 / a) / ecc)
+    assert dt == pytest.approx((anomaly - ecc * math.sin(anomaly)) * a**1.5, rel=1e-12)
     with pytest.raises(DegenerateDirectionError):
         time_shift_quadrature(ExtendedState(0.0, circ), ksys, (0, 0.1, 0), GeneratorKind.LRL)
 
@@ -304,39 +307,53 @@ def test_lrl_map_check_catches_a_scaled_sinc(monkeypatch):
     assert lrl_map_error() > 1e-14
 
 
-def test_unconverged_quadrature_fails_its_property(monkeypatch):
-    # from one panel, six doublings leave time shifts off by up to about 1e-8;
-    # equivariance compares two transforms with the same quadrature error, so
-    # only the quadrature's own last difference can fail it
-    from_one_panel(monkeypatch)
-    results = {r.name: r for r in transforms_suite(20, 1, rk_steps=50)}
-    res = results["transforms.direction_equivariance"]
-    assert res.worst <= res.tol
-    assert not res.passed and "did not converge" in res.note
-    # the exact invariants do not read the time shift
-    assert results["transforms.direction_exact"].passed
+@pytest.mark.parametrize(
+    "kind, branch",
+    [(GeneratorKind.LRL_DIRECTION, "any"), (GeneratorKind.LRL, "neg"), (GeneratorKind.LRL, "pos"),
+     (GeneratorKind.LRL, "zero")],
+)
+def test_transforms_map_a_solution_onto_a_solution(ksys, kind, branch):
+    # x1 is x0 a time 0.1 later on its DP5 orbit.  A symmetry puts T(x1) on the solution
+    # through T(x0), reached by integrating over t(T(x1)) - t(T(x0)).  When t moved by the
+    # ray integral of -(r x L).eps, this missed by up to 2.
+    view = direction_lrl_transform if kind is GeneratorKind.LRL_DIRECTION else lrl_transform
+    checked, worst = 0, 0.0
+    for seed in (1, 2):
+        for state, eps in sample_flow_pairs(10, seed, kind, branch=branch):
+            x0 = ExtendedState(0.0, state)
+            x1 = integrate_orbit(x0, ksys, 0.1).samples[-1]
+            try:
+                image1 = view(x1, ksys, eps).out
+            except InadmissibleTransformError:  # the transformed orbit does not reach |r(x1)|
+                continue
+            image0 = view(x0, ksys, eps).out
+            end = integrate_orbit(image0, ksys, image1.t - image0.t).samples[-1]
+            worst = max(worst, np.max(np.abs(end.r - image1.r)), np.max(np.abs(end.v - image1.v)))
+            checked += 1
+    assert checked >= 15
+    assert worst <= 1e-9
 
 
-# (seed, row) of the pos-branch pair sets of transforms_suite whose time shift
-# needs 8192 panels
+# (seed, row) of the pos-branch pair sets of transforms_suite whose time shift, when it
+# was a Simpson quadrature, needed 8192 panels
 SLOW_POS_ROWS = ((237, 28), (262, 38), (311, 45), (315, 11), (332, 36), (485, 8))
 
 
 def test_slowly_converging_time_shifts_are_admissible():
-    # these rows and row 0 of the zero-branch set of seed 1736 stopped at 4096 panels
-    # with a last difference of 1.3e-10 to 1.25e-9, and were refused although their
-    # time shift was right
+    # these rows and row 0 of the zero-branch set of seed 1736 once stopped at 4096 panels
+    # and were refused although their time shift was right; the closed form has no panels
     lrl = GeneratorKind.LRL
     pairs = [sample_flow_pairs(2, 1736, lrl, "zero")[0]]
     pairs += [sample_flow_pairs(50, seed + 12, lrl, "pos")[row] for seed, row in SLOW_POS_ROWS]
     r, v, eps = (np.array(x) for x in zip(*((state.r, state.v, e) for state, e in pairs)))
     out = transform_batch(lrl, np.zeros(len(r)), r, v, eps, 1.0)
     assert out.admissible.all()
-    assert (out.diagnostics["quadrature_panels"] == 8192).all()
-    assert (out.diagnostics["quadrature_difference"] <= transforms.QUADRATURE_TOL).all()
-    # RK4 integrates the same dt/ds; at 2000 steps its own t error on these rows is up to 3.8e-9
-    t_flow = integrate_symmetry_flows(lrl, 0.0, r, v, eps, 1.0, RK_STEPS)[0]
-    assert np.max(np.abs(out.delta_t - t_flow)) <= 1e-9
+    assert set(out.diagnostics) == {"r_invariance", "E_invariance", "reconstruction_residual"}
+    # RK4 integrates dt/ds and shares no formula with the time since periapsis.  Its own t
+    # error on these rows is up to 4e-8 at 10^4 steps and falls 16-fold a halving, so its
+    # Richardson extrapolation from 10^4 and 2 10^4 steps is the reference.
+    coarse, fine = (integrate_symmetry_flows(lrl, 0.0, r, v, eps, 1.0, n)[0] for n in (10_000, 20_000))
+    assert np.max(np.abs(out.delta_t - (fine + (fine - coarse) / 15.0))) <= 1e-9
 
 
 @pytest.mark.parametrize("at", range(3))
