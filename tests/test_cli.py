@@ -311,7 +311,7 @@ def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
 def test_orbit_past_the_step_cap_exit3(capsys, monkeypatch):
     # a near-radial orbit, periapsis 5.5e-7, at tol 1e-6: DP5 loses its energy at the first
     # periapsis and creeps round a tight orbit near |r| = 1e-3, and ran on for 10^6 steps and
-    # more.  At the real cap it ends in about 20 s; a smaller one shows the same end sooner.
+    # more.  At the real cap it ends after about 23 s; a smaller cap shows the same end sooner.
     monkeypatch.setattr(flow, "MAX_ORBIT_STEPS", 20_000)
     with deadline(10):
         code, out, err = run_cli(

@@ -315,7 +315,7 @@ def test_lrl_map_check_catches_a_scaled_sinc(monkeypatch):
 def test_transforms_map_a_solution_onto_a_solution(ksys, kind, branch):
     # x1 is x0 a time 0.1 later on its DP5 orbit.  A symmetry puts T(x1) on the solution
     # through T(x0), reached by integrating over t(T(x1)) - t(T(x0)).  When t moved by the
-    # ray integral of -(r x L).eps, this missed by up to 2.
+    # ray integral of -(r x L).eps, these rows missed by up to 0.77.
     view = direction_lrl_transform if kind is GeneratorKind.LRL_DIRECTION else lrl_transform
     checked, worst = 0, 0.0
     for seed in (1, 2):
