@@ -64,6 +64,7 @@ ORBIT_TOL = 1e-10
 RK_STEPS = 10_000
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
+SOLUTION_STEP = 0.1  # how far along its orbit verify_solution_mapping takes a second state
 # Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
 MAX_ORBIT_SAMPLES = 1_000_000
 # Most DP5 steps, accepted and rejected, over one span.  Without dt_out every accepted step is
@@ -154,8 +155,7 @@ class FlowReport:
 
 @dataclass(frozen=True)
 class SolutionMappingReport:
-    """Conserved-set deviations of the orbit re-integrated from a transformed state and,
-    under "solution", how far the transform of a second state of the solution lies off it."""
+    """Conserved-set deviations of the orbit re-integrated from a transformed state, and the "solution" gap."""
 
     residuals: dict
     max_residual: float
@@ -385,12 +385,9 @@ def _universal_anomaly(tau: float, r0: float, sigma0: float, alpha: float, bound
 
 def _elements(r, v, kappa: float) -> tuple:
     """(|r|, sqrt(kappa), sigma = r.v/sqrt(kappa), alpha = 2/|r| - |v|^2/kappa, the semi-latus
-    rectum p = |L|^2/kappa, e) of the orbit through the three floats r and v; CollisionError
-    for |r| below COLLISION_FLOOR."""
+    rectum p = |L|^2/kappa, e) of the orbit through the three floats r and v."""
     (x0, x1, x2), (u0, u1, u2) = r, v
     r0 = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if r0 < COLLISION_FLOOR:
-        raise CollisionError(f"|r| = {r0:.3e} is below the collision floor")
     root_mu = math.sqrt(kappa)
     alpha = 2.0 / r0 - (u0 * u0 + u1 * u1 + u2 * u2) / kappa
     l0, l1, l2 = x1 * u2 - x2 * u1, x2 * u0 - x0 * u2, x0 * u1 - x1 * u0
@@ -413,11 +410,11 @@ def _since_periapsis(r0: float, root_mu: float, sigma0: float, alpha: float, p: 
     return (p / (1.0 + ecc) + ecc * chi_sq * _stumpff_c2_c3(alpha * chi_sq)[1]) * chi / root_mu
 
 
-def time_since_periapsis(r: np.ndarray, v: np.ndarray, kappa: float) -> np.ndarray:
-    """The time since periapsis of each row of the (N, 3) r and v, within half a period on an
-    ellipse.  The time of periapsis passage t - tau_p is constant along a solution, and
-    every LRL and LRL-direction flow keeps it (`fields.gauge_field`)."""
-    return np.array([_since_periapsis(*_elements(ri, vi, kappa)) for ri, vi in zip(r.tolist(), v.tolist())])
+def time_since_periapsis(r: np.ndarray, v: np.ndarray, sigma: np.ndarray, kappa: float) -> np.ndarray:
+    """The time since periapsis tau_p of the rows r and v (N, 3), within half a period on an ellipse, of the
+    given sign sigma (N,) of r.v, roundoff at an apoapsis.  Every LRL and LRL-direction flow keeps t - tau_p."""
+    rows = zip(r.tolist(), v.tolist(), sigma.tolist())
+    return np.array([math.copysign(_since_periapsis(*_elements(ri, vi, kappa)), s) for ri, vi, s in rows])
 
 
 def _passes_periapsis(dt: float, period: float, elements: tuple) -> bool:
@@ -449,6 +446,8 @@ def propagate_kepler(r, v, dt: float, kappa: float) -> tuple[list, list]:
     if not math.isfinite(dt):
         raise UsageError(f"the time span must be finite, got {dt}")
     elements = r0, root_mu, sigma0, alpha, p, ecc = _elements(r, v, kappa)
+    if r0 < COLLISION_FLOOR:
+        raise CollisionError(f"|r| = {r0:.3e} is below the collision floor")
     period = 2.0 * math.pi / (root_mu * alpha * math.sqrt(alpha)) if alpha > 0.0 else math.inf
     # the periapsis radius p / (1 + e)
     if p / (1.0 + ecc) < COLLISION_FLOOR and _passes_periapsis(dt, period, elements):
@@ -621,12 +620,11 @@ def verify_solution_mapping(
     eps: Vec3,
     gen,
     t_span: float,
-    step: float = 0.1,
 ) -> SolutionMappingReport:
     """Re-integrate the orbit from a transformed state T(x0) and hold it to its
-    predicted conserved set.  Then, with x1 the state step after x0 on its DP5 orbit
-    (or step before, where T(x1) is not admissible), hold T(x1) to T(x0) integrated
-    by t(T(x1)) - t(T(x0)): the residual "solution", absent if neither is admissible.
+    predicted conserved set.  Then, with x1 the state SOLUTION_STEP after x0 on its
+    DP5 orbit, hold T(x1) to T(x0) integrated by t(T(x1)) - t(T(x0)): the residual
+    "solution", absent where T(x1) is not admissible.
     """
     eps = as_vec3(eps, "eps")
     if norm(eps) == 0.0:
@@ -635,12 +633,11 @@ def verify_solution_mapping(
     kind = _normalize_kind(gen)
     image = _transform_one(kind, state, sys, eps)
     residuals = integrate_orbit(image.out, sys, t_span).deviations(image.constants_out)
-    for delta in (step, -step):
-        try:
-            later = _transform_one(kind, integrate_orbit(state, sys, delta).samples[-1], sys, eps).out
-        except InadmissibleTransformError:
-            continue
+    try:
+        later = _transform_one(kind, integrate_orbit(state, sys, SOLUTION_STEP).samples[-1], sys, eps).out
+    except InadmissibleTransformError:  # T(x1) may not reach |r(x1)|
+        pass
+    else:
         end = integrate_orbit(image.out, sys, later.t - image.out.t).samples[-1]
         residuals["solution"] = gaps((0.0, end.r, end.v), (0.0, later.r, later.v))[1]
-        break
     return SolutionMappingReport(residuals, float(np.max(list(residuals.values()))))

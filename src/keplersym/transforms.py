@@ -233,7 +233,7 @@ def transform_batch(
     admissible = np.maximum(diagnostics["r_invariance"], diagnostics["reconstruction_residual"]) <= DIAGNOSTIC_TOL
     moved = (_dot(eps, eps) > 0.0)[:, None]
     r_new, v_new = np.where(moved, r_new, r), np.where(moved, v_new, v)
-    delta_t = time_since_periapsis(r_new, v_new, kappa) - time_since_periapsis(r, v, kappa)
+    delta_t = time_since_periapsis(r_new, v_new, sigma, kappa) - time_since_periapsis(r, v, sigma, kappa)
     return TransformBatch(
         t + delta_t, r_new, v_new, l_star, a_star, delta_t, diagnostics, admissible, e, parabolic
     )

@@ -426,12 +426,16 @@ def flows_suite(
     probes = np.concatenate([h * eps1, -h * eps1])
     r_2, v_2 = np.tile(r_n, (2, 1)), np.tile(v_n, (2, 1))
     t_pm = integrate_symmetry_flows(2 * probe_kinds, np.tile(t_n, 2), r_2, v_2, probes, kappa, 64)[0]
-    # the field's dt/ds apart from fields.gauge_field: tau = -(r.P)/(r.v), plus on an A row the
-    # constant (eps.A)|L|^2/|A|^2 with which it keeps the time of periapsis passage
-    theta_rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in probe_kinds])
-    p, vals = fields.characteristics(theta_rows, r_n, v_n, eps1, kappa)[0], fields.values(r_n, v_n, kappa)
-    kept = np.where(theta_rows, 0.0, fields._dot(eps1, vals["A"]) * vals["L_mag"] ** 2 / vals["A_mag"] ** 2)
-    expected = kept - fields._dot(r_n, p) / vals["r_dot_v"]
+    # the field's dt/ds apart from fields.gauge_field: tau = -(r.P)/(r.v) with P in vectors, 2(r.eps)v -
+    # (v.eps)r - (r.v)eps taken at the projected axis on a Theta row, plus on an A row the constant
+    # (A.eps)|L|^2/|A|^2 with which it keeps the time of periapsis passage
+    vals, dot = fields.values(r_n, v_n, kappa), fields._dot
+    theta_rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in probe_kinds])[:, None]
+    a_mag, a_eps, l_sq = (x[:, None] for x in (vals["A_mag"], dot(vals["A"], eps1), vals["L_mag"] ** 2))
+    p = 2.0 * dot(r_n, eps1)[:, None] * v_n - dot(v_n, eps1)[:, None] * r_n - vals["r_dot_v"][:, None] * eps1
+    p_theta = p + a_eps / a_mag**2 * (2.0 * vals["E"][:, None] * np.cross(r_n, vals["L"]) - l_sq * v_n)
+    p, kept = np.where(theta_rows, p_theta / a_mag, p), np.where(theta_rows, 0.0, a_eps * l_sq / a_mag**2)
+    expected = kept[:, 0] - dot(r_n, p) / vals["r_dot_v"]
     worst = float(np.max(np.abs((t_pm[:m] - t_pm[m:]) / (2.0 * h) - expected)))
     note = "node states integrated in the gauge_r_drift pass"
     out.append(_result("flows.dt_ds_gauge_component", worst, tol["dt_ds"], 12, t0, note))

@@ -120,6 +120,7 @@ def test_solution_mapping(ksys):
         ExtendedState(0.0, state), ksys, eps, GeneratorKind.LRL_DIRECTION, c.period
     )
     assert report.max_residual <= 1e-8
+    assert "solution" in report.residuals
 
 
 def test_solution_mapping_identity_and_inadmissible(ksys, ell_x):
@@ -127,6 +128,15 @@ def test_solution_mapping_identity_and_inadmissible(ksys, ell_x):
     assert report.max_residual <= 1e-9  # integrator drift only
     with pytest.raises(InadmissibleTransformError):
         verify_solution_mapping(ell_x, ksys, (0, 0, 0.2), GeneratorKind.LRL_DIRECTION, 5.0)
+
+
+def test_time_since_periapsis_takes_its_side_from_sigma():
+    # at an apoapsis r.v is roundoff; the given sign, not r.v's, picks +P/2 or -P/2 (a = 1, P = 2 pi)
+    r_a, v_a = 1.5, math.sqrt(2.0 / 1.5 - 1.0)
+    r = np.tile([-r_a, 0.0, 0.0], (4, 1))
+    v = np.array([[u, -v_a, 0.0] for u in (1e-17, -1e-17, 1e-17, -1e-17)])
+    got = flow.time_since_periapsis(r, v, np.array([1.0, 1.0, -1.0, -1.0]), 1.0)
+    assert_allclose(got, [math.pi, math.pi, -math.pi, -math.pi], rtol=1e-12)
 
 
 def test_trajectory_csv(ksys, ell_x):

@@ -152,6 +152,26 @@ def test_direction_transform_inadmissible(ksys, ell_x):
     assert err.value.root_argument == pytest.approx(1.44 - 1.48, abs=1e-12)
 
 
+def test_transforms_below_the_collision_floor(ksys):
+    # |r| = 1e-10 is above the origin floor and below the DP5 collision floor; a transform
+    # integrates nothing, so its time shift must not refuse the state
+    x = ExtendedState(0.0, PhaseState((1e-10, 0, 0), (1.2e5, 6e4, 0)))
+    eps = np.array([1e-5, 0.0, 0.0])
+    cases = (  # with the (r, v) of their closed forms, which the time shift leaves as they were
+        (GeneratorKind.LRL, lrl_transform, (4.6851894997391796e-11, 8.834534472825026e-11),
+         (76151.39006874606, 110457.98201396623)),
+        (GeneratorKind.LRL_DIRECTION, direction_lrl_transform, (5.0410363836764404e-11, 8.636431680876678e-11),
+         (79954.03713127329, 107737.42129089117)),
+    )
+    for kind, view, r_want, v_want in cases:
+        out = view(x, ksys, eps)
+        assert_allclose(out.out.r, [*r_want, 0.0], rtol=1e-13, atol=0.0)
+        assert_allclose(out.out.v, [*v_want, 0.0], rtol=1e-13, atol=0.0)
+        rk4_t = integrate_symmetry_flows(kind, 0.0, x.r[None], x.v[None], eps[None], 1.0, 4000)[0][0]
+        assert out.delta_t == pytest.approx(rk4_t, rel=1e-9)
+    assert out.admissible  # the direction row; the LRL row's E misfit, roundoff of |E| = 1e9, is not
+
+
 def test_quadrature_examples(ksys, ell_x, circ):
     assert time_shift_quadrature(ell_x, ksys, (0, 0, 0), GeneratorKind.LRL_DIRECTION) == 0.0
     # from the periapsis of ell, L -> L + eps x Theta = 1.19 z keeps |r| = 1 and E = -0.28; the
