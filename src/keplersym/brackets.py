@@ -12,18 +12,19 @@ finite differences.  The closed algebra being verified:
 
 plus the mixed A/Theta rows, which follow from the Leibniz rule.
 
-The brackets of all thirteen labels at N states are one contraction,
+The brackets of all thirteen labels at N states are one table,
 `fields.bracket_table`: with B0 = X - X^T the 8x8 brackets among the base
-gradients {E, L_i, A_i, |L|^2} (X = G_r G_v^T, one batched product) and C the
-chain-rule coefficients of each label in that base, the table is C B0 C^T.
-The expected values are one table of the same layout,
-`fields.expected_table`, and every check reads these two tables.
+gradients {E, L_i, A_i, |L|^2} (X[p, q] = G_r[p] . G_v[q], one batched
+matmul) and C the chain-rule coefficients of each label in that
+base, the table is C B0 C^T, expanded by slices: Theta_j = a A_j + c_j |L|^2
+and M_j = alpha A_j.  The expected values are one table of the same layout,
+`fields.expected_table`, and every check reads these two tables.  Both are
+(label, label, N) arrays underneath, and read here as their (N, L, L) views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,17 +46,6 @@ from .generators import FAMILY_LABEL, GeneratorId
 # states); their structure constants are still covered at such states through
 # the A rows.
 FD_M_FLOOR = 5e-2
-
-
-def constant_function(label: str, sys: KeplerSystem) -> Callable[[PhaseState], float]:
-    """The library constant as a plain scalar function of PhaseState."""
-
-    def f(state: PhaseState) -> float:
-        vals = fields.scalar_values(state.r[None, :], state.v[None, :], sys.kappa)
-        return float(vals[label][0])
-
-    f.__name__ = f"constant_{label}"
-    return f
 
 
 def _gradient_pair(f, state: PhaseState, sys: KeplerSystem) -> tuple[Vec3, Vec3]:

@@ -318,6 +318,11 @@ def classify_orbit(c: ConservedSet) -> OrbitClass:
     return _classify(c.E, norm(c.L), c.A_mag, c.kappa, rv_scale=scale, parabolic=parabolic)
 
 
+def fd_steps(x: np.ndarray) -> np.ndarray:
+    """The central-difference step FD_SCALE * max(1, |x_i|) of each component of x."""
+    return FD_SCALE * np.maximum(1.0, np.abs(x))
+
+
 def central_differences(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference derivatives of f along the three components of x.
 
@@ -328,7 +333,7 @@ def central_differences(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     leading shape (3, ...), is df/dx_i.
     """
     x = np.asarray(x, dtype=float)
-    h = FD_SCALE * np.maximum(1.0, np.abs(x))
+    h = fd_steps(x)
     steps = np.eye(3).reshape((3,) + (1,) * (x.ndim - 1) + (3,)) * h
     vals = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=float)
     h_i = np.moveaxis(h, -1, 0)

@@ -6,11 +6,12 @@ scalar APIs elsewhere are N=1 views of them:
 
     values / scalar_values   conserved quantities (core.conserved_set stays scalar);
                              scalar_values forms only the labels of the tables
-    gradients                analytic phase-space gradients, from the (N, 8, 3)
-                             base tensors of {E, L_i, A_i, |L|^2}
+    gradients                analytic phase-space gradients, from the base fields
+                             {E, L_i, A_i, |L|^2}
     fd_gradients             their finite-difference twin (step rule in core)
-    bracket_table            every Poisson bracket of a gradient table, as the one
-                             contraction C B0 C^T (bracket: one entry of it)
+    bracket_table            every Poisson bracket of a gradient table: C B0 C^T,
+                             expanded by slices (bracket: one entry of it;
+                             upper_brackets: the FD table's upper triangle alone)
     expected_table           the closed-form structure constants, same layout
                              (expected_bracket: one entry of it)
     characteristics          P = dC/dv and DtP of each generator family, also mixed
@@ -32,7 +33,9 @@ The scalar fields are labelled
 in the row order of both tables (`table_labels`), and each label maps to a
 (grad_r, grad_v) pair.  These gradients are the analytic side of every
 bracket computation; the finite-difference twins live in `fd_gradients` and
-exist purely as an independent cross-check.
+exist purely as an independent cross-check.  Gradient stacks are
+(label, component, N) and tables (label, label, N), so that every step runs
+over the N states contiguously; callers get their (N, ...) transposed views.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from .core import (
     CIRCULAR_TOL,
     _require_off_origin,
-    central_differences,
+    fd_steps,
     energy_branch_threshold,
     is_circular,
     is_radial,
@@ -60,8 +63,6 @@ FD_BATCH = 2048
 
 SCALAR_LABELS = ("E", "L1", "L2", "L3", "A1", "A2", "A3", "Theta1", "Theta2", "Theta3")
 M_LABELS = ("M1", "M2", "M3")
-# The rows of the base gradient tensors that `bracket_table` contracts.
-BASE_LABELS = ("E", "L1", "L2", "L3", "A1", "A2", "A3", "_LSQ")
 # The L, A, Theta and M blocks of a bracket table.
 _L, _A, _THETA, _M = slice(1, 4), slice(4, 7), slice(7, 10), slice(10, 13)
 
@@ -82,30 +83,40 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise a x b of (N, 3) arrays, into out when given: the products and differences
     of np.cross, bit for bit, at a third of its time per call on a few rows or on 10^5."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
     out = np.empty_like(a) if out is None else out
-    out[:, 0] = a1 * b2 - a2 * b1
-    out[:, 1] = a2 * b0 - a0 * b2
-    out[:, 2] = a0 * b1 - a1 * b0
+    _cross_components(a.T, b.T, out.T)
     return out
 
 
+def _cross_components(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """a x b of component-major (3, ...) stacks, written into out."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    out[0] = a1 * b2 - a2 * b1
+    out[1] = a2 * b0 - a0 * b2
+    out[2] = a0 * b1 - a1 * b0
+
+
 def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple[np.ndarray, ...]:
-    """Write E, L, A, Theta and, unless m_vec is None, M of the rows (r, v) into the given
-    (N,) and (N, 3) arrays, which may be columns of one table; returns |r|, r.v and |A|."""
-    r_mag = np.linalg.norm(r, axis=1)
-    v_sq = _dot(v, v)
-    r_dot_v = _dot(r, v)
-    np.subtract(0.5 * v_sq, kappa / r_mag, out=e)
-    cross(r, v, out=l_vec)
-    np.subtract((v_sq - kappa / r_mag)[:, None] * r, r_dot_v[:, None] * v, out=a_vec)
-    a_mag = np.linalg.norm(a_vec, axis=1)
+    """Write E, L, A, Theta and, unless m_vec is None, M of the component-major (3, ...)
+    stacks r and v, which broadcast, into the given (...) and (3, ...) arrays; returns |r|,
+    r.v and |A|.  A dot sums as (x0 y0 + x2 y2) + x1 y1 and a norm as (x0^2 + x1^2) + x2^2,
+    as np.einsum("ni,ni->n") and np.linalg.norm(axis=1) do on C-ordered (N, 3) rows."""
+    (r0, r1, r2), (v0, v1, v2) = r, v
+    r_mag = np.sqrt((r0 * r0 + r1 * r1) + r2 * r2)
+    v_sq = (v0 * v0 + v2 * v2) + v1 * v1
+    r_dot_v = (r0 * v0 + r2 * v2) + r1 * v1
+    k_r = kappa / r_mag
+    np.subtract(0.5 * v_sq, k_r, out=e)
+    _cross_components(r, v, l_vec)
+    np.subtract((v_sq - k_r) * r, r_dot_v * v, out=a_vec)
+    a0, a1, a2 = a_vec
+    a_mag = np.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
     # Theta and M rows are simply unused by callers at circular or exactly
     # parabolic states; keep the division quiet there.
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(a_vec, a_mag[:, None], out=theta)
+        np.divide(a_vec, a_mag, out=theta)
         if m_vec is not None:
-            np.divide(a_vec, np.sqrt(2.0 * np.abs(e))[:, None], out=m_vec)
+            np.divide(a_vec, np.sqrt(2.0 * np.abs(e)), out=m_vec)
     return r_mag, r_dot_v, a_mag
 
 
@@ -114,26 +125,10 @@ def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     e, l_vec, a_vec, theta, m_vec = np.empty(len(r)), *(np.empty((len(r), 3)) for _ in range(4))
-    r_mag, r_dot_v, a_mag = _write_labels(r, v, kappa, e, l_vec, a_vec, theta, m_vec)
-    return {
-        "r_mag": r_mag,
-        "r_dot_v": r_dot_v,
-        "E": e,
-        "L": l_vec,
-        "L_mag": np.linalg.norm(l_vec, axis=1),
-        "A": a_vec,
-        "A_mag": a_mag,
-        "Theta": theta,
-        "M": m_vec,
-    }
-
-
-def _label_table(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> np.ndarray:
-    """The (N, L) values of the rows (r, v) under `table_labels`, and nothing else."""
-    table = np.empty((len(r), len(table_labels(include_m))))
-    m_vec = table[:, _M] if include_m else None
-    _write_labels(r, v, kappa, table[:, 0], table[:, _L], table[:, _A], table[:, _THETA], m_vec)
-    return table
+    r_mag, r_dot_v, a_mag = _write_labels(r.T, v.T, kappa, e, l_vec.T, a_vec.T, theta.T, m_vec.T)
+    l_mag = np.linalg.norm(l_vec, axis=1)
+    return {"r_mag": r_mag, "r_dot_v": r_dot_v, "E": e, "L": l_vec, "L_mag": l_mag, "A": a_vec, "A_mag": a_mag,
+            "Theta": theta, "M": m_vec}
 
 
 def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: str) -> np.ndarray:
@@ -152,11 +147,13 @@ def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: s
 def scalar_values(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, np.ndarray]:
-    """Each label of `table_labels` as an (N,) column of one `_label_table`."""
+    """Each label of `table_labels` as an (N,) row of one (L, N) label table."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    table = _label_table(r, v, kappa, include_m)
-    return {lab: table[:, j] for j, lab in enumerate(table_labels(include_m))}
+    labels = table_labels(include_m)
+    table = np.empty((len(labels), len(r)))
+    _write_labels(r.T, v.T, kappa, table[0], table[_L], table[_A], table[_THETA], table[_M] if include_m else None)
+    return dict(zip(labels, table))
 
 
 def gradients(
@@ -165,17 +162,16 @@ def gradients(
     """Analytic (grad_r, grad_v) for every scalar field, each of shape (N, 3).
 
     The gradients of the eight base fields {E, L_i, A_i, |L|^2} are written
-    out once, and kept as (N, 8, 3) tensors under the private key "_base";
-    the derived fields follow from them by the chain rule
+    out once; the derived fields follow from them by the chain rule
 
         grad Theta_j = a grad A_j + b_j grad E + c_j grad |L|^2
         grad M_j     = alpha grad A_j + beta_j grad E
 
     (Theta = A/|A| with |A|^2 = kappa^2 + 2E|L|^2, M = A/sqrt(2|E|)), whose
     grad-E-free coefficients (a, c, alpha) are kept under "_coef" for
-    `bracket_table`.  Each label, and "_LSQ" for |L|^2, maps to a view of
-    these tensors.  They are stored as (field, component, N), so that every
-    elementwise step runs over the N states in one contiguous stretch.
+    `bracket_table`.  All of them are kept as (field, component, N) stacks in
+    the order E, L, A, |L|^2, Theta, M, under "_base" as their (N, field, 3)
+    views; each label, and "_LSQ" for |L|^2, maps to views of them.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -218,9 +214,9 @@ def gradients(
         if include_m:
             g[11:] = alpha * g[4:7] + m_beta[:, None] * g[0]
 
-    names = BASE_LABELS + SCALAR_LABELS[7:] + (M_LABELS if include_m else ())
+    names = SCALAR_LABELS[:7] + ("_LSQ",) + SCALAR_LABELS[7:] + (M_LABELS if include_m else ())
     out: dict = {name: (g_r[k].T, g_v[k].T) for k, name in enumerate(names)}
-    out["_base"] = (g_r[:8].transpose(2, 0, 1), g_v[:8].transpose(2, 0, 1))
+    out["_base"] = (g_r.transpose(2, 0, 1), g_v.transpose(2, 0, 1))
     out["_coef"] = (theta_a, theta_c.T, alpha)
     return out
 
@@ -228,33 +224,31 @@ def gradients(
 def fd_gradients(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Central-difference twin of `gradients`, built on `core.central_differences`.
+    """Central-difference twin of `gradients`, by the steps of `core.central_differences`.
 
-    Its perturbed tables hold only the labels (`_label_table`), and one batch of
-    `FD_BATCH` states is perturbed at a time.  The gradients of every label are
-    stacked as (N, L, 3) tensors under "_base"; each label maps to a view of them.
+    One batch of `FD_BATCH` states is perturbed at a time: the copies x + h_i e_i, then
+    x - h_i e_i, of r (or v) are a (3, 6, n) stack, whose labels alone `_write_labels`
+    writes into an (L, 6, n) table, and the difference of its halves over 2 h_i is the
+    (L, 3, n) gradient.  The (L, 3, N) stacks are under "_base" as (N, L, 3) views.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     labels = table_labels(include_m)
-    g_r = np.empty((r.shape[0], len(labels), 3))
+    g_r = np.empty((len(labels), 3, len(r)))
     g_v = np.empty_like(g_r)
-
-    def table(r_: np.ndarray, v_: np.ndarray) -> np.ndarray:
-        return _label_table(r_.reshape(-1, 3), v_.reshape(-1, 3), kappa, include_m).reshape(r_.shape[:-1] + (-1,))
-
-    for lo in range(0, r.shape[0], FD_BATCH):
-        rb, vb = r[lo : lo + FD_BATCH], v[lo : lo + FD_BATCH]
-        # each set of differences is stored before the next is formed, so that one
-        # perturbed table of the batch is held at a time
-        g_r[lo : lo + FD_BATCH] = central_differences(
-            lambda rs: table(rs, np.broadcast_to(vb, rs.shape)), rb
-        ).transpose(1, 2, 0)
-        g_v[lo : lo + FD_BATCH] = central_differences(
-            lambda vs: table(np.broadcast_to(rb, vs.shape), vs), vb
-        ).transpose(1, 2, 0)
-    grads: dict = {lab: (g_r[:, j], g_v[:, j]) for j, lab in enumerate(labels)}
-    grads["_base"] = (g_r, g_v)
+    for lo in range(0, len(r), FD_BATCH):
+        rb, vb = r[lo : lo + FD_BATCH].T, v[lo : lo + FD_BATCH].T
+        for g, x, kept in ((g_r, rb, vb), (g_v, vb, rb)):
+            h = fd_steps(x)
+            steps = np.eye(3)[:, :, None] * h[:, None]
+            moved = np.concatenate([x[:, None] + steps, x[:, None] - steps], axis=1)
+            table = np.empty((len(labels),) + moved.shape[1:])
+            r_v = (moved, kept[:, None]) if g is g_r else (kept[:, None], moved)
+            _write_labels(*r_v, kappa, table[0], table[_L], table[_A], table[_THETA], table[_M] if include_m else None)
+            diff = np.subtract(table[:, :3], table[:, 3:], out=g[:, :, lo : lo + FD_BATCH])
+            diff /= 2.0 * h
+    grads: dict = {lab: (g_r[j].T, g_v[j].T) for j, lab in enumerate(labels)}
+    grads["_base"] = (g_r.transpose(2, 0, 1), g_v.transpose(2, 0, 1))
     return grads
 
 
@@ -435,46 +429,58 @@ def reconstruct(
     return (alpha_r * theta_star + beta_r * lxt) / a_mag, (alpha_v * theta_star + beta_v * lxt) / a_mag
 
 
-def _raw_bracket(
-    grads: dict[str, tuple[np.ndarray, np.ndarray]], left: str, right: str
-) -> np.ndarray:
-    fr, fv = grads[left]
-    gr_, gv_ = grads[right]
-    return _dot(fr, gv_) - _dot(gr_, fv)
+def _products(grads: dict[str, tuple[np.ndarray, np.ndarray]], rows: int | None = None) -> np.ndarray:
+    """X[p, q] = G_r[p] . G_v[q] over the first `rows` of the stacks under "_base", as a
+    (K, K, N) array written by one batched matmul: the sums of the (N, K, K) tables, which an
+    einsum rounds otherwise, and the M rows amplify any change by 1/(2|E|)."""
+    g_r, g_v = (g[:, :rows] for g in grads["_base"])
+    return np.ascontiguousarray((g_r @ g_v.transpose(0, 2, 1)).transpose(1, 2, 0))
 
 
 def bracket_table(grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """(N, L, L) brackets {label_p, label_q} over `table_labels`, as one contraction.
+    """(N, L, L) brackets {label_p, label_q} over `table_labels`: the view of an (L, L, N) table.
 
-    With X = G_r G_v^T over the stacked gradients "_base" of the table,
-    B0 = X - X^T holds the brackets among its base fields, and the table is
-    C B0 C^T.  For a table from `gradients` the base is {E, L_i, A_i, |L|^2}
-    and C expands each label in it: M_j -> alpha A_j, Theta_j -> a A_j +
-    c_j |L|^2.  The grad E pieces of M and Theta are omitted: their bracket
-    with every base field is identically zero as an algebraic consequence of
-    the closed-form gradients, so keeping them only injects |E|^-2-amplified
-    roundoff.  For a table from `fd_gradients` the base is the labels
-    themselves and C is the identity: every entry is a raw bracket.
+    B0 = X - X^T (`_products`) holds the brackets among the base rows.  For a table from
+    `gradients` the base is {E, L_i, A_i, |L|^2}, and the table is C B0 C^T, expanded by
+    slices: the rows and then the columns of Theta_j are a A_j + c_j |L|^2, those of M_j
+    alpha A_j.  Their grad E pieces are omitted: their bracket with every base field is
+    identically zero, so keeping them only injects |E|^-2-amplified roundoff.  For a table
+    from `fd_gradients` the base is every label and the table is B0.
     """
-    g_r, g_v = grads["_base"]
-    x = g_r @ g_v.transpose(0, 2, 1)
-    table = x - x.transpose(0, 2, 1)
-    if "_coef" not in grads:
-        return table
-    a, c, alpha = grads["_coef"]
-    coef = np.zeros((len(a), 10 if alpha is None else 13, 8))
-    coef[:, :7, :7] = np.eye(7)
-    j = np.arange(3)
-    coef[:, 7 + j, 4 + j] = a[:, None]
-    coef[:, _THETA, 7] = c
+    coef = grads.get("_coef")
+    x = _products(grads, None if coef is None else 8)
+    b0 = x - x.transpose(1, 0, 2)
+    if coef is None:
+        return b0.transpose(2, 0, 1)
+    a, c, alpha = coef[0], coef[1].T, coef[2]
+    n = 10 if alpha is None else 13
+    table = np.empty((n, n, len(a)))
+
+    def expand_columns(rows: np.ndarray, out: np.ndarray) -> None:
+        out[:, :7] = rows[:, :7]
+        np.add(a * rows[:, _A], rows[:, 7:] * c, out=out[:, _THETA])
+        if alpha is not None:
+            np.multiply(alpha, rows[:, _A], out=out[:, _M])
+
+    expand_columns(b0[:7], table[:7])
+    expand_columns(a * b0[_A] + c[:, None] * b0[7], table[_THETA])
     if alpha is not None:
-        coef[:, 10 + j, 4 + j] = alpha[:, None]
-    return coef @ table @ coef.transpose(0, 2, 1)
+        expand_columns(alpha * b0[_A], table[_M])
+    return table.transpose(2, 0, 1)
+
+
+def upper_brackets(grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The entries above the diagonal of the `bracket_table` of `fd_gradients`, bit for bit,
+    as (L(L-1)/2, N) rows in the order of np.triu_indices, without forming the table."""
+    x = _products(grads)
+    p, q = np.triu_indices(len(x), 1)
+    return x[p, q] - x[q, p]
 
 
 def expected_table(vals: dict[str, np.ndarray], include_m: bool = True) -> np.ndarray:
     """(N, L, L) closed-form brackets over `table_labels` from the state's
-    constants as given by `values`: the algebra being verified,
+    constants as given by `values`, the view of an (L, L, N) table: the algebra
+    being verified,
 
         {E, anything} = 0                   {Theta_i, Theta_j} = 0
         {L_i, X_j} = eps_ijk X_k            for X in L, A, Theta, M
@@ -483,29 +489,30 @@ def expected_table(vals: dict[str, np.ndarray], include_m: bool = True) -> np.nd
         {A_i, Theta_j} = 2E/|A| ((Theta x L)_i Theta_j - eps_ijk L_k)
         {M_i, Theta_j} = {A_i, Theta_j}/sqrt(2|E|),
 
-    each block below the diagonal being minus the transpose of its mirror.
+    each block below the diagonal being minus the transpose of its mirror.  Each eps_ijk X_k
+    block is one (9, 3) @ (3, N) product.
     """
-    e, theta = vals["E"], vals["Theta"]
-    eps_l, eps_a, eps_t = (np.einsum("ijk,nk->nij", _EPS, vals[key]) for key in ("L", "A", "Theta"))
-    theta_x_l = np.einsum("nij,nj->ni", eps_l, theta)
-    a_theta = (2.0 * e / vals["A_mag"])[:, None, None] * (theta_x_l[:, :, None] * theta[:, None, :] - eps_l)
+    e, theta, keys = vals["E"], vals["Theta"].T, ("L", "A", "Theta", "M")[: 4 if include_m else 3]
+    eps_l, eps_a, eps_t, *eps_m = ((_EPS.reshape(9, 3) @ vals[key].T).reshape(3, 3, -1) for key in keys)
+    theta_x_l = np.empty_like(theta)
+    _cross_components(theta, vals["L"].T, theta_x_l)
+    a_theta = (2.0 * e / vals["A_mag"]) * (theta_x_l[:, None] * theta - eps_l)
     blocks = [
         (_L, _L, eps_l), (_L, _A, eps_a), (_L, _THETA, eps_t),
-        (_A, _A, -2.0 * e[:, None, None] * eps_l), (_A, _THETA, a_theta),
+        (_A, _A, -2.0 * e * eps_l), (_A, _THETA, a_theta),
     ]
     if include_m:
-        sgn = np.sign(e)[:, None, None]
-        scale = np.sqrt(2.0 * np.abs(e))[:, None, None]
-        eps_m = np.einsum("ijk,nk->nij", _EPS, vals["M"])
+        sgn, scale = np.sign(e), np.sqrt(2.0 * np.abs(e))
         blocks += [
-            (_L, _M, eps_m), (_M, _M, -sgn * eps_l),
+            (_L, _M, eps_m[0]), (_M, _M, -sgn * eps_l),
             (_A, _M, -sgn * scale * eps_l), (_M, _THETA, a_theta / scale),
         ]
-    table = np.zeros((len(e),) + (len(table_labels(include_m)),) * 2)
+    n = len(table_labels(include_m))
+    table = np.zeros((n, n, len(e)))
     for rows, cols, block in blocks:
-        table[:, rows, cols] = block
-        table[:, cols, rows] = -block.transpose(0, 2, 1)
-    return table
+        table[rows, cols] = block
+        table[cols, rows] = -block.transpose(1, 0, 2)
+    return table.transpose(2, 0, 1)
 
 
 def bracket(grads: dict[str, tuple[np.ndarray, np.ndarray]], left: str, right: str) -> np.ndarray:
@@ -519,12 +526,3 @@ def expected_bracket(left: str, right: str, vals: dict[str, np.ndarray]) -> np.n
     include_m = left[0] == "M" or right[0] == "M"
     labels = table_labels(include_m)
     return expected_table(vals, include_m)[:, labels.index(left), labels.index(right)]
-
-
-def _family(label: str) -> tuple[str, int]:
-    if label == "E":
-        return "E", 0
-    for fam in ("Theta", "L", "A", "M"):
-        if label.startswith(fam):
-            return fam, int(label[len(fam):])
-    raise KeyError(label)

@@ -101,15 +101,6 @@ def _worst(*diffs) -> float:
     return float(np.max([np.max(np.abs(d), initial=0.0) for d in diffs]))
 
 
-def _upper_worst(table: np.ndarray, expected: np.ndarray, rows=slice(None)) -> float:
-    """The largest |table - expected| above the diagonal of the (n, k, k) table, against the
-    leading k x k block of the rows `rows` of expected: a slice or an index array, since a
-    boolean mask would be counted again for every label row.  It is formed one label row at
-    a time, so that no difference of whole tables is held; a NaN entry gives NaN."""
-    k = table.shape[1]
-    return float(np.max([_worst(table[:, i, i + 1 :] - expected[rows, i, i + 1 : k]) for i in range(k - 1)]))
-
-
 def _jacobi_worst(r: np.ndarray, v: np.ndarray, kappa: float) -> float:
     """Jacobi identity over triples from {E, L_i, M_i}, analytic gradients.
 
@@ -136,7 +127,12 @@ def _table_pass(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> 
     """The worst structure_analytic, structure_fd, noether_characteristics and antisymmetry
     residuals over the rows (r, v), and their E, from tables formed once per `fields.FD_BATCH`
     chunk; include_m adds M to the analytic table and to the FD one of rows with |E| >= FD_M_FLOOR.
-    Three oracles stay apart: each table against the expected one, velocity gradients against FD."""
+    Three oracles stay apart: each table against the expected one, velocity gradients against FD.
+    The tables are (label, label, N), so a strict upper triangle is one contiguous gather, and
+    the FD table forms only that triangle (`fields.upper_brackets`)."""
+    n_labels = len(fields.table_labels(include_m))
+    upper, with_diagonal = np.triu_indices(n_labels, 1), np.triu_indices(n_labels)
+    no_m = upper[1] < len(fields.SCALAR_LABELS)
     found, energies = [], []
     # A chunk's tables are released as the next chunk rebinds their names.  Releasing all of
     # them at the end of each chunk (a function per chunk) let glibc trim the top of the heap
@@ -146,16 +142,22 @@ def _table_pass(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> 
         rc, vc = r[lo : lo + fields.FD_BATCH], v[lo : lo + fields.FD_BATCH]
         vals = fields.values(rc, vc, kappa)
         grads = fields.gradients(rc, vc, kappa, include_m)
-        expected = fields.expected_table(vals, include_m)
-        table = fields.bracket_table(grads)
-        analytic = _upper_worst(table, expected)
-        antisymmetry = float(np.max([_worst(table[:, i, i:] + table[:, i:, i]) for i in range(table.shape[1])]))
+        expected = fields.expected_table(vals, include_m).transpose(1, 2, 0)[upper]
+        table = fields.bracket_table(grads).transpose(1, 2, 0)
+        analytic = _worst(table[upper] - expected)
+        antisymmetry = _worst(table[with_diagonal] + table[with_diagonal[::-1]])
+        g_v = grads["_base"][1].transpose(1, 2, 0)
         big_e = include_m & (np.abs(vals["E"]) >= FD_M_FLOOR)
         for rows, fd_m in ((big_e, True), (~big_e, False)):
-            if np.any(rows):
+            rows = np.flatnonzero(rows)
+            if len(rows):
+                rows = slice(None) if len(rows) == len(rc) else rows
                 fd = fields.fd_gradients(rc[rows], vc[rows], kappa, fd_m)
-                numeric = _upper_worst(fields.bracket_table(fd), expected, np.flatnonzero(rows))
-                noether = _worst(*(grads[lab][1][rows] - fd[lab][1] for lab in fields.SCALAR_LABELS))
+                want = expected[:, rows] if fd_m == include_m else expected[no_m][:, rows]
+                numeric = _worst(fields.upper_brackets(fd) - want)
+                fd_v = fd["_base"][1].transpose(1, 2, 0)
+                # the E, L and A rows, then Theta, which the analytic stack keeps after |L|^2
+                noether = _worst(g_v[:7, :, rows] - fd_v[:7], g_v[8:11, :, rows] - fd_v[7:10])
                 found.append((analytic, numeric, noether, antisymmetry))
         energies.append(vals["E"])
     return np.max(found, axis=0), np.concatenate(energies)
@@ -219,8 +221,8 @@ def algebra_suite(
     expected = fields.expected_table(fields.values(ra, va, kappa), include_m=False)
     h = ACTION_FD_STEP
     worst = 0.0
-    for g, gen_label in enumerate(fields.SCALAR_LABELS):
-        family, axis = fields._family(gen_label)
+    # the generators in the order of fields.SCALAR_LABELS
+    for g, (family, axis) in enumerate([("E", 0)] + [(f, i) for f in ("L", "A", "Theta") for i in (1, 2, 3)]):
         eps = np.zeros((n_act, 3))
         if axis:
             eps[:, axis - 1] = 1.0

@@ -104,6 +104,23 @@ def test_gradients_do_not_depend_on_m_rows_or_chunk():
     whole = fields.values(r[lo:hi], v[lo:hi], KAPPA)["E"]
     split = np.concatenate([fields.values(r[a:b], v[a:b], KAPPA)["E"] for a, b in ((lo, cut), (cut, hi))])
     assert _same_bits(whole, split)
+    # the bracket and expected tables: a row of a batch is its N=1 call, which numpy may sum
+    # in another order (a lone row's einsum does), and a batch across the boundary its split
+    for include_m in (True, False):
+        tables = {
+            "bracket_table": lambda a, b: fields.bracket_table(fields.gradients(r[a:b], v[a:b], KAPPA, include_m)),
+            "fd bracket_table": lambda a, b: fields.bracket_table(fields.fd_gradients(r[a:b], v[a:b], KAPPA, include_m)),
+            "expected_table": lambda a, b: fields.expected_table(fields.values(r[a:b], v[a:b], KAPPA), include_m),
+        }
+        for name, table in tables.items():
+            whole = table(lo, hi)
+            assert _same_bits(whole, np.concatenate([table(lo, cut), table(cut, hi)])), (name, include_m)
+            for i in (lo, lo + 1, cut - 1, cut, hi - 1):
+                assert _same_bits(whole[i - lo], table(i, i + 1)[0]), (name, include_m, i)
+        # the pass's FD triangle is the FD table's, bit for bit
+        fd = fields.fd_gradients(r[lo:hi], v[lo:hi], KAPPA, include_m)
+        upper = np.triu_indices(len(fields.table_labels(include_m)), 1)
+        assert _same_bits(fields.upper_brackets(fd), fields.bracket_table(fd).transpose(1, 2, 0)[upper])
 
 
 def _traced_peak(samples: int) -> int:
@@ -115,16 +132,22 @@ def _traced_peak(samples: int) -> int:
         tracemalloc.stop()
 
 
+# What one more sampled state may add to the suite's traced peak: its r and v (two rows of
+# three floats) and at most two float columns more, such as its E.  Held to a difference of
+# peaks, since the chunk's tables make up most of either peak.
+STATE_BYTES = (2 * 3 + 2) * 8
+
+
 def test_pass_memory_holds_one_chunk():
     # the tables of one chunk are held at a time, so four times the states
     # adds only the sampled states themselves
-    assert _traced_peak(40_000) < 1.5 * _traced_peak(10_000)
+    assert _traced_peak(40_000) - _traced_peak(10_000) < 30_000 * STATE_BYTES
 
 
 def test_suite_memory_at_1e5_states_holds_one_chunk():
     # the samplers test their candidates one chunk at a time too, so ten times the
     # states still adds only the sampled states themselves
-    assert _traced_peak(100_000) < 1.5 * _traced_peak(10_000)
+    assert _traced_peak(100_000) - _traced_peak(10_000) < 90_000 * STATE_BYTES
 
 
 def _fd_reference(r: np.ndarray, v: np.ndarray, include_m: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ holds an eps = 0 row, every row at its own t.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keplersym import (
@@ -254,8 +254,13 @@ def reference_flow_rhs(kind, r, v, eps, kappa=1.0):
 
 @settings(max_examples=30, deadline=None)
 @given(SEEDS)
+@example(seed=45743)
 def test_flow_rhs_matches_vector_reference(seed):
+    # tau = -(r.P)/(r.v) divides by r.v, whose rounding relative to |r||v| grows as the
+    # row nears an apsis: the bound follows that condition number.  At seed 45743 one
+    # row has r.v = -0.056 |r||v|, and its dv/ds misses a fixed 1e-13 bound by 2x.
     kinds, r, v, eps = mixed_batch(seed)
+    condition = np.linalg.norm(r, axis=1) * np.linalg.norm(v, axis=1) / np.abs(np.einsum("ni,ni->n", r, v))
     batches = [(kinds, np.ones(len(kinds), dtype=bool))]
     batches += [(kind, np.array([k is kind for k in kinds])) for kind in set(kinds)]
     for kind, rows in batches:
@@ -263,7 +268,7 @@ def test_flow_rhs_matches_vector_reference(seed):
         for j, i in enumerate(np.flatnonzero(rows)):
             ref = reference_flow_rhs(kinds[i], r[i], v[i], eps[i])
             for part, one in zip(got, ref):
-                assert_rows_match(one, part[j], rel=1e-13)
+                assert_rows_match(one, part[j], rel=1e-13 * condition[i])
 
 
 @settings(max_examples=8, deadline=None)
@@ -322,7 +327,7 @@ def test_apsis_in_one_row_stops_the_batch(seed, row):
 
 
 def pairwise_bracket(grads, left, right):
-    """{left, right} pair by pair from `fields._raw_bracket`, each label
+    """{left, right} pair by pair from dF/dr . dG/dv - dG/dr . dF/dv, each label
     expanded by the gradient table's chain-rule coefficients: M_j -> alpha A_j,
     Theta_j -> a A_j + c_j |L|^2."""
     a, c, alpha = grads["_coef"]
@@ -334,9 +339,11 @@ def pairwise_bracket(grads, left, right):
             return [(alpha, f"A{label[-1]}")]
         return [(1.0, label)]
 
-    return sum(
-        cl * cr * fields._raw_bracket(grads, bl, br) for cl, bl in expand(left) for cr, br in expand(right)
-    )
+    def raw(bl, br):
+        (fr, fv), (gr, gv) = grads[bl], grads[br]
+        return np.einsum("ni,ni->n", fr, gv) - np.einsum("ni,ni->n", gr, fv)
+
+    return sum(cl * cr * raw(bl, br) for cl, bl in expand(left) for cr, br in expand(right))
 
 
 @settings(max_examples=30, deadline=None)
