@@ -318,39 +318,33 @@ def classify_orbit(c: ConservedSet) -> OrbitClass:
     return _classify(c.E, norm(c.L), c.A_mag, c.kappa, rv_scale=scale, parabolic=parabolic)
 
 
-def fd_steps(x: np.ndarray) -> np.ndarray:
-    """The central-difference step FD_SCALE * max(1, |x_i|) of each component of x."""
-    return FD_SCALE * np.maximum(1.0, np.abs(x))
-
-
 def central_differences(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference derivatives of f along the three components of x.
 
-    x has shape (..., 3) and the step along component i is
-    h_i = FD_SCALE * max(1, |x_i|).  f is called once, on the stack of shape
-    (6, ..., 3) holding x + h_i e_i for i = 0, 1, 2 and then x - h_i e_i, and
-    returns values with leading shape (6, ...).  Entry i of the result, of
-    leading shape (3, ...), is df/dx_i.
+    x is a component-major (3, ...) stack and the step along component i is
+    h_i = FD_SCALE * max(1, |x_i|).  f is called once, on the (3, 6, ...) stack
+    whose column j holds x + h_j e_j for j = 0, 1, 2 and then x - h_j e_j, and
+    returns values of shape (..., 6, ...), the trailing axes those of x after its
+    first.  The result, of shape (..., 3, ...), holds df/dx_i at place i of the 6.
     """
     x = np.asarray(x, dtype=float)
-    h = fd_steps(x)
-    steps = np.eye(3).reshape((3,) + (1,) * (x.ndim - 1) + (3,)) * h
-    vals = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=float)
-    h_i = np.moveaxis(h, -1, 0)
-    diff = vals[:3]
-    diff -= vals[3:]
-    diff /= 2.0 * h_i.reshape(h_i.shape + (1,) * (vals.ndim - h_i.ndim))
+    h = FD_SCALE * np.maximum(1.0, np.abs(x))
+    steps = np.eye(3).reshape((3, 3) + (1,) * (x.ndim - 1)) * h[:, None]
+    vals = np.asarray(f(np.concatenate([x[:, None] + steps, x[:, None] - steps], axis=1)), dtype=float)
+    plus, minus = np.split(vals, 2, axis=vals.ndim - x.ndim)
+    diff = plus - minus
+    diff /= 2.0 * h
     return diff
 
 
 def fd_grad_r(field: Callable[[PhaseState], float], state: PhaseState) -> Vec3:
     """Central-difference gradient of a scalar field with respect to r."""
-    return central_differences(lambda rs: [field(PhaseState(r, state.v)) for r in rs], state.r)
+    return central_differences(lambda rs: [field(PhaseState(r, state.v)) for r in rs.T], state.r)
 
 
 def fd_grad_v(field: Callable[[PhaseState], float], state: PhaseState) -> Vec3:
     """Central-difference gradient of a scalar field with respect to v."""
-    return central_differences(lambda vs: [field(PhaseState(state.r, v)) for v in vs], state.v)
+    return central_differences(lambda vs: [field(PhaseState(state.r, v)) for v in vs.T], state.v)
 
 
 def material_derivative(

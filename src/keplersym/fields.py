@@ -10,8 +10,7 @@ scalar APIs elsewhere are N=1 views of them:
                              {E, L_i, A_i, |L|^2}
     fd_gradients             their finite-difference twin (step rule in core)
     bracket_table            every Poisson bracket of a gradient table: C B0 C^T,
-                             expanded by slices (bracket: one entry of it;
-                             upper_brackets: the FD table's upper triangle alone)
+                             expanded by slices (bracket: one entry of it)
     expected_table           the closed-form structure constants, same layout
                              (expected_bracket: one entry of it)
     characteristics          P = dC/dv and DtP of each generator family, also mixed
@@ -45,7 +44,7 @@ import numpy as np
 from .core import (
     CIRCULAR_TOL,
     _require_off_origin,
-    fd_steps,
+    central_differences,
     energy_branch_threshold,
     is_circular,
     is_radial,
@@ -96,15 +95,20 @@ def _cross_components(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     out[2] = a0 * b1 - a1 * b0
 
 
+def _invariants(r, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|r|, |v|^2 and r.v of the component-major (3, ...) stacks r and v.  A dot sums as
+    (x0 y0 + x2 y2) + x1 y1 and a norm as (x0^2 + x1^2) + x2^2: the orders in which numpy
+    (checked on 2.4.6) sums np.einsum("ni,ni->n") and np.linalg.norm(axis=1) of C-ordered
+    (N, 3) rows, which `values` called before it was written component-major."""
+    (r0, r1, r2), (v0, v1, v2) = r, v
+    return np.sqrt((r0 * r0 + r1 * r1) + r2 * r2), (v0 * v0 + v2 * v2) + v1 * v1, (r0 * v0 + r2 * v2) + r1 * v1
+
+
 def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple[np.ndarray, ...]:
     """Write E, L, A, Theta and, unless m_vec is None, M of the component-major (3, ...)
     stacks r and v, which broadcast, into the given (...) and (3, ...) arrays; returns |r|,
-    r.v and |A|.  A dot sums as (x0 y0 + x2 y2) + x1 y1 and a norm as (x0^2 + x1^2) + x2^2,
-    as np.einsum("ni,ni->n") and np.linalg.norm(axis=1) do on C-ordered (N, 3) rows."""
-    (r0, r1, r2), (v0, v1, v2) = r, v
-    r_mag = np.sqrt((r0 * r0 + r1 * r1) + r2 * r2)
-    v_sq = (v0 * v0 + v2 * v2) + v1 * v1
-    r_dot_v = (r0 * v0 + r2 * v2) + r1 * v1
+    r.v and |A|, with the sums of `_invariants`."""
+    r_mag, v_sq, r_dot_v = _invariants(r, v)
     k_r = kappa / r_mag
     np.subtract(0.5 * v_sq, k_r, out=e)
     _cross_components(r, v, l_vec)
@@ -126,9 +130,17 @@ def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
     v = np.atleast_2d(np.asarray(v, dtype=float))
     e, l_vec, a_vec, theta, m_vec = np.empty(len(r)), *(np.empty((len(r), 3)) for _ in range(4))
     r_mag, r_dot_v, a_mag = _write_labels(r.T, v.T, kappa, e, l_vec.T, a_vec.T, theta.T, m_vec.T)
-    l_mag = np.linalg.norm(l_vec, axis=1)
-    return {"r_mag": r_mag, "r_dot_v": r_dot_v, "E": e, "L": l_vec, "L_mag": l_mag, "A": a_vec, "A_mag": a_mag,
-            "Theta": theta, "M": m_vec}
+    return {
+        "r_mag": r_mag,
+        "r_dot_v": r_dot_v,
+        "E": e,
+        "L": l_vec,
+        "L_mag": np.linalg.norm(l_vec, axis=1),
+        "A": a_vec,
+        "A_mag": a_mag,
+        "Theta": theta,
+        "M": m_vec,
+    }
 
 
 def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: str) -> np.ndarray:
@@ -175,9 +187,9 @@ def gradients(
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    # |r| as in `values`, so that E here and in the expected table agree to the bit
-    r_mag = np.linalg.norm(r, axis=1)
-    r_sq, v_sq, r_dot_v = r_mag**2, _dot(v, v), _dot(r, v)
+    # the sums of `values`, so that E here and in the expected table agree to the bit
+    r_mag, v_sq, r_dot_v = _invariants(r.T, v.T)
+    r_sq = r_mag**2
     k_r3 = kappa / r_mag**3
     beta = v_sq - kappa / r_mag
     e = 0.5 * v_sq - kappa / r_mag
@@ -224,29 +236,29 @@ def gradients(
 def fd_gradients(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Central-difference twin of `gradients`, by the steps of `core.central_differences`.
+    """Central-difference twin of `gradients`, built on `core.central_differences`.
 
-    One batch of `FD_BATCH` states is perturbed at a time: the copies x + h_i e_i, then
-    x - h_i e_i, of r (or v) are a (3, 6, n) stack, whose labels alone `_write_labels`
-    writes into an (L, 6, n) table, and the difference of its halves over 2 h_i is the
-    (L, 3, n) gradient.  The (L, 3, N) stacks are under "_base" as (N, L, 3) views.
+    Its perturbed tables hold only the labels, written label-major as (L, 6, n) from
+    the (3, 6, n) stacks of one batch of `FD_BATCH` states, so the differences come
+    out (L, 3, n).  The (L, 3, N) stacks are under "_base" as (N, L, 3) views.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     labels = table_labels(include_m)
     g_r = np.empty((len(labels), 3, len(r)))
     g_v = np.empty_like(g_r)
+
+    def table(r_: np.ndarray, v_: np.ndarray) -> np.ndarray:
+        out = np.empty((len(labels),) + np.broadcast_shapes(r_.shape, v_.shape)[1:])
+        _write_labels(r_, v_, kappa, out[0], out[_L], out[_A], out[_THETA], out[_M] if include_m else None)
+        return out
+
     for lo in range(0, len(r), FD_BATCH):
         rb, vb = r[lo : lo + FD_BATCH].T, v[lo : lo + FD_BATCH].T
-        for g, x, kept in ((g_r, rb, vb), (g_v, vb, rb)):
-            h = fd_steps(x)
-            steps = np.eye(3)[:, :, None] * h[:, None]
-            moved = np.concatenate([x[:, None] + steps, x[:, None] - steps], axis=1)
-            table = np.empty((len(labels),) + moved.shape[1:])
-            r_v = (moved, kept[:, None]) if g is g_r else (kept[:, None], moved)
-            _write_labels(*r_v, kappa, table[0], table[_L], table[_A], table[_THETA], table[_M] if include_m else None)
-            diff = np.subtract(table[:, :3], table[:, 3:], out=g[:, :, lo : lo + FD_BATCH])
-            diff /= 2.0 * h
+        # each set of differences is stored before the next is formed, so that one
+        # perturbed table of the batch is held at a time
+        g_r[:, :, lo : lo + FD_BATCH] = central_differences(lambda rs: table(rs, vb[:, None]), rb)
+        g_v[:, :, lo : lo + FD_BATCH] = central_differences(lambda vs: table(rb[:, None], vs), vb)
     grads: dict = {lab: (g_r[j].T, g_v[j].T) for j, lab in enumerate(labels)}
     grads["_base"] = (g_r.transpose(2, 0, 1), g_v.transpose(2, 0, 1))
     return grads
@@ -467,14 +479,6 @@ def bracket_table(grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray
     if alpha is not None:
         expand_columns(alpha * b0[_A], table[_M])
     return table.transpose(2, 0, 1)
-
-
-def upper_brackets(grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The entries above the diagonal of the `bracket_table` of `fd_gradients`, bit for bit,
-    as (L(L-1)/2, N) rows in the order of np.triu_indices, without forming the table."""
-    x = _products(grads)
-    p, q = np.triu_indices(len(x), 1)
-    return x[p, q] - x[q, p]
 
 
 def expected_table(vals: dict[str, np.ndarray], include_m: bool = True) -> np.ndarray:

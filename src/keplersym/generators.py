@@ -188,7 +188,7 @@ def noether_characteristic(constant: Callable[[PhaseState], float], state: Phase
 def velocity_jacobian(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> np.ndarray:
     """Finite-difference matrix dP_i/dv_k of the characteristic."""
     r = np.broadcast_to(state.r, (6, 3))
-    return central_differences(lambda vs: _characteristics(gen, r, vs, sys)[0], state.v).T
+    return central_differences(lambda vs: _characteristics(gen, r, vs.T, sys)[0].T, state.v)
 
 
 def classify_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem) -> GeneratorClass:

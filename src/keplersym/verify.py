@@ -128,8 +128,7 @@ def _table_pass(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> 
     residuals over the rows (r, v), and their E, from tables formed once per `fields.FD_BATCH`
     chunk; include_m adds M to the analytic table and to the FD one of rows with |E| >= FD_M_FLOOR.
     Three oracles stay apart: each table against the expected one, velocity gradients against FD.
-    The tables are (label, label, N), so a strict upper triangle is one contiguous gather, and
-    the FD table forms only that triangle (`fields.upper_brackets`)."""
+    The tables are (label, label, N), so a strict upper triangle is one contiguous gather."""
     n_labels = len(fields.table_labels(include_m))
     upper, with_diagonal = np.triu_indices(n_labels, 1), np.triu_indices(n_labels)
     no_m = upper[1] < len(fields.SCALAR_LABELS)
@@ -153,8 +152,9 @@ def _table_pass(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> 
             if len(rows):
                 rows = slice(None) if len(rows) == len(rc) else rows
                 fd = fields.fd_gradients(rc[rows], vc[rows], kappa, fd_m)
-                want = expected[:, rows] if fd_m == include_m else expected[no_m][:, rows]
-                numeric = _worst(fields.upper_brackets(fd) - want)
+                keep = slice(None) if fd_m == include_m else no_m
+                fd_table = fields.bracket_table(fd).transpose(1, 2, 0)
+                numeric = _worst(fd_table[upper[0][keep], upper[1][keep]] - expected[keep][:, rows])
                 fd_v = fd["_base"][1].transpose(1, 2, 0)
                 # the E, L and A rows, then Theta, which the analytic stack keeps after |L|^2
                 noether = _worst(g_v[:7, :, rows] - fd_v[:7], g_v[8:11, :, rows] - fd_v[7:10])
