@@ -97,9 +97,9 @@ def _cross_components(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def _invariants(r, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|r|, |v|^2 and r.v of the component-major (3, ...) stacks r and v.  A dot sums as
-    (x0 y0 + x2 y2) + x1 y1 and a norm as (x0^2 + x1^2) + x2^2: the orders in which numpy
-    (checked on 2.4.6) sums np.einsum("ni,ni->n") and np.linalg.norm(axis=1) of C-ordered
-    (N, 3) rows, which `values` called before it was written component-major."""
+    (x0 y0 + x2 y2) + x1 y1 and a norm as (x0^2 + x1^2) + x2^2, the orders of numpy's
+    np.einsum("ni,ni->n") and np.linalg.norm(axis=1) over C-ordered (N, 3) rows (checked on
+    numpy 2.4.6), so that `values` keeps the bits those give."""
     (r0, r1, r2), (v0, v1, v2) = r, v
     return np.sqrt((r0 * r0 + r1 * r1) + r2 * r2), (v0 * v0 + v2 * v2) + v1 * v1, (r0 * v0 + r2 * v2) + r1 * v1
 
