@@ -78,8 +78,7 @@ class RunConfig:
     samples: int = 200
 
     def validate(self) -> None:
-        if self.kappa <= 0:
-            raise UsageError("kappa must be positive")
+        KeplerSystem(self.kappa)
         for name in ("samples", "rk_steps"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -233,7 +232,9 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     if axis_norm == 0.0:
         raise UsageError("--eps-axis must be non-zero")
     axis = axis / axis_norm
-    eps = np.linspace(0.0, args.eps_max, args.grid)[:, None] * axis
+    # a grid that is not finite is refused by the transforms' one rule on eps
+    with np.errstate(invalid="ignore", over="ignore"):
+        eps = np.linspace(0.0, args.eps_max, args.grid)[:, None] * axis
     if args.kind == "rotation":
         starts = [rotate(state, e) for e in eps]
     else:

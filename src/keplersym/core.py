@@ -11,7 +11,10 @@ conserved quantities attached to a phase-space point (r, v) are
 
 with |A|^2 = kappa^2 + 2 E |L|^2, eccentricity |A|/kappa, LRL direction
 Theta = A/|A| (undefined for circular orbits) and the rescaled vector
-M = A/sqrt(2|E|) (undefined for parabolic orbits).
+M = A/sqrt(2|E|) (undefined for parabolic orbits).  One writer,
+`_write_labels`, forms them for `fields.values` and the label tables of
+`fields` on (3, N) stacks and for `conserved_set` on one state's (3,) vectors,
+so the set of a state has the bits of its row of any batch.
 """
 
 from __future__ import annotations
@@ -41,25 +44,17 @@ ORIGIN_FLOOR = 1e-12
 
 def as_vec3(value, name: str = "vector") -> Vec3:
     """Coerce to a read-only float64 array of shape (3,), checking finiteness."""
-    arr = np.asarray(value, dtype=float)
+    arr = np.array(value, dtype=float)
     if arr.shape != (3,):
         raise UsageError(f"{name} must have exactly 3 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise UsageError(f"{name} has non-finite components: {arr}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 def norm(x: Vec3) -> float:
     return float(np.linalg.norm(x))
-
-
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    """a x b of two 3-vectors, the arithmetic of np.cross without its per-call overhead."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class KeplerSystem:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise UsageError(f"kappa must be a positive finite number, got {self.kappa}")
+        if not (self.kappa > 0 and 0.0 < self.kappa * self.kappa < math.inf):
+            raise UsageError(f"kappa must be positive with kappa*kappa positive and finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,7 @@ class ConservedSet:
 
     @property
     def L_mag(self) -> float:
-        return norm(self.L)
+        return float(_norm(self.L))
 
     def as_dict(self) -> dict:
         def v(x):
@@ -182,13 +177,14 @@ def is_circular(a_mag: float, kappa: float) -> bool:
     return a_mag <= CIRCULAR_TOL * kappa
 
 
-def is_radial(l_mag: float, r_mag: float, v_mag: float) -> bool:
-    return l_mag <= RADIAL_TOL * (r_mag * v_mag + 1e-300)
+def is_radial(l_mag, rv_scale):
+    """Whether |L| is negligible against rv_scale, a scale such as |r||v|; also row-wise."""
+    return l_mag <= RADIAL_TOL * (rv_scale + 1e-300)
 
 
-def energy_branch_threshold(kappa: float, l_mag_sq, r_mag):
-    """|E| at or below which a state is on the parabolic branch; also row-wise on arrays."""
-    return ENERGY_BRANCH_TOL * kappa**2 / np.maximum(l_mag_sq, kappa * r_mag)
+def is_parabolic(e, l_mag, r_mag, kappa: float):
+    """Whether |E| is at or below the parabolic-branch threshold; also row-wise on arrays."""
+    return np.abs(e) <= ENERGY_BRANCH_TOL * (kappa * kappa) / np.maximum(l_mag * l_mag, kappa * r_mag)
 
 
 def _require_off_origin(r_mag: float) -> float:
@@ -196,6 +192,55 @@ def _require_off_origin(r_mag: float) -> float:
     if r_mag < ORIGIN_FLOOR:
         raise SingularOriginError(f"|r| = {r_mag:.3e} is below the origin floor {ORIGIN_FLOOR:.3e}")
     return r_mag
+
+
+def _norm(x):
+    """|x| of a component-major (3, ...) stack, summed as (x0^2 + x1^2) + x2^2."""
+    x0, x1, x2 = x
+    return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
+
+def _cross_components(a, b, out) -> None:
+    """a x b of component-major (3, ...) stacks, written into out."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    out[0] = a1 * b2 - a2 * b1
+    out[1] = a2 * b0 - a0 * b2
+    out[2] = a0 * b1 - a1 * b0
+
+
+def _invariants(r, v) -> tuple:
+    """|r|, |v|^2 and r.v of the component-major (3, ...) stacks r and v.  A dot sums as
+    (x0 y0 + x2 y2) + x1 y1 and a norm (`_norm`) as (x0^2 + x1^2) + x2^2, the orders of
+    numpy's np.einsum("ni,ni->n") and np.linalg.norm(axis=1) over C-ordered (N, 3) rows
+    (checked on numpy 2.4.6), so that `fields.values` keeps the bits those give."""
+    (r0, r1, r2), (v0, v1, v2) = r, v
+    return _norm(r), (v0 * v0 + v2 * v2) + v1 * v1, (r0 * v0 + r2 * v2) + r1 * v1
+
+
+def _write_directions(e, a_vec, a_mag, theta, m_vec) -> None:
+    """Theta = A/|A| into theta and, unless m_vec is None, M = A/sqrt(2|E|) into m_vec."""
+    # Theta and M are simply unused by callers at circular or exactly parabolic
+    # states; keep the division quiet there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(a_vec, a_mag, out=theta)
+        if m_vec is not None:
+            np.divide(a_vec, np.sqrt(2.0 * np.abs(e)), out=m_vec)
+
+
+def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple:
+    """The one writer of the conserved quantities: E, L, A and, unless theta is None, Theta
+    and M (unless m_vec is None) of the component-major (3, ...) stacks r and v, which
+    broadcast, into the given (...) and (3, ...) arrays; returns |r|, r.v and |A|, with the
+    sums of `_invariants`.  `conserved_set` calls it on two (3,) vectors, `fields` on (3, N)."""
+    r_mag, v_sq, r_dot_v = _invariants(r, v)
+    k_r = kappa / r_mag
+    np.subtract(0.5 * v_sq, k_r, out=e)
+    _cross_components(r, v, l_vec)
+    np.subtract((v_sq - k_r) * r, r_dot_v * v, out=a_vec)
+    a_mag = _norm(a_vec)
+    if theta is not None:
+        _write_directions(e, a_vec, a_mag, theta, m_vec)
+    return r_mag, r_dot_v, a_mag
 
 
 def acceleration(state: PhaseState, sys: KeplerSystem) -> Vec3:
@@ -210,65 +255,37 @@ def lagrangian(state: PhaseState, sys: KeplerSystem) -> float:
     return 0.5 * float(np.dot(state.v, state.v)) + sys.kappa / r_mag
 
 
-def energy(state: PhaseState, sys: KeplerSystem) -> float:
-    r_mag = _require_off_origin(state.r_mag)
-    return 0.5 * float(np.dot(state.v, state.v)) - sys.kappa / r_mag
-
-
-def angular_momentum(state: PhaseState) -> Vec3:
-    return cross(state.r, state.v)
-
-
-def lrl_vector(state: PhaseState, sys: KeplerSystem) -> Vec3:
-    r_mag = _require_off_origin(state.r_mag)
-    v_sq = float(np.dot(state.v, state.v))
-    r_dot_v = float(np.dot(state.r, state.v))
-    return (v_sq - sys.kappa / r_mag) * state.r - r_dot_v * state.v
-
-
 def conserved_set(state: PhaseState, sys: KeplerSystem) -> ConservedSet:
-    """Evaluate every conserved quantity of the state at once."""
-    r_mag = _require_off_origin(state.r_mag)
-    kappa = sys.kappa
-    e = energy(state, sys)
-    l_vec = angular_momentum(state)
-    a_vec = lrl_vector(state, sys)
-    a_mag = norm(a_vec)
-    l_mag = norm(l_vec)
-    parabolic = abs(e) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
-    return _assemble(e, l_vec, a_vec, a_mag, l_mag, kappa, parabolic, rv_scale=r_mag * state.v_mag)
+    """Every conserved quantity of the state at once: E, L and A from `_write_labels` on its
+    two (3,) vectors and the rest from them as the writer forms it, so that each value has
+    the bits of the state's row of `fields.values`."""
+    _require_off_origin(state.r_mag)
+    e, l_vec, a_vec = np.empty(()), np.empty(3), np.empty(3)
+    r_mag = _write_labels(state.r, state.v, sys.kappa, e, l_vec, a_vec, None, None)[0]
+    parabolic = bool(is_parabolic(e, _norm(l_vec), r_mag, sys.kappa))
+    return set_from_constants(float(e), l_vec, a_vec, sys.kappa, parabolic, rv_scale=r_mag * state.v_mag)
 
 
 def set_from_constants(
-    e: float, l_vec: Vec3, a_vec: Vec3, kappa: float, parabolic: bool
+    e: float, l_vec: Vec3, a_vec: Vec3, kappa: float, parabolic: bool, rv_scale: float | None = None
 ) -> ConservedSet:
-    """Assemble a ConservedSet directly from (E, L, A) values.
-
-    Used by the finite symmetry transformations, which map constants to
-    constants without passing through a phase-space state.
-    """
+    """A ConservedSet of the values (E, L, A): Theta dropped at a circular orbit and M on
+    the parabolic branch, with the orbit class, period and semi-major axis.  rv_scale, the
+    scale of the radial test, is a state's |r||v| from `conserved_set`; the constants that
+    a transform maps have none, and scale by max(|L|, |A|/kappa)."""
     a_vec = as_vec3(a_vec, "A")
     l_vec = as_vec3(l_vec, "L")
-    a_mag = norm(a_vec)
-    l_mag = norm(l_vec)
-    scale = max(l_mag, a_mag / kappa, 1e-300)
-    return _assemble(e, l_vec, a_vec, a_mag, l_mag, kappa, parabolic, rv_scale=scale)
-
-
-def _assemble(
-    e: float,
-    l_vec: Vec3,
-    a_vec: Vec3,
-    a_mag: float,
-    l_mag: float,
-    kappa: float,
-    parabolic: bool,
-    rv_scale: float,
-) -> ConservedSet:
-    """The derived data of a ConservedSet: Theta, M, class, period, semi-major axis."""
-    theta = None if is_circular(a_mag, kappa) else a_vec / a_mag
-    m_vec = None if parabolic else a_vec / math.sqrt(2.0 * abs(e))
-    cls = _classify(e, l_mag, a_mag, kappa, rv_scale=rv_scale, parabolic=parabolic)
+    a_mag, l_mag = float(_norm(a_vec)), float(_norm(l_vec))
+    theta, m_vec = np.empty(3), np.empty(3)
+    _write_directions(e, a_vec, a_mag, theta, m_vec)
+    if is_radial(l_mag, max(l_mag, a_mag / kappa, 1e-300) if rv_scale is None else rv_scale):
+        orbit_class = OrbitClass.RADIAL
+    elif is_circular(a_mag, kappa) and e < 0:
+        orbit_class = OrbitClass.CIRCULAR
+    elif parabolic:
+        orbit_class = OrbitClass.PARABOLIC
+    else:
+        orbit_class = OrbitClass.ELLIPTIC if e < 0 else OrbitClass.HYPERBOLIC
     if e < 0 and not parabolic:
         period = 2.0 * math.pi * kappa * (-2.0 * e) ** -1.5
         semi_major = kappa / (-2.0 * e)
@@ -280,42 +297,19 @@ def _assemble(
         L=l_vec,
         A=a_vec,
         A_mag=a_mag,
-        Theta=theta,
-        M=m_vec,
+        Theta=None if is_circular(a_mag, kappa) else theta,
+        M=None if parabolic else m_vec,
         eccentricity=a_mag / kappa,
-        orbit_class=cls,
+        orbit_class=orbit_class,
         period=period,
         semi_major=semi_major,
         kappa=kappa,
     )
 
 
-def _classify(
-    e: float,
-    l_mag: float,
-    a_mag: float,
-    kappa: float,
-    rv_scale: float,
-    parabolic: bool,
-) -> OrbitClass:
-    if l_mag <= RADIAL_TOL * (rv_scale + 1e-300):
-        return OrbitClass.RADIAL
-    if is_circular(a_mag, kappa) and e < 0:
-        return OrbitClass.CIRCULAR
-    if parabolic:
-        return OrbitClass.PARABOLIC
-    return OrbitClass.ELLIPTIC if e < 0 else OrbitClass.HYPERBOLIC
-
-
 def classify_orbit(c: ConservedSet) -> OrbitClass:
-    """Re-derive the orbit class from a conserved set alone.
-
-    The radial test here has no |r||v| scale available, so it normalizes by
-    the largest quantity with angular-momentum character in the set.
-    """
-    scale = max(norm(c.L), c.A_mag / c.kappa, 1e-300)
-    parabolic = c.M is None
-    return _classify(c.E, norm(c.L), c.A_mag, c.kappa, rv_scale=scale, parabolic=parabolic)
+    """Re-derive the orbit class from a conserved set alone."""
+    return set_from_constants(c.E, c.L, c.A, c.kappa, parabolic=c.M is None).orbit_class
 
 
 def central_differences(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:

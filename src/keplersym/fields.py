@@ -4,8 +4,9 @@ Everything here operates on batches: r and v are (N, 3) arrays and scalar
 results are (N,).  This module is the only home of these formulas; the
 scalar APIs elsewhere are N=1 views of them:
 
-    values / scalar_values   conserved quantities (core.conserved_set stays scalar);
-                             scalar_values forms only the labels of the tables
+    values / scalar_values   conserved quantities, from `core._write_labels`, their one
+                             writer, of which core.conserved_set is the single-state
+                             view; scalar_values forms only the labels of the tables
     gradients                analytic phase-space gradients, from the base fields
                              {E, L_i, A_i, |L|^2}
     fd_gradients             their finite-difference twin (step rule in core)
@@ -43,10 +44,14 @@ import numpy as np
 
 from .core import (
     CIRCULAR_TOL,
+    _cross_components,
+    _invariants,
+    _norm,
     _require_off_origin,
+    _write_labels,
     central_differences,
-    energy_branch_threshold,
     is_circular,
+    is_parabolic,
     is_radial,
 )
 from .errors import DegenerateDirectionError, InadmissibleTransformError, RadialStateError
@@ -87,43 +92,6 @@ def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _cross_components(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """a x b of component-major (3, ...) stacks, written into out."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    out[0] = a1 * b2 - a2 * b1
-    out[1] = a2 * b0 - a0 * b2
-    out[2] = a0 * b1 - a1 * b0
-
-
-def _invariants(r, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|r|, |v|^2 and r.v of the component-major (3, ...) stacks r and v.  A dot sums as
-    (x0 y0 + x2 y2) + x1 y1 and a norm as (x0^2 + x1^2) + x2^2, the orders of numpy's
-    np.einsum("ni,ni->n") and np.linalg.norm(axis=1) over C-ordered (N, 3) rows (checked on
-    numpy 2.4.6), so that `values` keeps the bits those give."""
-    (r0, r1, r2), (v0, v1, v2) = r, v
-    return np.sqrt((r0 * r0 + r1 * r1) + r2 * r2), (v0 * v0 + v2 * v2) + v1 * v1, (r0 * v0 + r2 * v2) + r1 * v1
-
-
-def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple[np.ndarray, ...]:
-    """Write E, L, A, Theta and, unless m_vec is None, M of the component-major (3, ...)
-    stacks r and v, which broadcast, into the given (...) and (3, ...) arrays; returns |r|,
-    r.v and |A|, with the sums of `_invariants`."""
-    r_mag, v_sq, r_dot_v = _invariants(r, v)
-    k_r = kappa / r_mag
-    np.subtract(0.5 * v_sq, k_r, out=e)
-    _cross_components(r, v, l_vec)
-    np.subtract((v_sq - k_r) * r, r_dot_v * v, out=a_vec)
-    a0, a1, a2 = a_vec
-    a_mag = np.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
-    # Theta and M rows are simply unused by callers at circular or exactly
-    # parabolic states; keep the division quiet there.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(a_vec, a_mag, out=theta)
-        if m_vec is not None:
-            np.divide(a_vec, np.sqrt(2.0 * np.abs(e)), out=m_vec)
-    return r_mag, r_dot_v, a_mag
-
-
 def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
     """Batched conserved quantities; vector entries have shape (N, 3)."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -135,7 +103,7 @@ def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
         "r_dot_v": r_dot_v,
         "E": e,
         "L": l_vec,
-        "L_mag": np.linalg.norm(l_vec, axis=1),
+        "L_mag": _norm(l_vec.T),
         "A": a_vec,
         "A_mag": a_mag,
         "Theta": theta,
@@ -151,9 +119,9 @@ def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: s
     _require_off_origin(float(np.min(r_mag)))
     if is_circular(vals["A_mag"], kappa).any():
         raise DegenerateDirectionError(f"{what} undefined for circular orbits")
-    if is_radial(l_mag, r_mag, np.sqrt(_dot(v, v))).any():
+    if is_radial(l_mag, r_mag * np.sqrt(_dot(v, v))).any():
         raise RadialStateError(f"{what} undefined for radial states")
-    return np.abs(vals["E"]) <= energy_branch_threshold(kappa, l_mag**2, r_mag)
+    return is_parabolic(vals["E"], l_mag, r_mag, kappa)
 
 
 def scalar_values(
@@ -308,7 +276,7 @@ def characteristics(
         r_sq = _dot(r, r)
         return v.copy(), -(kappa / np.sqrt(r_sq) / r_sq)[:, None] * r
     if isinstance(family, str) and family == "L":
-        return np.cross(eps, r), np.cross(eps, v)
+        return cross(eps, r), cross(eps, v)
     basis, gram = frame(r, v, eps)
     return tuple(gauge_field(family, basis, gram, kappa, 0.0)[1].transpose(0, 2, 1))
 

@@ -47,7 +47,7 @@ from .core import (
     norm,
     set_from_constants,
 )
-from .errors import DegenerateDirectionError, InadmissibleTransformError
+from .errors import DegenerateDirectionError, InadmissibleTransformError, UsageError
 from .fields import _dot, cross
 from .generators import GeneratorKind
 
@@ -55,9 +55,20 @@ ADMISSIBILITY_TOL = fields.ADMISSIBILITY_TOL
 DIAGNOSTIC_TOL = 1e-9
 
 
+def _eps_sq(eps: np.ndarray) -> np.ndarray:
+    """|eps|^2 of each row of eps; UsageError unless each is finite, and so each component:
+    the one rule on the parameter of a rotation and of both LRL groups."""
+    with np.errstate(over="ignore"):
+        eps_sq = _dot(np.atleast_2d(eps), np.atleast_2d(eps))
+    if not np.isfinite(eps_sq).all():
+        raise UsageError("eps must have finite components and a finite |eps|^2")
+    return eps_sq
+
+
 def rotation_matrix(eps: Vec3) -> np.ndarray:
     """Rodrigues rotation by angle |eps| about the unit axis eps/|eps|."""
     eps = as_vec3(eps, "eps")
+    _eps_sq(eps)
     angle = norm(eps)
     if angle < 1e-15:
         return np.eye(3)
@@ -159,7 +170,7 @@ def _constants_map(kind: GeneratorKind, c: ConservedSet, eps: Vec3, kappa: float
         name = "LRL" if kind is GeneratorKind.LRL else "direction"
         raise DegenerateDirectionError(f"{name} transform undefined for circular orbits")
     eps = as_vec3(eps, "eps")
-    if norm(eps) == 0.0:
+    if _eps_sq(eps)[0] == 0.0:
         return c
     l_star, a_star, _ = _set_ray(kind, c, eps, np.ones(1))
     return set_from_constants(c.E, l_star[0], a_star[0], kappa, parabolic=c.M is None)
@@ -201,7 +212,8 @@ def transform_batch(
     kappa: float,
 ) -> TransformBatch:
     """Finite LRL or LRL-direction transformation (kind) of the N rows (t, r, v)
-    with parameters eps (N, 3); rows with eps = 0 keep their (t, r, v).
+    with parameters eps (N, 3); rows with eps = 0 keep their (t, r, v).  UsageError
+    unless every |eps|^2 is finite.
 
     Every row is checked by `fields.plane_rows` (SingularOriginError,
     DegenerateDirectionError, RadialStateError); InadmissibleTransformError if
@@ -213,6 +225,7 @@ def transform_batch(
     name = "LRL" if kind is GeneratorKind.LRL else "direction"
     t = np.atleast_1d(np.asarray(t, dtype=float))
     r, v, eps = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (r, v, eps))
+    eps_sq = _eps_sq(eps)
     vals = fields.values(r, v, kappa)
     e, r_mag = vals["E"], vals["r_mag"]
     parabolic = fields.plane_rows(vals, v, kappa, f"{name} transform")
@@ -231,7 +244,7 @@ def transform_batch(
     }
     # the reconstruction residual includes the E misfit, so it bounds E_invariance
     admissible = np.maximum(diagnostics["r_invariance"], diagnostics["reconstruction_residual"]) <= DIAGNOSTIC_TOL
-    moved = (_dot(eps, eps) > 0.0)[:, None]
+    moved = (eps_sq > 0.0)[:, None]
     r_new, v_new = np.where(moved, r_new, r), np.where(moved, v_new, v)
     delta_t = time_since_periapsis(r_new, v_new, sigma, kappa) - time_since_periapsis(r, v, sigma, kappa)
     return TransformBatch(

@@ -2,7 +2,8 @@
 
 Each test draws random admissible states (elliptic, hyperbolic and exactly
 parabolic) and holds every N=1 call to the matching row of one batched call
-on the whole stack, to 1e-14 relative.  A symmetry-flow batch that mixes the
+on the whole stack, to 1e-14 relative; `conserved_set`, the one writer of the
+conserved quantities on a single state, is held to its row byte for byte.  A symmetry-flow batch that mixes the
 LRL and LRL-direction families, rows shuffled, is held row by row to the
 single-family batches of the same rows, and to a vector reference written
 apart from `fields`.  Each state rebuilt from its own invariants is held to a
@@ -68,6 +69,18 @@ def axis_stack(n, axis):
     if axis is not None:
         eps[:, axis - 1] = 1.0
     return eps
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_conserved_set_is_its_values_row_byte_for_byte(seed):
+    for r, v in (sample_states(2000, seed), sample_parabolic_states(500, seed)):
+        vals = fields.values(r, v, 1.0)
+        for i in range(len(r)):
+            c = conserved_set(PhaseState(r[i], v[i]), SYS)
+            one = {"E": c.E, "L": c.L, "L_mag": c.L_mag, "A": c.A, "A_mag": c.A_mag, "Theta": c.Theta, "M": c.M}
+            for key, x in one.items():
+                if x is not None:  # M is dropped on the parabolic branch
+                    assert np.asarray(x, dtype=float).tobytes() == vals[key][i].tobytes(), (key, i)
 
 
 @settings(max_examples=30, deadline=None)

@@ -300,6 +300,14 @@ def deadline(seconds):
         # periapsis at 1e-7, above the collision floor
         (("transform", "--kind", "time", "--eps", "3", "--r", "1e-7,0,0", "--v", "0,1e5,0"), 0),
         (("transform", "--kind", "time", "--eps", "1e300", "--r", "1,0,0", "--v", "0,2,0"), 3),  # |r|^2 overflows
+        # an eps whose |eps|^2 overflows, or with a non-finite component, is a usage error
+        (("transform", "--kind", "rotation", "--eps", "1e300,0,0", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
+        (("transform", "--kind", "lrl", "--eps", "0,0,1e200", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
+        (("transform", "--kind", "lrl-direction", "--eps", "0,0,1e200", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
+        (("sweep", "--kind", "rotation", "--eps-axis", "0,0,1", "--eps-max", "1e300", "--grid", "3",
+          "--tmax", "1", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
+        (("sweep", "--kind", "lrl-direction", "--eps-axis", "0,0,1", "--eps-max", "inf", "--grid", "3",
+          "--tmax", "1", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
     ],
 )
 def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
@@ -412,6 +420,13 @@ def test_config_file_holding_a_list_exit2(tmp_path, capsys):
     (("verify", "--suite", "flows", "--rk-steps", "0"), "rk_steps must be >= 1"),
     (("conserved", "--r", "1,0,0", "--v", "0,1.2,0", "--kappa", "0"), "kappa must be positive"),
     (("verify", "--suite", "algebra", "--seed", "-1"), "seed must be >= 0"),
+    # kappa^2 overflows or underflows
+    (("conserved", "--r", "1,0,0", "--v", "0,1.2,0", "--kappa", "1e155"), "kappa*kappa"),
+    (("brackets", "--r", "1,0,0", "--v", "0,1.2,0", "--kappa", "1e155"), "kappa*kappa"),
+    (("transform", "--kind", "lrl", "--eps", "0,0,0.1", "--r", "1,0,0", "--v", "0,1.2,0", "--kappa", "1e155"),
+     "kappa*kappa"),
+    (("verify", "--suite", "transforms", "--kappa", "1e155"), "kappa*kappa"),
+    (("conserved", "--r", "1,0,0", "--v", "0,1.2,0", "--kappa", "1e-170"), "kappa*kappa"),
 ])
 def test_run_config_flags_out_of_range_exit2(capsys, argv, message):
     # an explicit 0 used to fall back to the default, --samples -5 ran one state
