@@ -16,8 +16,10 @@ scalar APIs elsewhere are N=1 views of them:
                              (expected_bracket: one entry of it)
     characteristics          P = dC/dv and DtP of each generator family, also mixed
                              A/Theta batches (generators, verify)
-    gauge_field              the radius-preserving flow field, and the A/Theta P
-                             and DtP, as per-row coefficients on (r, v, eps) (flow)
+    GaugeField               the radius-preserving flow field, and the A/Theta P
+                             and DtP, as per-row coefficients on (r, v, eps): a kernel
+                             bound once per RK4 batch (flow), which gauge_field runs
+                             once for a one-shot caller (generators, characteristics)
     reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*): the outputs
                              and the time-shift integrand of transforms.transform_batch
     plane_rows               the origin, circular and radial checks of rows whose
@@ -40,6 +42,8 @@ over the N states contiguously; callers get their (N, ...) transposed views.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .core import (
@@ -55,6 +59,11 @@ from .core import (
     is_radial,
 )
 from .errors import DegenerateDirectionError, InadmissibleTransformError, RadialStateError
+
+try:  # np.einsum without its Python wrapper, about 1 us a call; the wrapper calls it at optimize=False
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 # Reconstruction square-root arguments in [-ADMISSIBILITY_TOL, 0] are clamped
 # to zero; |A*|^2 must stay at or above ADMISSIBILITY_TOL^2.
@@ -237,15 +246,16 @@ def frame(r: np.ndarray, v: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np
     and its (2, 3, N) dots gram[a, b] = basis[a] . basis[b] for a in (r, v)."""
     basis = np.empty((3, 3, len(r)))
     basis[0], basis[1], basis[2] = r.T, v.T, eps.T
-    return basis, _contract("acn,bcn->abn", basis[:2], basis)
+    return basis, _contract("acn,bcn->abn", basis[:2], basis, np.empty((2, 3, len(r))))
 
 
-def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.einsum over batches on the last axis; a lone row goes as a pair, since einsum
-    sums it in another order, so that every row matches its row of any batch."""
-    if a.shape[-1] == 1:
-        return np.einsum(spec, np.concatenate((a, a), -1), np.concatenate((b, b), -1))[..., :1]
-    return np.einsum(spec, a, b)
+def _contract(spec: str, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.einsum over batches on the last axis, into out; a lone row goes as a pair, since
+    einsum sums it in another order, so that every row matches its row of any batch."""
+    if a.shape[-1] != 1:
+        return _einsum(spec, a, b, out=out)
+    out[...] = _einsum(spec, np.concatenate((a, a), -1), np.concatenate((b, b), -1))[..., :1]
+    return out
 
 
 def characteristics(
@@ -281,10 +291,11 @@ def characteristics(
     return tuple(gauge_field(family, basis, gram, kappa, 0.0)[1].transpose(0, 2, 1))
 
 
-def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=None):
-    """(dt/ds, (dr/ds, dv/ds)) of the radius-preserving gauge of the A/Theta
-    field (family "A", "Theta", or a mixed batch's Theta rows as a mask or,
-    cheapest, a slice) on a `frame`, the pair (2, 3, N):
+class GaugeField:
+    """The radius-preserving gauge of the A/Theta field (family "A", "Theta", or a
+    mixed batch's Theta rows as a mask or, cheapest, a slice), bound once to a (2, 3, N)
+    gram buffer.  Called on a basis (3, 3, N) = (r, v, eps) whose dots the buffer holds
+    (`gram_of`), it writes (dt/ds, (dr/ds, dv/ds)) into dt (N,) and d (2, 3, N):
 
         dr/ds = P + tau v,  dv/ds = DtP + tau a,  tau = -mu,
         dt/ds = tau + (eps.A) |L|^2/|A|^2 on an A row,  tau on a Theta row.
@@ -299,57 +310,126 @@ def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=No
     1/|A| times the A row's dt/ds.  The A row's added term is a constant of the
     motion, so the field stays a symmetry, and with it both fields keep the time of
     periapsis passage t - tau_p (`flow.time_since_periapsis`).
+
+    Its buffers, and every view into them, are made when it is bound, so that a call
+    makes ufunc calls into them and two einsums (the gram and the contraction): an RK4
+    batch binds one field and calls it at every stage (`flow.integrate_symmetry_flows`),
+    and `gauge_field` calls one once.
     """
-    rr, rv, re, vv, ve = gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2]
-    k = kappa / np.sqrt(rr)
-    # an A row's coefficients, dr/ds in coef[0] and dv/ds in coef[1]
-    coef = np.empty((2, 3, len(rr)))
-    np.negative(ve, out=coef[0, 0])
-    np.negative(rv, out=coef[0, 2])
-    coef[1, 1] = ve
-    np.subtract(k, vv, out=coef[1, 2])
-    q = ve / coef[0, 2] if mu is None else -re / rr  # (mu - rho)/|r|^2, mu = 0 if given
-    q_rr = q * rr
-    np.subtract(re, q_rr, out=coef[0, 1])
-    np.multiply(k, q, out=coef[1, 0])
-    neg_beta = coef[1, 2]
-    neg_a = neg_beta * gram[0] + rv * gram[1]  # -A.(r, v, eps)
-    a_sq = neg_beta * neg_a[0] + rv * neg_a[1]
-    theta = family if not isinstance(family, str) else slice(None) if family == "Theta" else None
-    if mu is None:  # tau of an A row is -(q |r|^2 + r.eps), and |L|^2 = A.r + kappa |r|
-        dt = (neg_a[0] - k * rr) * neg_a[2] / a_sq - q_rr - re
-    else:
-        # (P, DtP) at mu = 0 do not read it, and at a circular state it is 0/0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = (neg_a[0] - k * rr) * neg_a[2] / a_sq
+
+    def __init__(self, family, kappa: float, gram: np.ndarray, mu=None):
+        n = gram.shape[-1]
+        theta = family if not isinstance(family, str) else slice(None) if family == "Theta" else None
+        self.mu, self.gram, self.theta = mu, gram, theta
+        # its scalars as 0-d arrays, which a ufunc takes at less cost than a Python float
+        self.kappa, self.one, self.circular = np.array(float(kappa)), np.array(1.0), np.array((CIRCULAR_TOL * kappa) ** 2)
+        # (P, DtP) at a given mu do not read an A row's dt/ds, and at a circular state it is 0/0
+        self.quiet = nullcontext() if mu is None else np.errstate(divide="ignore", invalid="ignore")
+        # an A row's coefficients, dr/ds in coef[0] and dv/ds in coef[1]; -A.(r, v, eps); scratch
+        coef, neg_a, spare = np.empty((2, 3, n)), np.empty((3, n)), np.empty((3, n))
+        k, q, q_rr, a_sq, tmp = np.empty((5, n))
+        self.below = np.empty(n, dtype=bool)
+        self.rows = (gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2], gram[0], gram[1])
+        self.bufs = (coef, *coef[0], *coef[1], neg_a, *neg_a, spare, k, q, q_rr, a_sq, tmp)
         if theta is not None:
-            dt[theta] = 0.0
-        dt -= mu
-    if theta is not None:
-        coef_t, gram_t, k_t = coef[:, :, theta], gram[:, :, theta], k[theta]  # views for a slice theta
-        neg_beta, rv_t, neg_a, a_sq = coef_t[1, 2], gram_t[0, 1], neg_a[:, theta], a_sq[theta]
-        # also catches a roundoff-negative |A|^2
-        if np.count_nonzero(a_sq <= (CIRCULAR_TOL * kappa) ** 2):
-            raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
-        inv_a = 1.0 / np.sqrt(a_sq)
+            n_t = len(k[theta])
+            (inv_a, neg_g), w_pm, z = np.empty((2, n_t)), np.empty((2, n_t)), np.empty((2, 2, n_t))
+            self.theta_bufs = (inv_a, neg_g, w_pm, w_pm[0], w_pm[1], z, z[0, 1], z[1, 0], np.empty(n_t, dtype=bool))
+            self.theta_rows = self._theta_rows(coef, k, neg_a, a_sq) if isinstance(theta, slice) else None
+
+    def _theta_rows(self, coef, k, neg_a, a_sq) -> tuple:
+        """The Theta rows of coef, its r and v columns, its -beta, the gram, its r.v, its r and v
+        columns swapped, k, -A.(r, v, eps), -A.eps and |A|^2: views for a slice, a mask's copies."""
+        theta = self.theta
+        coef_t, gram_t, neg_a_t = coef[:, :, theta], self.gram[:, :, theta], neg_a[:, theta]
+        return (coef_t, coef_t[:, :2], coef_t[1, 2], gram_t, gram_t[0, 1], gram_t[:, 1::-1], k[theta], neg_a_t,
+                neg_a_t[2], a_sq[theta])
+
+    def gram_of(self, basis: np.ndarray) -> np.ndarray:
+        """The (2, 3, N) dots of basis, as in `frame`, written into the bound gram."""
+        return _contract("acn,bcn->abn", basis[:2], basis, self.gram)
+
+    def at_apsis(self, floor_sq) -> bool:
+        """Is a row of the gram at an apsis, (r.v)^2 <= floor_sq |r|^2 |v|^2?"""
+        rr, rv, _, vv, *_ = self.rows
+        *_, bound, _, _, square = self.bufs
+        np.multiply(rr, vv, out=bound)
+        np.multiply(floor_sq, bound, out=bound)
+        np.multiply(rv, rv, out=square)
+        return bool(np.count_nonzero(np.less_equal(square, bound, out=self.below)))
+
+    def __call__(self, basis: np.ndarray, dt: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dt, d), the field's (dt/ds, (dr/ds, dv/ds)) at basis.  DegenerateDirectionError
+        if a Theta row is at the circular-orbit threshold."""
+        mu, theta = self.mu, self.theta
+        rr, rv, re, vv, ve, gram_r, gram_v = self.rows
+        coef, c_rr, c_rv, c_re, c_vr, c_vv, c_ve, neg_a, na_r, na_v, na_e, spare, k, q, q_rr, a_sq, tmp = self.bufs
+        np.sqrt(rr, out=k)
+        np.divide(self.kappa, k, out=k)
+        np.negative(ve, out=c_rr)
+        np.negative(rv, out=c_re)
+        c_vv[...] = ve
+        np.subtract(k, vv, out=c_ve)
+        # (mu - rho)/|r|^2, mu = 0 if given
         if mu is None:
-            dt[theta] *= inv_a
-        neg_g = neg_a[2] * inv_a / a_sq
-        # the g terms, added to the coefficients on r and taken from those on v
-        z = (neg_g * (neg_beta + k_t)) * gram_t[:, 1::-1]
+            np.divide(ve, c_re, out=q)
+        else:
+            np.divide(np.negative(re, out=q), rr, out=q)
+        np.multiply(q, rr, out=q_rr)
+        np.subtract(re, q_rr, out=c_rv)
+        np.multiply(k, q, out=c_vr)
+        neg_beta = c_ve
+        np.multiply(neg_beta, gram_r, out=neg_a)
+        neg_a += np.multiply(rv, gram_v, out=spare)
+        np.multiply(neg_beta, na_r, out=a_sq)
+        a_sq += np.multiply(rv, na_v, out=tmp)
+        with self.quiet:  # an A row's added term, with |L|^2 = A.r + kappa |r|
+            np.subtract(na_r, np.multiply(k, rr, out=dt), out=dt)
+            dt *= na_e
+            dt /= a_sq
+        if mu is None:  # and tau = -(q |r|^2 + r.eps)
+            dt -= q_rr
+            dt -= re
+        else:
+            if theta is not None:
+                dt[theta] = 0.0
+            dt -= mu
+        if theta is not None:
+            rows_t = self.theta_rows or self._theta_rows(coef, k, neg_a, a_sq)
+            coef_t, on_rv, neg_beta, gram_t, rv_t, gram_vr, k_t, neg_a_t, na_e_t, a_sq_t = rows_t
+            inv_a, neg_g, w_pm, w, neg_w, z, z_rv, z_vr, below = self.theta_bufs
+            # also catches a roundoff-negative |A|^2
+            if np.count_nonzero(np.less_equal(a_sq_t, self.circular, out=below)):
+                raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
+            np.divide(self.one, np.sqrt(a_sq_t, out=inv_a), out=inv_a)
+            if mu is None:
+                dt[theta] *= inv_a
+            np.multiply(na_e_t, inv_a, out=neg_g)
+            neg_g /= a_sq_t
+            # the g terms: w times the gram's v column added to the coefficients on r, and w
+            # times its r column taken from those on v, as -w times it added
+            np.multiply(neg_g, np.add(neg_beta, k_t, out=w), out=w)
+            np.negative(w, out=neg_w)
+            np.multiply(w_pm, gram_vr, out=z)
+            if mu is not None:
+                np.negative(neg_g * (2.0 * neg_a_t[0] - rv_t * rv_t), out=z_rv)
+                np.multiply(neg_g, k_t / gram_t[0, 0] * neg_a_t[0] - neg_beta * neg_beta, out=z_vr)
+            coef_t *= inv_a
+            on_rv += z
+            if self.theta_rows is None:
+                coef[:, :, theta] = coef_t
         if mu is not None:
-            z[0, 1] = neg_g * (2.0 * neg_a[0] - rv_t * rv_t)
-            z[1, 0] = neg_g * (k_t / gram_t[0, 0] * neg_a[0] - neg_beta * neg_beta)
-        coef_t *= inv_a
-        on_r, on_v = coef_t[:, 0], coef_t[:, 1]
-        on_r += z[:, 0]
-        on_v -= z[:, 1]
-        if not isinstance(theta, slice):
-            coef[:, :, theta] = coef_t
-    if mu is not None:
-        coef[0, 1] -= mu
-        coef[1, 0] += k / rr * mu
-    return dt, _contract("pbn,bcn->pcn", coef, basis)
+            c_rv -= mu
+            c_vr += k / rr * mu
+        return dt, _contract("pbn,bcn->pcn", coef, basis, d)
+
+
+def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=None):
+    """(dt/ds, (dr/ds, dv/ds)) of the radius-preserving gauge of the A/Theta field on a
+    `frame` (basis, gram), dt (N,) and the pair (2, 3, N): a `GaugeField` bound and
+    called once.  A flow batch binds one for all its stages instead."""
+    n = gram.shape[-1]
+    return GaugeField(family, kappa, gram, mu)(basis, np.empty(n), np.empty((2, 3, n)))
 
 
 def root_terms(e, kappa: float, r_mag, l_sq):

@@ -24,9 +24,12 @@ the time of periapsis passage t - tau_p (`time_since_periapsis`), and the finite
 transforms shift t by the change of tau_p.  The LRL-direction field is the LRL
 field at the projected axis eps~ = (eps - (Theta.eps) Theta)/|A|, so one RK4 batch
 may mix the two families row by row.  eps~ is a combination of (r, v, eps), so
-is the field: `fields.gauge_field` forms its six coefficients per row from five
+is the field: `fields.GaugeField` forms its six coefficients per row from five
 dot products.  The RK4 loop puts the LRL-direction rows first, keeps t, r, v and
-eps in one (10, N) component-major stack, and reads |r|^2 from each first stage.
+eps in one (10, N) component-major stack, and binds one field to the batch when
+it starts: its buffers are made once, its basis at each stage is a view of the
+stack, it writes each stage's slopes into their slot in place, and |r|^2 is read
+from its gram after each first stage.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ ORBIT_TOL = 1e-10
 RK_STEPS = 10_000
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
+_APSIS_SQ = np.array(FLOW_APSIS_FLOOR**2)  # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
 SOLUTION_STEP = 0.1  # how far along its orbit verify_solution_mapping takes a second state
 # Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
 MAX_ORBIT_SAMPLES = 1_000_000
@@ -480,12 +484,10 @@ def _normalize_kind(gen) -> GeneratorKind:
 
 
 class _Kinds(tuple):
-    """The per-row kinds of a flow batch, its LRL-direction rows as a mask and as the
-    `gauge_field` family (a slice when they lead), and the |r|^2 of its last RHS."""
+    """The per-row kinds of a flow batch, and its LRL-direction rows as a mask and as the
+    `fields.GaugeField` family (a slice when they lead)."""
 
     def __new__(cls, kinds):
-        if isinstance(kinds, _Kinds):
-            return kinds
         self = super().__new__(cls, map(_normalize_kind, kinds))
         self.direction_rows = rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in self], dtype=bool)
         n = int(np.count_nonzero(rows))
@@ -493,30 +495,45 @@ class _Kinds(tuple):
         return self
 
 
+class _Stage:
+    """A field bound to a basis (3, 3, N) and to a slope slot (7, N), dt/ds then dr/ds and dv/ds
+    component-major, which it writes in place: one stage of an RK4 batch, or one RHS call."""
+
+    __slots__ = ("field", "basis", "dt", "d", "slopes")
+
+    def __init__(self, field: fields.GaugeField, basis: np.ndarray, slot: np.ndarray):
+        self.field, self.basis, self.dt, self.d = field, basis, slot[0], slot[1:].reshape(2, 3, -1)
+        self.slopes = self.dt, self.d[0].T, self.d[1].T
+
+
 def symmetry_flow_rhs(
     kind, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched (dt/ds, dr/ds, dv/ds) of the gauge-fixed symmetry flow.
 
-    kind is one GeneratorKind for every row or a sequence of N kinds, one per
-    row.  dr/ds and dv/ds are (N, 3) views of one (2, 3, N) array.  Raises
+    kind is one GeneratorKind for every row, a sequence of N kinds, one per
+    row, or a stage of `integrate_symmetry_flows`, whose field reads the
+    stage's basis (the memory of r, v and eps) and writes its slope slot.
+    dr/ds and dv/ds are (N, 3) views of one (7, N) slot.  Raises
     FlowDegeneracyError if any row is at an apsis or is a direction row at a
     circular state.
     """
-    batch = _Kinds([kind] * len(r) if isinstance(kind, GeneratorKind) else kind)
-    basis, gram = fields.frame(r, v, eps)
-    r_sq, r_dot_v, v_sq = gram[0, 0], gram[0, 1], gram[1, 1]
-    # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
-    if np.count_nonzero(r_dot_v * r_dot_v <= FLOW_APSIS_FLOOR**2 * (r_sq * v_sq)):
+    if isinstance(kind, _Stage):
+        stage = kind
+        stage.field.gram_of(stage.basis)
+    else:
+        basis, gram = fields.frame(r, v, eps)
+        theta_rows = _Kinds([kind] * len(r) if isinstance(kind, GeneratorKind) else kind).theta_rows
+        stage = _Stage(fields.GaugeField(theta_rows, kappa, gram), basis, np.empty((7, len(r))))
+    if stage.field.at_apsis(_APSIS_SQ):
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
     try:
-        dt, d = fields.gauge_field(batch.theta_rows, basis, gram, kappa)
+        stage.field(stage.basis, stage.dt, stage.d)
     except DegenerateDirectionError as exc:
         raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
-    batch.r_sq = r_sq
-    return dt, d[0].T, d[1].T
+    return stage.slopes
 
 
 def integrate_symmetry_flows(
@@ -547,24 +564,30 @@ def integrate_symmetry_flows(
     stage, k = y.copy(), np.empty((4, 7, n))
     state, stage_state = y[:7], stage[:7]
     rows, stage_rows = (y[1:4].T, y[4:7].T, y[7:].T), (stage[1:4].T, stage[4:7].T, stage[7:].T)
-    (slope_t, slope_r, slope_v), *later = [(s[0], s[1:4].T, s[4:].T) for s in k]  # (dt/ds, dr/ds, dv/ds)
+    # one field for the batch; the first stage reads the state, the others the stage stack
+    field = fields.GaugeField(batch.theta_rows, kappa, np.empty((2, 3, n)))
+    first, *later = (_Stage(field, x[1:].reshape(3, 3, n), slot) for x, slot in zip((y, stage, stage, stage), k))
     h = 1.0 / steps
     nodes = list(zip(k[:3], (0.5 * h, 0.5 * h, h), later))
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
-    r_sq_lo = r_sq_hi = r_sq0 = fields.frame(*rows)[1][0, 0]
+    slopes, increment, finite = k.reshape(4, -1), np.empty(7 * n), np.empty((7, n), dtype=bool)
+    state_flat = state.reshape(-1)
+    r_sq = field.gram_of(first.basis)[0, 0]  # |r|^2 in the field's gram, after each first stage
+    r_sq0, r_sq_lo, r_sq_hi = r_sq.copy(), r_sq.copy(), r_sq.copy()
 
     for _ in range(steps):
-        slope_t[...], slope_r[...], slope_v[...] = symmetry_flow_rhs(batch, *rows, kappa)
-        # |r|^2 at every step end but the last, from the gram of the next step's first stage
-        r_sq_lo, r_sq_hi = np.minimum(r_sq_lo, batch.r_sq), np.maximum(r_sq_hi, batch.r_sq)
-        for slope, node, (next_t, next_r, next_v) in nodes:
+        symmetry_flow_rhs(first, *rows, kappa)
+        # |r|^2 at every step end but the last
+        np.minimum(r_sq_lo, r_sq, out=r_sq_lo)
+        np.maximum(r_sq_hi, r_sq, out=r_sq_hi)
+        for slope, node, next_stage in nodes:
             np.multiply(slope, node, out=stage_state)
             stage_state += state
-            next_t[...], next_r[...], next_v[...] = symmetry_flow_rhs(batch, *stage_rows, kappa)
-        state += (weights @ k.reshape(4, -1)).reshape(state.shape)
-        if not np.isfinite(state).all():
+            symmetry_flow_rhs(next_stage, *stage_rows, kappa)
+        state_flat += np.matmul(weights, slopes, out=increment)
+        if not np.isfinite(state, out=finite).all():
             raise FlowDegeneracyError("symmetry flow produced a non-finite state")
-    r_sq = fields.frame(*rows)[1][0, 0]
+    field.gram_of(first.basis)  # and at the last
     # |r| grows with |r|^2, so its largest change is at one of the two extremes
     r_mag0 = np.sqrt(r_sq0)
     drift = np.maximum(np.sqrt(np.maximum(r_sq_hi, r_sq)) - r_mag0, r_mag0 - np.sqrt(np.minimum(r_sq_lo, r_sq)))

@@ -21,7 +21,7 @@ Four families act on extended states (t, r, v):
 `transform_batch` is the one implementation of the two LRL families, over N
 rows of one kind: it counts the constants once, maps them, and rebuilds (r, v)
 at the invariant radius (`fields.reconstruct`, which keeps |r| and E exact).
-Both groups keep the time of periapsis passage t - tau_p (`fields.gauge_field`),
+Both groups keep the time of periapsis passage t - tau_p (`fields.GaugeField`),
 so the time shift is Delta t = tau_p(r*, v*) - tau_p(r, v), with tau_p the time
 since periapsis (`flow.time_since_periapsis`), and each transform maps a
 solution onto a solution.  The two transforms, `time_shift_quadrature` and the
@@ -137,16 +137,25 @@ def _ray(kind: GeneratorKind, e, l_vec, a_vec, eps, parabolic) -> np.ndarray:
 def _ray_constants(kind: GeneratorKind, g: np.ndarray, s: np.ndarray, kappa: float):
     """(L*(s), A*(s), Theta*(s)) on the rows g of a `_ray` table, row i at parameter s[i] eps.
 
-    Raises InadmissibleTransformError where |A*| vanishes.
+    Raises InadmissibleTransformError where |L*|^2 or |A*|^2 overflows, as where cosh(sqrt(2E)
+    |s eps|) does on the LRL group's E > 0 branch, and where |A*| vanishes.
     """
-    if kind is GeneratorKind.LRL:
-        c, sh = _stumpff(g[:, 18] * s * s)
-        la = g[:, :6] + c[:, None] * g[:, 6:12] + (s * sh)[:, None] * g[:, 12:18]
-        l_star, a_star = la[:, :3], la[:, 3:]
-        a_sq = _dot(a_star, a_star)
-    else:
-        l_star = g[:, :3] + s[:, None] * g[:, 6:9]
-        a_sq = kappa**2 + g[:, 9] * _dot(l_star, l_star)
+    # an overflowed cosh times a zero term is NaN: such a row is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is GeneratorKind.LRL:
+            c, sh = _stumpff(g[:, 18] * s * s)
+            la = g[:, :6] + c[:, None] * g[:, 6:12] + (s * sh)[:, None] * g[:, 12:18]
+            l_star, a_star = la[:, :3], la[:, 3:]
+            l_sq, a_sq = _dot(l_star, l_star), _dot(a_star, a_star)
+        else:
+            l_star = g[:, :3] + s[:, None] * g[:, 6:9]
+            l_sq = _dot(l_star, l_star)
+            a_sq = kappa**2 + g[:, 9] * l_sq
+    if not np.isfinite(l_sq + a_sq).all():
+        raise InadmissibleTransformError(
+            "the constants map overflows along the parameter ray: |L*|^2 or |A*|^2 is not finite "
+            "(on the E > 0 branch of the LRL group, cosh(sqrt(2E) |eps|) overflows)"
+        )
     if not (a_sq >= ADMISSIBILITY_TOL**2).all():
         raise InadmissibleTransformError(
             "|A*| vanishes along the parameter ray; the transformed direction degenerates",

@@ -308,12 +308,27 @@ def deadline(seconds):
           "--tmax", "1", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
         (("sweep", "--kind", "lrl-direction", "--eps-axis", "0,0,1", "--eps-max", "inf", "--grid", "3",
           "--tmax", "1", "--r", "1,0,0", "--v", "0,1.2,0"), 2),
+        # on the E > 0 branch cosh(sqrt(2E)|eps|) overflows, or |L*|^2 does: inadmissible, not NaN
+        (("transform", "--kind", "lrl", "--eps", "0,0,1e10", "--r", "1,0.1,0", "--v", "0.1,1.5,0"), 4),
+        (("transform", "--kind", "lrl", "--eps", "0,0,1e3", "--r", "1,0.1,0", "--v", "0.1,1.5,0"), 4),
+        (("sweep", "--kind", "lrl", "--eps-axis", "0,0,1", "--eps-max", "1e10", "--grid", "3",
+          "--tmax", "1", "--r", "1,0.1,0", "--v", "0.1,1.5,0"), 4),
+        (("sweep", "--kind", "lrl", "--eps-axis", "0,0,1", "--eps-max", "1e3", "--grid", "3",
+          "--tmax", "1", "--r", "1,0.1,0", "--v", "0.1,1.5,0"), 4),
     ],
 )
 def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
     # overflowing, colliding and underflowing orbits end in exit 3, never a traceback
     with deadline(10):
-        assert run_cli(capsys, *argv)[0] == code
+        got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if argv[0] == "transform" and out:
+        # strict JSON: NaN and Infinity are not JSON
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON reply")
 
 
 def test_orbit_past_the_step_cap_exit3(capsys, monkeypatch):

@@ -1,5 +1,7 @@
+import functools
 import io
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,7 +24,7 @@ from keplersym import (
     time_translate,
     verify_solution_mapping,
 )
-from keplersym import flow
+from keplersym import fields, flow
 from keplersym.flow import CSV_COLUMNS
 from keplersym.generators import GeneratorKind
 from keplersym.sampling import sample_flow_pairs
@@ -186,6 +188,140 @@ def test_rk4_calls_the_rhs_by_its_module_name_once_per_stage(monkeypatch):
     eps = np.array([p[1] for p in pairs])
     flow.integrate_symmetry_flows(kinds, np.zeros(6), r, v, eps, 1.0, steps=7)
     assert rows == [((6, 3), (6, 3), (6, 3))] * (4 * 7)
+
+
+DIRECTION, LRL = GeneratorKind.LRL_DIRECTION, GeneratorKind.LRL
+
+
+@functools.cache
+def _flow_pool():
+    """200 LRL-direction and 200 LRL flows: {kind: (r, v, eps)}."""
+    pool = {}
+    for kind, branch, seed in ((DIRECTION, "any", 11), (LRL, "neg", 12)):
+        pairs = sample_flow_pairs(200, seed=seed, kind=kind, branch=branch)
+        pool[kind] = tuple(np.array(x) for x in zip(*((p[0].r, p[0].v, p[1]) for p in pairs)))
+    return pool
+
+
+def _flow_batch(kinds):
+    """r, v and eps of a batch of the given kinds, row i the i-th flow of its kind's pool."""
+    pool = _flow_pool()
+    return tuple(np.array([pool[kind][part][i] for i, kind in enumerate(kinds)]) for part in range(3))
+
+
+def _one_shot_rk4(kinds, t, r, v, eps, kappa, steps):
+    """RK4 over one-shot `symmetry_flow_rhs` calls, rows in the caller's order, with the
+    arithmetic of `integrate_symmetry_flows`: a (7, N) state y, stages node k + y and the
+    step y + weights @ k, and |r|^2 from a new `fields.frame` at every step end."""
+    n = len(r)
+    y, k = np.empty((7, n)), np.empty((4, 7, n))
+    y[0], y[1:4], y[4:] = t, r.T, v.T
+    h = 1.0 / steps
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
+    r_sq = [fields.frame(r, v, eps)[1][0, 0]]
+    for _ in range(steps):
+        stage = y
+        for j, node in enumerate((0.5 * h, 0.5 * h, h, None)):
+            dt, dr, dv = flow.symmetry_flow_rhs(kinds, stage[1:4].T, stage[4:].T, eps, kappa)
+            k[j, 0], k[j, 1:4], k[j, 4:] = dt, dr.T, dv.T
+            if node is not None:
+                stage = node * k[j] + y
+        y = y + (weights @ k.reshape(4, -1)).reshape(7, n)
+        r_sq.append(fields.frame(y[1:4].T, y[4:].T, eps)[1][0, 0])
+    r_mag0 = np.sqrt(r_sq[0])
+    drift = np.maximum(np.sqrt(np.max(r_sq, axis=0)) - r_mag0, r_mag0 - np.sqrt(np.min(r_sq, axis=0)))
+    return y[0], y[1:4].T, y[4:].T, drift
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+@pytest.mark.parametrize("layout", ["leading", "interleaved", "none", "only"])
+def test_bound_rk4_gives_the_one_shot_bits(n, layout):
+    # one field is bound per batch and its four stages share its buffers and the stacks' views;
+    # a stale or aliased view between stage slots would show here
+    kinds = {
+        "leading": [DIRECTION] * ((n + 1) // 2) + [LRL] * (n // 2),
+        "interleaved": [(LRL, DIRECTION)[i % 2] for i in range(n)],
+        "none": [LRL] * n,
+        "only": [DIRECTION] * n,
+    }[layout]
+    r, v, eps = _flow_batch(kinds)
+    t0 = np.linspace(-1.0, 1.0, n)
+    bound = flow.integrate_symmetry_flows(kinds, t0, r, v, eps, 1.0, steps=3)
+    one_shot = _one_shot_rk4(kinds, t0, r, v, eps, 1.0, steps=3)
+    for got, want in zip(bound, one_shot):
+        assert np.array_equal(got, want)
+
+
+def _stage_two(kind, r, v, eps):
+    """(r, v) of the second RK4 stage of one step of size 1 from (r, v), as the batch forms it."""
+    _, dr, dv = flow.symmetry_flow_rhs(kind, r[None], v[None], eps[None], 1.0)
+    return 0.5 * dr[0] + r, 0.5 * dv[0] + v
+
+
+def _lands_on_an_apsis(r, v, eps):
+    """The multiple of eps whose LRL field takes the second stage of a one-step RK4 onto r.v = 0:
+    the stage is linear in eps, so r.v there is a quadratic in the multiple."""
+    r2, v2 = _stage_two(LRL, r, v, eps)
+    a, b = r2 - r, v2 - v
+    roots = np.roots([a @ b, r @ b + a @ v, r @ v])
+    return min(x.real for x in roots if x.imag == 0.0 and x.real > 0.0) * eps
+
+
+def _lands_on_a_circle():
+    """r, v and eps of an LRL-direction flow whose second stage, in a one-step RK4, has
+    |A| < 1e-14 with |A| = 0.022 at its start: eps is fixed, and a Newton solve on v zeroes
+    A at the stage, whose A moves with v through a Jacobian that is regular near a circle."""
+    r, eps = np.array([1.0, 0.0, 0.0]), np.array([-1e-3, 0.0, 0.0])
+
+    def a_at_stage(vxy):
+        v2 = _stage_two(DIRECTION, r, np.array([*vxy, 0.0]), eps)
+        return fields.values(*(x[None] for x in v2), 1.0)["A"][0, :2]
+
+    vxy = np.array([0.03, 1.0])
+    for _ in range(20):
+        residual = a_at_stage(vxy)
+        if np.linalg.norm(residual) < 1e-14:
+            return r, np.array([*vxy, 0.0]), eps
+        jac = np.column_stack([(a_at_stage(vxy + 1e-8 * e) - residual) / 1e-8 for e in np.eye(2)])
+        vxy = vxy - np.linalg.solve(jac, residual)
+    raise AssertionError(f"no circular second stage: |A| = {np.linalg.norm(residual):.3e}")
+
+
+def _count_rhs_calls(monkeypatch):
+    calls = []
+    real = flow.symmetry_flow_rhs
+
+    def counting(kind, r, v, eps, kappa):
+        calls.append(len(r))
+        return real(kind, r, v, eps, kappa)
+
+    monkeypatch.setattr(flow, "symmetry_flow_rhs", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["apsis", "circular", "circular without the apsis test", "non-finite"])
+def test_a_degeneracy_reached_mid_flow_stops_the_bound_rk4(monkeypatch, case):
+    # a batch of three flows whose middle row degenerates only after the first RHS call
+    kinds = [DIRECTION, DIRECTION if case.startswith("circular") else LRL, LRL]
+    r, v, eps = _flow_batch(kinds)
+    if case == "apsis":  # its second stage lands on r.v = 0
+        eps[1] = _lands_on_an_apsis(r[1], v[1], eps[1])
+        message, calls = "apsis", 2
+    elif case.startswith("circular"):  # its second stage lands on |A| = 0, where r.v = 0 too
+        r[1], v[1], eps[1] = _lands_on_a_circle()
+        message, calls = "apsis", 2
+        if case == "circular without the apsis test":
+            monkeypatch.setattr(flow, "_APSIS_SQ", np.array(0.0))
+            message = "circular"
+    else:  # its eps is not finite, so neither is its state after the first step's four stages
+        eps[1, 2] = np.nan
+        message, calls = "non-finite", 4
+    made = _count_rhs_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FlowDegeneracyError, match=message):
+            flow.integrate_symmetry_flows(kinds, np.zeros(3), r, v, eps, 1.0, steps=1)
+    assert len(made) == calls
 
 
 def _four_flows():
