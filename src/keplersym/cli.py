@@ -16,6 +16,12 @@ once, and the handlers read only that RunConfig.
 The argument parser is built on the first call of `main` and shared by every
 later call in the same process.  A flag's value may start with a minus sign in
 both forms, `--r -1,0,0` and `--r=-1,0,0`.
+
+Handlers import on demand: this module imports only `core` (which also holds
+the defaults the parser and RunConfig read) and `errors`, and each handler
+imports what it calls when it runs, so that a `conserved` call loads nothing
+else.  Each such import reads the module's attribute at call time; no function
+of another module is bound here ahead of its use.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import structure_table
-from .core import ExtendedState, KeplerSystem, PhaseState, conserved_set
+from .core import DEFAULT_TOLERANCES, ORBIT_TOL, RK_STEPS, SUITES, ExtendedState, KeplerSystem, PhaseState, conserved_set
 from .errors import (
     DegenerateStateError,
     InadmissibleTransformError,
@@ -40,17 +45,6 @@ from .errors import (
     KeplerError,
     UsageError,
 )
-from .flow import CSV_COLUMNS, ORBIT_TOL, RK_STEPS, integrate_orbit, write_rows
-from .generators import GeneratorKind
-from .transforms import (
-    TransformResult,
-    direction_lrl_transform,
-    lrl_transform,
-    rotate,
-    time_translate,
-    transform_batch,
-)
-from .verify import DEFAULT_TOLERANCES, SUITES, run_suites
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "KEPLERSYM_CONFIG"
@@ -139,6 +133,8 @@ def _state_from_args(args) -> ExtendedState:
 def _simple_result(state: ExtendedState, out: ExtendedState, sys: KeplerSystem) -> TransformResult:
     """A rotation or time translation: every parameter is admissible, and the
     diagnostics report how well |r| (not kept by a time translation) and E held."""
+    from .transforms import TransformResult
+
     c_in = conserved_set(state.state, sys)
     c_out = conserved_set(out.state, sys)
     diagnostics = {
@@ -158,6 +154,8 @@ def cmd_conserved(args, cfg: RunConfig) -> int:
 
 
 def cmd_transform(args, cfg: RunConfig) -> int:
+    from .transforms import direction_lrl_transform, lrl_transform, rotate, time_translate
+
     sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     kind = args.kind
@@ -187,6 +185,8 @@ def cmd_transform(args, cfg: RunConfig) -> int:
 
 
 def cmd_brackets(args, cfg: RunConfig) -> int:
+    from .brackets import structure_table
+
     sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     report = structure_table(state.state, sys, fd_check=args.fd_check)
@@ -198,6 +198,8 @@ def cmd_brackets(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.suite, cfg.samples, cfg.seed, cfg.kappa, cfg.rk_steps, tolerances=cfg.tolerances)
     for res in results:
         _sys.stdout.write(res.line() + "\n")
@@ -210,11 +212,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def _write_rows(path, header: list[str], rows) -> None:
     """CSV rows to the file at path, or to stdout when path is None."""
+    from .flow import write_rows
+
     with open(path, "w") if path else contextlib.nullcontext(_sys.stdout) as fh:
         write_rows(fh, header, rows)
 
 
 def cmd_orbit(args, cfg: RunConfig) -> int:
+    from .flow import CSV_COLUMNS, integrate_orbit
+
     sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     traj = integrate_orbit(state, sys, args.tmax, tol=args.tol, dt_out=args.dt_out)
@@ -223,6 +229,10 @@ def cmd_orbit(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
+    from .flow import CSV_COLUMNS, integrate_orbit
+    from .generators import GeneratorKind
+    from .transforms import rotate, transform_batch
+
     if args.grid < 1:
         raise UsageError("--grid must be >= 1")
     sys = KeplerSystem(kappa=cfg.kappa)

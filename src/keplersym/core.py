@@ -41,6 +41,33 @@ FD_SCALE = 1e-6
 # |r| below this is the force-law singularity (SingularOriginError).
 ORIGIN_FLOOR = 1e-12
 
+# The defaults of every CLI call, here so that parsing one loads neither verify nor flow:
+# the DP5 tolerance of flow.integrate_orbit, the RK4 step count of the symmetry flows,
+# and verify's suites and the gate of each property.
+ORBIT_TOL = 1e-10
+RK_STEPS = 10_000
+SUITES = ("algebra", "transforms", "flows")
+DEFAULT_TOLERANCES = {
+    "bracket_analytic": 1e-10,
+    "bracket_fd": 1e-5,
+    "noether": 1e-5,
+    "antisymmetry": 1e-12,
+    "jacobi": 1e-8,
+    "linearity": 1e-5,
+    "classification": 0.5,
+    "action": 1e-5,
+    "transform_exact": 1e-10,
+    "constants_match": 1e-9,
+    "group_law": 1e-9,
+    "flow_residual": 1e-6,
+    "r_drift": 1e-8,
+    "dt_ds": 1e-6,
+    "orbit_closure": 1e-8,
+    "energy_drift": 1e-9,
+    "monotone_escape": 1e-12,
+    "solution_mapping": 1e-8,
+}
+
 
 def as_vec3(value, name: str = "vector") -> Vec3:
     """Coerce to a read-only float64 array of shape (3,), checking finiteness."""

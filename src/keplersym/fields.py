@@ -193,15 +193,18 @@ def gradients(
     theta_a = 1.0 / a_mag
     theta_b = -a_vec.T * (l_sq / a_mag**3)
     theta_c = -a_vec.T * (e / a_mag**3)
-    alpha = None
-    if include_m:
-        two_abs_e = 2.0 * np.abs(e)
-        alpha = 1.0 / np.sqrt(two_abs_e)
-        m_beta = -a_vec.T * (np.sign(e) / two_abs_e**1.5)
     for g in (g_r, g_v):
         g[8:11] = theta_a * g[4:7] + theta_b[:, None] * g[0] + theta_c[:, None] * g[7]
-        if include_m:
-            g[11:] = alpha * g[4:7] + m_beta[:, None] * g[0]
+    alpha = None
+    if include_m:
+        # M is unused at exactly parabolic rows (E = 0): keep its division quiet there, as
+        # `core._write_directions` does; those rows of M are inf and NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            two_abs_e = 2.0 * np.abs(e)
+            alpha = 1.0 / np.sqrt(two_abs_e)
+            m_beta = -a_vec.T * (np.sign(e) / two_abs_e**1.5)
+            for g in (g_r, g_v):
+                g[11:] = alpha * g[4:7] + m_beta[:, None] * g[0]
 
     names = SCALAR_LABELS[:7] + ("_LSQ",) + SCALAR_LABELS[7:] + (M_LABELS if include_m else ())
     out: dict = {name: (g_r[k].T, g_v[k].T) for k, name in enumerate(names)}

@@ -41,6 +41,8 @@ import numpy as np
 
 from . import fields
 from .core import (
+    ORBIT_TOL,
+    RK_STEPS,
     ExtendedState,
     KeplerSystem,
     PhaseState,
@@ -62,9 +64,6 @@ from .errors import (
 from .generators import GeneratorId, GeneratorKind
 from .transforms import _transform_one
 
-# Default DP5 tolerance of integrate_orbit and RK4 step count of the symmetry flows
-ORBIT_TOL = 1e-10
-RK_STEPS = 10_000
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
 _APSIS_SQ = np.array(FLOW_APSIS_FLOOR**2)  # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .core import ExtendedState, KeplerSystem, PhaseState, conserved_set
+from .core import DEFAULT_TOLERANCES, RK_STEPS, SUITES, ExtendedState, KeplerSystem, PhaseState, conserved_set
 from .errors import UsageError
 from .flow import (
-    RK_STEPS,
     compare_flow_vs_closed_form,
     gaps,
     integrate_orbit,
@@ -40,29 +39,6 @@ from .sampling import (
 )
 from .transforms import rotation_matrix, time_translate, transform_batch
 from .brackets import FD_M_FLOOR
-
-DEFAULT_TOLERANCES = {
-    "bracket_analytic": 1e-10,
-    "bracket_fd": 1e-5,
-    "noether": 1e-5,
-    "antisymmetry": 1e-12,
-    "jacobi": 1e-8,
-    "linearity": 1e-5,
-    "classification": 0.5,
-    "action": 1e-5,
-    "transform_exact": 1e-10,
-    "constants_match": 1e-9,
-    "group_law": 1e-9,
-    "flow_residual": 1e-6,
-    "r_drift": 1e-8,
-    "dt_ds": 1e-6,
-    "orbit_closure": 1e-8,
-    "energy_drift": 1e-9,
-    "monotone_escape": 1e-12,
-    "solution_mapping": 1e-8,
-}
-
-SUITES = ("algebra", "transforms", "flows")
 
 # Step along the prolonged flow in algebra.symmetry_action_fd: the residual
 # there is the O(h^2) truncation of the central difference.

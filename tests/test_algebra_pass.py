@@ -9,6 +9,7 @@ rows and whole-array gradients for the Noether and antisymmetry rows.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_pass_matches_per_property_reference(seed, batch, monkeypatch):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gradients_are_quiet_at_exactly_parabolic_rows():
+    # E = 0 to the bit at r = (2, 0, 0), v = (0, 1, 0), where M = A/sqrt(2|E|) has no value
+    r, v = sample_states(20, 6, KAPPA)
+    rp, vp = sample_parabolic_states(20, 7, KAPPA)
+    r = np.concatenate([r, [[2.0, 0.0, 0.0], [0.0, 0.0, -2.0]], rp])
+    v = np.concatenate([v, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], vp])
+    zero = fields.values(r, v, KAPPA)["E"] == 0.0
+    assert zero[20:22].all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with_m = fields.gradients(r, v, KAPPA)
+    without_m = fields.gradients(r, v, KAPPA, include_m=False)
+    for lab in fields.SCALAR_LABELS:
+        for side in (0, 1):
+            assert _same_bits(with_m[lab][side], without_m[lab][side]), lab
+    for lab in fields.M_LABELS:
+        for side in (0, 1):
+            assert np.array_equal(~np.isfinite(with_m[lab][side]).all(axis=1), zero), lab
 
 
 def test_gradients_do_not_depend_on_m_rows_or_chunk():
