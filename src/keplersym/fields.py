@@ -326,8 +326,9 @@ class GaugeField:
         self.mu, self.gram, self.theta = mu, gram, theta
         # its scalars as 0-d arrays, which a ufunc takes at less cost than a Python float
         self.kappa, self.one, self.circular = np.array(float(kappa)), np.array(1.0), np.array((CIRCULAR_TOL * kappa) ** 2)
-        # (P, DtP) at a given mu do not read an A row's dt/ds, and at a circular state it is 0/0
-        self.quiet = nullcontext() if mu is None else np.errstate(divide="ignore", invalid="ignore")
+        # (P, DtP) at a given mu do not read an A row's dt/ds, and at a circular state it is 0/0;
+        # numpy enters an errstate once, so each such call makes its own
+        self.quiet = nullcontext() if mu is None else None
         # an A row's coefficients, dr/ds in coef[0] and dv/ds in coef[1]; -A.(r, v, eps); scratch
         coef, neg_a, spare = np.empty((2, 3, n)), np.empty((3, n)), np.empty((3, n))
         k, q, q_rr, a_sq, tmp = np.empty((5, n))
@@ -361,6 +362,16 @@ class GaugeField:
         np.multiply(rv, rv, out=square)
         return bool(np.count_nonzero(np.less_equal(square, bound, out=self.below)))
 
+    def circular_at_apsis(self) -> bool:
+        """Is a row that `at_apsis` flagged a Theta row at the circular-orbit threshold?  At a
+        circular state r.v is roundoff, so the apsis test flags it first; only its error path asks."""
+        if self.theta is None:
+            return False
+        rr, rv, _, vv = (x[self.theta] for x in self.rows[:4])
+        k = self.kappa / np.sqrt(rr)
+        a_sq = (vv - k) * ((vv - k) * rr - rv * rv) + k * rv * rv  # beta A.r - (r.v) A.v
+        return bool(np.any(self.below[self.theta] & (a_sq <= self.circular)))
+
     def __call__(self, basis: np.ndarray, dt: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dt, d), the field's (dt/ds, (dr/ds, dv/ds)) at basis.  DegenerateDirectionError
         if a Theta row is at the circular-orbit threshold."""
@@ -386,7 +397,8 @@ class GaugeField:
         neg_a += np.multiply(rv, gram_v, out=spare)
         np.multiply(neg_beta, na_r, out=a_sq)
         a_sq += np.multiply(rv, na_v, out=tmp)
-        with self.quiet:  # an A row's added term, with |L|^2 = A.r + kappa |r|
+        # an A row's added term, with |L|^2 = A.r + kappa |r|
+        with self.quiet or np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(na_r, np.multiply(k, rr, out=dt), out=dt)
             dt *= na_e
             dt /= a_sq

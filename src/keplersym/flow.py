@@ -6,8 +6,10 @@ the universal Kepler equation, on six Python floats, for every energy branch.
 Orbits are integrated with an embedded Dormand-Prince 5(4) pair under PI
 step-size control; this is the trusted reference dynamics every closed-form
 transform is checked against.  Its step runs on six Python floats, the tableau
-unrolled: numpy's fixed cost per call is nearly all of a step on a 6-component
-array, and the float step takes a quarter of the time.  Symmetry flows (the
+unrolled into scalar statements that also form the error norm: numpy's fixed
+cost per call is nearly all of a step on a 6-component array.  A dt_out grid is
+sampled from each step's quartic dense output, so the grid does not change the
+steps, and the samples are the rows (t, r, v) of one array.  Symmetry flows (the
 ray from the identity to a finite LRL or LRL-direction transformation) are
 integrated with fixed-step classical RK4 so that runs are bit-reproducible and
 convergence-order checks are meaningful.
@@ -35,6 +37,7 @@ from its gram after each first stage.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +70,9 @@ from .transforms import _transform_one
 COLLISION_FLOOR = 1e-8
 FLOW_APSIS_FLOOR = 1e-9
 _APSIS_SQ = np.array(FLOW_APSIS_FLOOR**2)  # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
+_CIRCULAR = "flow reached a circular state; direction undefined"
 SOLUTION_STEP = 0.1  # how far along its orbit verify_solution_mapping takes a second state
-# Largest dt_out grid: at about 0.8 kB per held sample, one orbit stays under 1 GB.
+# Largest dt_out grid: a held sample takes about 0.25 kB, 0.8 kB with its CSV row, so one orbit stays under 1 GB.
 MAX_ORBIT_SAMPLES = 1_000_000
 # Most DP5 steps, accepted and rejected, over one span.  Without dt_out every accepted step is
 # a held sample, so this is the same bound; a run that needs more is refused, not left running.
@@ -93,17 +97,36 @@ _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+# Its quartic continuous extension (Shampine, Math. Comp. 46, 1986; Hairer, Norsett & Wanner, Solving
+# ODEs I, section II.6): b_i(theta) = sum_j c_ij theta^j, j = 1..4, for k1, k3, .., k7; k2's is 0.
+_DENSE = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered orbit samples, their `fields.values` (one call per orbit), and the
-    accepted and rejected steps of the integrator that made them."""
+    """Ordered orbit samples as the read-only rows (t, r, v) of one (n, 7) array, their
+    `fields.values` (one call per orbit), and the accepted and rejected steps of the
+    integrator that made them."""
 
-    samples: tuple[ExtendedState, ...]
+    rows: np.ndarray
     values: dict
     steps_accepted: int = 0
     steps_rejected: int = 0
+
+    @property
+    def samples(self) -> tuple[ExtendedState, ...]:
+        return tuple(map(_sample, self.rows))
+
+    @property
+    def end(self) -> ExtendedState:
+        return _sample(self.rows[-1])
 
     @property
     def drift(self) -> dict:
@@ -124,13 +147,14 @@ class Trajectory:
         """One CSV_COLUMNS row per sample."""
         vals = self.values
         _require_off_origin(float(np.min(vals["r_mag"])))
-        r = [s.r for s in self.samples]
-        v = [s.v for s in self.samples]
-        t = [s.t for s in self.samples]
-        return np.column_stack([t, r, v, vals["E"], vals["L"], vals["A"]]).tolist()
+        return np.column_stack([self.rows, vals["E"], vals["L"], vals["A"]]).tolist()
 
     def write_csv(self, fh) -> None:
         write_rows(fh, CSV_COLUMNS, self.csv_rows())
+
+
+def _sample(row: np.ndarray) -> ExtendedState:
+    return ExtendedState(float(row[0]), PhaseState(row[1:4], row[4:]))
 
 
 def write_rows(fh, header, rows) -> None:
@@ -164,44 +188,89 @@ class SolutionMappingReport:
     max_residual: float
 
 
-def _orbit_rhs(y, kappa: float) -> tuple:
-    """(v, -kappa r / |r|^3) at the six floats y = (r, v)."""
-    x0, x1, x2, v0, v1, v2 = y
+def _pull(x0: float, x1: float, x2: float, kappa: float) -> float:
+    """-kappa / |r|^3 at the three floats r: the acceleration is this times r."""
     r_sq = x0 * x0 + x1 * x1 + x2 * x2
     r_mag = math.sqrt(r_sq)
     if r_mag < COLLISION_FLOOR:
         raise CollisionError(f"|r| = {r_mag:.3e} fell below the collision floor")
     # r_mag * r_sq, not r_mag**3: a float power raises OverflowError where a product gives inf
-    g = -kappa / (r_mag * r_sq)
-    return v0, v1, v2, g * x0, g * x1, g * x2
+    return -kappa / (r_mag * r_sq)
 
 
-def _dp_step(y, f, h: float, kappa: float) -> tuple[list, tuple, list]:
-    """One Dormand-Prince 5(4) step of size h from y, whose slope is f: the fifth-order
-    state, its slope (the next step's f) and h times the fifth- minus fourth-order slope."""
-    k2 = _orbit_rhs([a + h * (_A21 * p) for a, p in zip(y, f)], kappa)
-    k3 = _orbit_rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, f, k2)], kappa)
-    k4 = _orbit_rhs([a + h * (_A41 * p + _A42 * q + _A43 * u) for a, p, q, u in zip(y, f, k2, k3)], kappa)
-    k5 = _orbit_rhs([a + h * (_A51 * p + _A52 * q + _A53 * u + _A54 * w)
-                     for a, p, q, u, w in zip(y, f, k2, k3, k4)], kappa)
-    k6 = _orbit_rhs([a + h * (_A61 * p + _A62 * q + _A63 * u + _A64 * w + _A65 * z)
-                     for a, p, q, u, w, z in zip(y, f, k2, k3, k4, k5)], kappa)
-    y_new = [a + h * (_B1 * p + _B3 * u + _B4 * w + _B5 * z + _B6 * x)
-             for a, p, u, w, z, x in zip(y, f, k3, k4, k5, k6)]
-    k7 = _orbit_rhs(y_new, kappa)
-    err = [h * (_E1 * p + _E3 * u + _E4 * w + _E5 * z + _E6 * x + _E7 * b)
-           for p, u, w, z, x, b in zip(f, k3, k4, k5, k6, k7)]
-    return y_new, k7, err
+def _dp_step(y, f, h: float, kappa: float, tol: float) -> tuple:
+    """One Dormand-Prince 5(4) step of size h from the six floats y = (r, v), whose slope is f:
+    the fifth-order state, its slope (the next step's f), the RMS of h times the fifth- minus
+    fourth-order slope over the mixed scale tol (1 + max(|y|, |y_new|)), and the slopes k3..k6
+    that the dense output reads.  kij is component j of stage i's slope; the r part of a
+    stage's slope is that stage's v."""
+    x0, x1, x2, u0, u1, u2 = y
+    f0, f1, f2, f3, f4, f5 = f
+    p0, p1, p2 = x0 + h * (_A21 * f0), x1 + h * (_A21 * f1), x2 + h * (_A21 * f2)
+    k20, k21, k22 = u0 + h * (_A21 * f3), u1 + h * (_A21 * f4), u2 + h * (_A21 * f5)
+    g = _pull(p0, p1, p2, kappa)
+    k23, k24, k25 = g * p0, g * p1, g * p2
+    p0, k30 = x0 + h * (_A31 * f0 + _A32 * k20), u0 + h * (_A31 * f3 + _A32 * k23)
+    p1, k31 = x1 + h * (_A31 * f1 + _A32 * k21), u1 + h * (_A31 * f4 + _A32 * k24)
+    p2, k32 = x2 + h * (_A31 * f2 + _A32 * k22), u2 + h * (_A31 * f5 + _A32 * k25)
+    g = _pull(p0, p1, p2, kappa)
+    k33, k34, k35 = g * p0, g * p1, g * p2
+    p0, k40 = x0 + h * (_A41 * f0 + _A42 * k20 + _A43 * k30), u0 + h * (_A41 * f3 + _A42 * k23 + _A43 * k33)
+    p1, k41 = x1 + h * (_A41 * f1 + _A42 * k21 + _A43 * k31), u1 + h * (_A41 * f4 + _A42 * k24 + _A43 * k34)
+    p2, k42 = x2 + h * (_A41 * f2 + _A42 * k22 + _A43 * k32), u2 + h * (_A41 * f5 + _A42 * k25 + _A43 * k35)
+    g = _pull(p0, p1, p2, kappa)
+    k43, k44, k45 = g * p0, g * p1, g * p2
+    p0 = x0 + h * (_A51 * f0 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+    p1 = x1 + h * (_A51 * f1 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+    p2 = x2 + h * (_A51 * f2 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+    k50 = u0 + h * (_A51 * f3 + _A52 * k23 + _A53 * k33 + _A54 * k43)
+    k51 = u1 + h * (_A51 * f4 + _A52 * k24 + _A53 * k34 + _A54 * k44)
+    k52 = u2 + h * (_A51 * f5 + _A52 * k25 + _A53 * k35 + _A54 * k45)
+    g = _pull(p0, p1, p2, kappa)
+    k53, k54, k55 = g * p0, g * p1, g * p2
+    p0 = x0 + h * (_A61 * f0 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+    p1 = x1 + h * (_A61 * f1 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+    p2 = x2 + h * (_A61 * f2 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+    k60 = u0 + h * (_A61 * f3 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53)
+    k61 = u1 + h * (_A61 * f4 + _A62 * k24 + _A63 * k34 + _A64 * k44 + _A65 * k54)
+    k62 = u2 + h * (_A61 * f5 + _A62 * k25 + _A63 * k35 + _A64 * k45 + _A65 * k55)
+    g = _pull(p0, p1, p2, kappa)
+    k63, k64, k65 = g * p0, g * p1, g * p2
+    n0 = x0 + h * (_B1 * f0 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
+    n1 = x1 + h * (_B1 * f1 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+    n2 = x2 + h * (_B1 * f2 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+    n3 = u0 + h * (_B1 * f3 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
+    n4 = u1 + h * (_B1 * f4 + _B3 * k34 + _B4 * k44 + _B5 * k54 + _B6 * k64)
+    n5 = u2 + h * (_B1 * f5 + _B3 * k35 + _B4 * k45 + _B5 * k55 + _B6 * k65)
+    g = _pull(n0, n1, n2, kappa)
+    k73, k74, k75 = g * n0, g * n1, g * n2
+    q0 = h * (_E1 * f0 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * n3) / (tol + tol * max(abs(x0), abs(n0)))
+    q1 = h * (_E1 * f1 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * n4) / (tol + tol * max(abs(x1), abs(n1)))
+    q2 = h * (_E1 * f2 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * n5) / (tol + tol * max(abs(x2), abs(n2)))
+    q3 = h * (_E1 * f3 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63 + _E7 * k73) / (tol + tol * max(abs(u0), abs(n3)))
+    q4 = h * (_E1 * f4 + _E3 * k34 + _E4 * k44 + _E5 * k54 + _E6 * k64 + _E7 * k74) / (tol + tol * max(abs(u1), abs(n4)))
+    q5 = h * (_E1 * f5 + _E3 * k35 + _E4 * k45 + _E5 * k55 + _E6 * k65 + _E7 * k75) / (tol + tol * max(abs(u2), abs(n5)))
+    err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 + q5 * q5) / 6)
+    stages = ((k30, k31, k32, k33, k34, k35), (k40, k41, k42, k43, k44, k45),
+              (k50, k51, k52, k53, k54, k55), (k60, k61, k62, k63, k64, k65))
+    return (n0, n1, n2, n3, n4, n5), (n3, n4, n5, k73, k74, k75), err, stages
 
 
-def _rms_scaled(x, y, y_new, tol: float) -> float:
-    """RMS of x over the mixed scale tol (1 + max(|y|, |y_new|))."""
-    q = [xi / (tol + tol * max(abs(a), abs(b))) for xi, a, b in zip(x, y, y_new)]
+def _dense(y, h: float, theta: float, slopes) -> list:
+    """The state at the fraction theta of the step of size h from y by the quartic continuous
+    extension y + h sum_i b_i(theta) k_i, whose slopes are (k1, k3, k4, k5, k6, k7)."""
+    b1, b3, b4, b5, b6, b7 = (theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))) for c1, c2, c3, c4 in _DENSE)
+    return [a + h * (b1 * p + b3 * u + b4 * w + b5 * z + b6 * x + b7 * q) for a, p, u, w, z, x, q in zip(y, *slopes)]
+
+
+def _rms_scaled(x, y, tol: float) -> float:
+    """RMS of x over the mixed scale tol (1 + |y|)."""
+    q = [xi / (tol + tol * abs(a)) for xi, a in zip(x, y)]
     return math.sqrt(sum(c * c for c in q) / len(q))
 
 
 def _initial_step(y0, f0, tol: float, span: float) -> float:
-    d0, d1 = _rms_scaled(y0, y0, y0, tol), _rms_scaled(f0, y0, y0, tol)
+    d0, d1 = _rms_scaled(y0, y0, tol), _rms_scaled(f0, y0, tol)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     return min(h, abs(span)) if span != 0 else h
 
@@ -215,13 +284,14 @@ def integrate_orbit(
 ) -> Trajectory:
     """Propagate the orbit over t_span (may be negative).
 
-    Samples land on the dt_out grid when given, otherwise at every accepted
-    step; the trajectory counts the accepted and rejected steps.  Raises
-    UsageError for a non-finite t_span or dt_out, a tol that is not positive
-    and finite, a tol too small to size the first step or a dt_out grid
-    of more than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches
-    the collision floor, StepUnderflowError if adaptive control stalls and
-    IntegrationError if the span takes more than MAX_ORBIT_STEPS steps.
+    Samples lie on the dt_out grid when given, from each step's dense output, and at the
+    span's end; otherwise at every accepted step.  The grid does not change the steps, and
+    only the last step is cut short, to land on the span's end.  The trajectory counts the
+    accepted and rejected steps.  Raises UsageError for a non-finite t_span or dt_out, a tol
+    that is not positive and finite, a tol too small to size the first step or a dt_out grid
+    of more than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches the
+    collision floor, StepUnderflowError if adaptive control stalls and IntegrationError if
+    the span takes more than MAX_ORBIT_STEPS steps.
     """
     if not math.isfinite(t_span):
         raise UsageError(f"t_span must be finite, got {t_span}")
@@ -229,13 +299,15 @@ def integrate_orbit(
         raise UsageError(f"dt_out must be finite, got {dt_out}")
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
+    y = (*state.r.tolist(), *state.v.tolist())
+    rows = array("d", (state.t, *y))
     if t_span == 0.0:
-        return _finish_trajectory([state], sys)
+        return _finish_trajectory(rows, sys)
     direction = 1.0 if t_span > 0 else -1.0
     kappa = sys.kappa
     t0 = state.t
     t_end = t0 + t_span
-    targets = [t_end]
+    n_grid = 0  # samples after t0 on the dt_out grid: k = 1 .. n_grid - 1, then t_end
     if dt_out is not None:
         if dt_out <= 0:
             raise UsageError("dt_out must be positive")
@@ -243,58 +315,58 @@ def integrate_orbit(
         if grid > MAX_ORBIT_SAMPLES:
             raise UsageError(f"the dt_out grid asks for {grid:.3g} samples, over {MAX_ORBIT_SAMPLES}")
         n_grid = max(1, math.ceil(grid - 1e-12))
-        targets = (t0 + direction * dt_out * k if k < n_grid else t_end for k in range(1, n_grid + 1))
 
-    y = [*state.r.tolist(), *state.v.tolist()]
-    f = _orbit_rhs(y, kappa)
+    g = _pull(*y[:3], kappa)
+    f = (*y[3:], g * y[0], g * y[1], g * y[2])
     h = direction * _initial_step(y, f, tol, t_span)
     if not math.isfinite(h):
         raise UsageError(f"tol = {tol:.3g} is too small to size the first step")
     h_min = 1e-14 * max(1.0, abs(t_span))
     err_prev = 1.0
     t = t0
-    samples = [state]
+    k = 1  # the next grid point
     accepted = rejected = 0
 
-    for target in targets:
-        while direction * (target - t) > 1e-14 * max(1.0, abs(target)):
-            h = direction * min(abs(h), abs(target - t))
-            if not abs(h) >= h_min:  # also a NaN step
-                r_now = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
-                if r_now < 1e3 * COLLISION_FLOOR:
-                    raise CollisionError(
-                        f"|r| = {r_now:.3e} is collapsing onto the singularity at t = {t:.6g}"
-                    )
-                raise StepUnderflowError(f"step size {h:.3e} underflowed at t = {t:.6g}")
-            if accepted + rejected == MAX_ORBIT_STEPS:
-                raise IntegrationError(f"{MAX_ORBIT_STEPS} steps reached t = {t:.6g} of a span to {t_end:.6g}")
+    while direction * (t_end - t) > 1e-14 * max(1.0, abs(t_end)):
+        h = direction * min(abs(h), abs(t_end - t))
+        if not abs(h) >= h_min:  # also a NaN step
+            r_now = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
+            if r_now < 1e3 * COLLISION_FLOOR:
+                raise CollisionError(f"|r| = {r_now:.3e} is collapsing onto the singularity at t = {t:.6g}")
+            raise StepUnderflowError(f"step size {h:.3e} underflowed at t = {t:.6g}")
+        if accepted + rejected == MAX_ORBIT_STEPS:
+            raise IntegrationError(f"{MAX_ORBIT_STEPS} steps reached t = {t:.6g} of a span to {t_end:.6g}")
 
-            y_new, f_new, err_vec = _dp_step(y, f, h, kappa)
-            err = _rms_scaled(err_vec, y, y_new, tol)
+        y_new, f_new, err, stages = _dp_step(y, f, h, kappa, tol)
 
-            if err <= 1.0:
-                accepted += 1
-                t += h
-                y, f = y_new, f_new  # FSAL
-                factor = 0.9 * max(err, 1e-16) ** -0.14 * max(err_prev, 1e-16) ** 0.08
-                err_prev = max(err, 1e-16)
-                h *= min(5.0, max(0.2, factor))
-                if dt_out is None:
-                    samples.append(ExtendedState(t, PhaseState(y[:3], y[3:])))
-            else:
-                rejected += 1
-                h *= max(0.1, 0.9 * err**-0.2)
-        t = target
-        if dt_out is not None:
-            samples.append(ExtendedState(t, PhaseState(y[:3], y[3:])))
-    if dt_out is None and samples[-1].t != t:
-        samples.append(ExtendedState(t, PhaseState(y[:3], y[3:])))
-    return _finish_trajectory(samples, sys, accepted, rejected)
+        if err <= 1.0:
+            accepted += 1
+            t_new = t + h
+            if n_grid == 0:
+                rows.extend((t_new, *y_new))
+            # the grid points inside the step; one on its end is the next step's start
+            while k < n_grid and direction * (t_new - (t_k := t0 + direction * dt_out * k)) > 0.0:
+                rows.extend((t_k, *_dense(y, h, (t_k - t) / h, (f, *stages, f_new))))
+                k += 1
+            t, y, f = t_new, y_new, f_new  # FSAL
+            factor = 0.9 * max(err, 1e-16) ** -0.14 * max(err_prev, 1e-16) ** 0.08
+            err_prev = max(err, 1e-16)
+            h *= min(5.0, max(0.2, factor))
+        else:
+            rejected += 1
+            h *= max(0.1, 0.9 * err**-0.2)
+    # grid points within the loop's tolerance of t_end, and t_end itself, take its last state
+    for j in range(k, n_grid):
+        rows.extend((t0 + direction * dt_out * j, *y))
+    if n_grid or rows[-7] != t_end:
+        rows.extend((t_end, *y))
+    return _finish_trajectory(rows, sys, accepted, rejected)
 
 
-def _finish_trajectory(samples: list[ExtendedState], sys: KeplerSystem, *steps: int) -> Trajectory:
-    vals = fields.values(np.array([s.r for s in samples]), np.array([s.v for s in samples]), sys.kappa)
-    return Trajectory(tuple(samples), vals, *steps)
+def _finish_trajectory(rows: array, sys: KeplerSystem, *steps: int) -> Trajectory:
+    samples = np.frombuffer(rows).reshape(-1, 7)
+    samples.setflags(write=False)
+    return Trajectory(samples, fields.values(samples[:, 1:4], samples[:, 4:], sys.kappa), *steps)
 
 
 def _stumpff_c2_c3(psi: float) -> tuple[float, float]:
@@ -525,13 +597,15 @@ def symmetry_flow_rhs(
         theta_rows = _Kinds([kind] * len(r) if isinstance(kind, GeneratorKind) else kind).theta_rows
         stage = _Stage(fields.GaugeField(theta_rows, kappa, gram), basis, np.empty((7, len(r))))
     if stage.field.at_apsis(_APSIS_SQ):
+        if stage.field.circular_at_apsis():
+            raise FlowDegeneracyError(_CIRCULAR)
         raise FlowDegeneracyError(
             "flow reached an apsis (r.v = 0); the radius-preserving field is singular there"
         )
     try:
         stage.field(stage.basis, stage.dt, stage.d)
     except DegenerateDirectionError as exc:
-        raise FlowDegeneracyError("flow reached a circular state; direction undefined") from exc
+        raise FlowDegeneracyError(_CIRCULAR) from exc
     return stage.slopes
 
 
@@ -656,10 +730,10 @@ def verify_solution_mapping(
     image = _transform_one(kind, state, sys, eps)
     residuals = integrate_orbit(image.out, sys, t_span).deviations(image.constants_out)
     try:
-        later = _transform_one(kind, integrate_orbit(state, sys, SOLUTION_STEP).samples[-1], sys, eps).out
+        later = _transform_one(kind, integrate_orbit(state, sys, SOLUTION_STEP).end, sys, eps).out
     except InadmissibleTransformError:  # T(x1) may not reach |r(x1)|
         pass
     else:
-        end = integrate_orbit(image.out, sys, later.t - image.out.t).samples[-1]
+        end = integrate_orbit(image.out, sys, later.t - image.out.t).end
         residuals["solution"] = gaps((0.0, end.r, end.v), (0.0, later.r, later.v))[1]
     return SolutionMappingReport(residuals, float(np.max(list(residuals.values()))))

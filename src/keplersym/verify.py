@@ -364,8 +364,7 @@ def flows_suite(
 
     t0 = time.perf_counter()
     circ = ExtendedState(0.0, refs["circ"])
-    traj = integrate_orbit(circ, sys, 2.0 * math.pi)
-    end = traj.samples[-1]
+    end = integrate_orbit(circ, sys, 2.0 * math.pi).end
     worst = _worst(end.r - circ.r, end.v - circ.v)
     out.append(_result("flows.circular_closure", worst, tol["orbit_closure"], 1, t0))
 
@@ -378,7 +377,7 @@ def flows_suite(
     t0 = time.perf_counter()
     hyp = ExtendedState(0.0, refs["hyp"])
     traj = integrate_orbit(hyp, sys, 10.0, dt_out=0.05)
-    radii = np.array([s.state.r_mag for s in traj.samples])
+    radii = traj.values["r_mag"]
     worst = np.max(radii[:-1] - radii[1:], initial=0.0)
     out.append(_result("flows.hyperbolic_escape", worst, tol["monotone_escape"], len(radii), t0))
 

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from keplersym import (
@@ -162,8 +164,9 @@ def test_trajectory_counts_solver_steps(ksys, v, tol):
     assert traj.steps_accepted == len(traj.samples) - 1
     # the near-radial orbit at a loose tolerance has its steps cut at periapsis
     assert (traj.steps_rejected > 0) == (tol == 1e-6)
+    # the grid is sampled from the steps' dense output, so it takes the same steps
     on_grid = integrate_orbit(start, ksys, 3.0, tol=tol, dt_out=0.5)
-    assert on_grid.steps_accepted >= traj.steps_accepted
+    assert (on_grid.steps_accepted, on_grid.steps_rejected) == (traj.steps_accepted, traj.steps_rejected)
     assert len(on_grid.samples) == 7
 
 
@@ -252,6 +255,17 @@ def test_bound_rk4_gives_the_one_shot_bits(n, layout):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("family", ["A", "Theta"])
+def test_a_field_bound_with_a_mu_gives_the_same_slopes_when_called_again(family):
+    # numpy enters an np.errstate once; the field quiets each call with its own
+    r, v, eps = _flow_batch([DIRECTION] * 5)
+    basis, gram = fields.frame(r, v, eps)
+    field = fields.GaugeField(family, 1.0, gram, 0.0)
+    first, again = (tuple(x.copy() for x in field(basis, np.empty(5), np.empty((2, 3, 5)))) for _ in range(2))
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
 def _stage_two(kind, r, v, eps):
     """(r, v) of the second RK4 stage of one step of size 1 from (r, v), as the batch forms it."""
     _, dr, dv = flow.symmetry_flow_rhs(kind, r[None], v[None], eps[None], 1.0)
@@ -309,10 +323,9 @@ def test_a_degeneracy_reached_mid_flow_stops_the_bound_rk4(monkeypatch, case):
         message, calls = "apsis", 2
     elif case.startswith("circular"):  # its second stage lands on |A| = 0, where r.v = 0 too
         r[1], v[1], eps[1] = _lands_on_a_circle()
-        message, calls = "apsis", 2
+        message, calls = "circular", 2
         if case == "circular without the apsis test":
             monkeypatch.setattr(flow, "_APSIS_SQ", np.array(0.0))
-            message = "circular"
     else:  # its eps is not finite, so neither is its state after the first step's four stages
         eps[1, 2] = np.nan
         message, calls = "non-finite", 4
@@ -385,7 +398,7 @@ def _kepler_rhs(y, kappa):
 
 @pytest.mark.parametrize("h", [0.3, -0.05])
 def test_dp_step_applies_the_published_tableau(h):
-    kappa = 1.3
+    kappa, tol = 1.3, 1e-6
     y = np.array([0.9, -0.4, 0.3, 0.35, 1.1, -0.2])
     k = np.empty((7, 6))
     k[0] = _kepler_rhs(y, kappa)
@@ -393,12 +406,100 @@ def test_dp_step_applies_the_published_tableau(h):
         k[i] = _kepler_rhs(y + h * (np.array(DP_A[i], dtype=float) @ k[:i]), kappa)
     y5 = y + h * (np.array(DP_B5, dtype=float) @ k)
     err = h * (np.array([b5 - b4 for b5, b4 in zip(DP_B5, DP_B4)], dtype=float) @ k)
+    scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
 
-    y_new, f_new, err_vec = flow._dp_step(y.tolist(), k[0].tolist(), h, kappa)
+    y_new, f_new, err_norm, stages = flow._dp_step(y.tolist(), k[0].tolist(), h, kappa, tol)
     assert np.max(np.abs(np.array(y_new) - y5)) <= 1e-15 * np.max(np.abs(y5))
     assert np.max(np.abs(np.array(f_new) - k[6])) <= 1e-15 * np.max(np.abs(k[6]))
+    assert np.max(np.abs(np.array(stages) - k[2:6])) <= 1e-15 * np.max(np.abs(k))
     # the error weights sum to zero, so measure err against the terms it sums
-    assert np.max(np.abs(np.array(err_vec) - err)) <= 1e-15 * abs(h) * np.max(np.abs(k))
+    assert abs(err_norm - math.sqrt(np.mean((err / scale) ** 2))) <= 1e-15 * abs(h) * np.max(np.abs(k)) / tol
+
+
+def _dense_weights(theta):
+    """b_i(theta) of flow's dense output for the seven stages, k2's 0 put back."""
+    b = [theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))) for c1, c2, c3, c4 in flow._DENSE]
+    return [b[0], 0.0, *b[1:]]
+
+
+def test_dense_output_is_a_fourth_order_extension_of_the_step():
+    # the order conditions of the eight trees of order <= 4 with weights b_i(theta) hold
+    # as theta^q / gamma, and at theta = 1 the weights are the fifth-order step's
+    c = [sum(row, F(0)) for row in DP_A] + [F(1)]
+    tableau = DP_A + [DP_B5[:6]]
+
+    def a_times(x):
+        return [sum((a * x[j] for j, a in enumerate(row)), F(0)) for row in tableau]
+
+    ac = a_times(c)
+    trees = [  # (Phi_i, order, gamma)
+        ([F(1)] * 7, 1, 1), (c, 2, 2), ([x * x for x in c], 3, 3), (ac, 3, 6), ([x**3 for x in c], 4, 4),
+        ([x * y for x, y in zip(c, ac)], 4, 8), (a_times([x * x for x in c]), 4, 12), (a_times(ac), 4, 24),
+    ]
+    for theta in (0.1, 0.37, 0.5, 0.9, 1.0):
+        b = _dense_weights(theta)
+        for phi, order, gamma in trees:
+            assert abs(sum(w * float(p) for w, p in zip(b, phi)) - theta**order / gamma) <= 1e-15
+    assert_allclose(_dense_weights(1.0), [float(w) for w in DP_B5], rtol=0, atol=1e-15)
+    assert _dense_weights(0.0) == [0.0] * 7
+
+
+def _orbit_rhs_reference(y, kappa):
+    x0, x1, x2, v0, v1, v2 = y
+    r_sq = x0 * x0 + x1 * x1 + x2 * x2
+    r_mag = math.sqrt(r_sq)
+    if r_mag < flow.COLLISION_FLOOR:
+        raise CollisionError(f"|r| = {r_mag:.3e} fell below the collision floor")
+    g = -kappa / (r_mag * r_sq)
+    return v0, v1, v2, g * x0, g * x1, g * x2
+
+
+def _dp_step_reference(y, f, h, kappa):
+    """The list-form Dormand-Prince step the unrolled `flow._dp_step` replaced: the fifth-order
+    state, its slope, h times the fifth- minus fourth-order slope, and the slopes k3..k6."""
+    rhs, a = _orbit_rhs_reference, flow
+    k2 = rhs([y_ + h * (a._A21 * p) for y_, p in zip(y, f)], kappa)
+    k3 = rhs([y_ + h * (a._A31 * p + a._A32 * q) for y_, p, q in zip(y, f, k2)], kappa)
+    k4 = rhs([y_ + h * (a._A41 * p + a._A42 * q + a._A43 * u) for y_, p, q, u in zip(y, f, k2, k3)], kappa)
+    k5 = rhs([y_ + h * (a._A51 * p + a._A52 * q + a._A53 * u + a._A54 * w)
+              for y_, p, q, u, w in zip(y, f, k2, k3, k4)], kappa)
+    k6 = rhs([y_ + h * (a._A61 * p + a._A62 * q + a._A63 * u + a._A64 * w + a._A65 * z)
+              for y_, p, q, u, w, z in zip(y, f, k2, k3, k4, k5)], kappa)
+    y_new = [y_ + h * (a._B1 * p + a._B3 * u + a._B4 * w + a._B5 * z + a._B6 * x)
+             for y_, p, u, w, z, x in zip(y, f, k3, k4, k5, k6)]
+    k7 = rhs(y_new, kappa)
+    err = [h * (a._E1 * p + a._E3 * u + a._E4 * w + a._E5 * z + a._E6 * x + a._E7 * b)
+           for p, u, w, z, x, b in zip(f, k3, k4, k5, k6, k7)]
+    return y_new, k7, err, (k3, k4, k5, k6)
+
+
+def _rms_scaled_reference(x, y, y_new, tol):
+    q = [xi / (tol + tol * max(abs(a), abs(b))) for xi, a, b in zip(x, y, y_new)]
+    return math.sqrt(sum(c * c for c in q) / len(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+    st.floats(-5.0, 5.0).filter(lambda h: h != 0.0),
+    st.floats(1e-14, 1e-2),
+    st.floats(1e-3, 1e3),
+)
+@example([1.5e-8, 0.0, 0.0, -1.0, 0.0, 0.0], 5e-8, 1e-10, 1.0)  # the second stage is below the collision floor
+def test_unrolled_step_keeps_the_list_form_bits(y, h, tol, kappa):
+    def outcome(step):
+        try:
+            return step()
+        except CollisionError as exc:
+            return str(exc)
+
+    def reference():
+        y_new, f_new, err, stages = _dp_step_reference(y, _orbit_rhs_reference(y, kappa), h, kappa)
+        return tuple(y_new), f_new, _rms_scaled_reference(err, y, y_new, tol), stages
+
+    want = outcome(reference)
+    got = outcome(lambda: flow._dp_step(y, _orbit_rhs_reference(y, kappa), h, kappa, tol))
+    assert repr(got) == repr(want)
 
 
 def _newton(fun, dfun, x):
@@ -532,6 +633,42 @@ def test_orbit_matches_propagator(branch):
             r, v = flow.propagate_kepler(r0.tolist(), v0.tolist(), sample.t, kappa)
             worst = max(worst, np.max(np.abs(sample.r - r)), np.max(np.abs(sample.v - v)))
     assert worst <= 1e-8
+
+
+def _conic(ecc, periapsis):
+    """(r, v) at the periapsis of the kappa = 1 orbit of the given eccentricity, tilted out of the xy plane."""
+    turn = np.linalg.qr(np.array([[0.3, -1.2, 0.5], [0.8, 0.4, -0.9], [-0.2, 0.7, 1.1]]))[0]
+    return turn @ [periapsis, 0.0, 0.0], turn @ [0.0, math.sqrt((1.0 + ecc) / periapsis), 0.0]
+
+
+@pytest.mark.parametrize(
+    "r0, v0, span, bound",
+    [
+        (*_conic(0.1, 0.9), 10 * math.pi, 1e-7),  # five periods; 2.9e-8 at the default tol
+        (*_conic(0.5, 0.5), 10 * math.pi, 2e-7),  # 5.5e-8
+        (*_conic(0.9, 1.0), 10 * math.pi * 10**1.5, 1e-5),  # semi-major axis 10; 2.4e-6
+        ((2.0, 0.0, 0.0), (0.6, 0.8, 0.0), 50.0, 1e-8),  # |v|^2 = 2/|r| exactly; 1.5e-9
+        (*_conic(1.5, 1.0), 50.0, 5e-9),  # 1.0e-9
+    ],
+    ids=["e0.1", "e0.5", "e0.9", "parabola", "e1.5"],
+)
+def test_orbit_matches_propagator_over_long_spans(r0, v0, span, bound):
+    # every dense-output sample of a 100-point grid, both ways, against the closed form;
+    # the grid does not change the steps, so the run ends on the bits of the same span without it
+    ksys = KeplerSystem(kappa=1.0)
+    start = ExtendedState(0.0, PhaseState(r0, v0))
+    for span in (span, -span):
+        dt_out = abs(span) / 100
+        traj = integrate_orbit(start, ksys, span, dt_out=dt_out)
+        assert traj.rows[:, 0].tolist() == [0.0 + math.copysign(1.0, span) * dt_out * k for k in range(100)] + [span]
+        worst = 0.0
+        for t, *rv in traj.rows[1:].tolist():
+            r, v = flow.propagate_kepler(list(r0), list(v0), t, 1.0)
+            worst = max(worst, np.max(np.abs(np.subtract(rv, [*r, *v]))))
+        assert worst <= bound
+        plain = integrate_orbit(start, ksys, span)
+        assert traj.rows[-1].tobytes() == plain.rows[-1].tobytes()
+        assert (traj.steps_accepted, traj.steps_rejected) == (plain.steps_accepted, plain.steps_rejected)
 
 
 def test_propagator_refuses_a_span_through_the_collision_floor():
