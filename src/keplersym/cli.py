@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import sys as _sys
@@ -127,7 +128,10 @@ def _emit_json(doc: dict) -> None:
 def _state_from_args(args) -> ExtendedState:
     r = parse_vec3(args.r, "--r")
     v = parse_vec3(args.v, "--v")
-    return ExtendedState(getattr(args, "t", 0.0) or 0.0, PhaseState(r, v))
+    t = getattr(args, "t", 0.0) or 0.0
+    if not math.isfinite(t):
+        raise UsageError(f"--t must be finite, got {t}")
+    return ExtendedState(t, PhaseState(r, v))
 
 
 def _simple_result(state: ExtendedState, out: ExtendedState, sys: KeplerSystem) -> TransformResult:

@@ -12,9 +12,9 @@ conserved quantities attached to a phase-space point (r, v) are
 with |A|^2 = kappa^2 + 2 E |L|^2, eccentricity |A|/kappa, LRL direction
 Theta = A/|A| (undefined for circular orbits) and the rescaled vector
 M = A/sqrt(2|E|) (undefined for parabolic orbits).  One writer,
-`_write_labels`, forms them for `fields.values` and the label tables of
-`fields` on (3, N) stacks and for `conserved_set` on one state's (3,) vectors,
-so the set of a state has the bits of its row of any batch.
+`_write_labels`, forms them for `fields.values`, the label tables and the
+gradients of `fields` on (3, N) stacks and for `conserved_set` on one state's
+(3,) vectors, so the set of a state has the bits of its row of any batch.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ def _write_directions(e, a_vec, a_mag, theta, m_vec) -> None:
 def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple:
     """The one writer of the conserved quantities: E, L, A and, unless theta is None, Theta
     and M (unless m_vec is None) of the component-major (3, ...) stacks r and v, which
-    broadcast, into the given (...) and (3, ...) arrays; returns |r|, r.v and |A|, with the
-    sums of `_invariants`.  `conserved_set` calls it on two (3,) vectors, `fields` on (3, N)."""
+    broadcast, into the given (...) and (3, ...) arrays; returns |r|, |v|^2, r.v and |A|, with
+    the sums of `_invariants`.  `conserved_set` calls it on two (3,) vectors, `fields` on (3, N)."""
     r_mag, v_sq, r_dot_v = _invariants(r, v)
     k_r = kappa / r_mag
     np.subtract(0.5 * v_sq, k_r, out=e)
@@ -267,7 +267,7 @@ def _write_labels(r, v, kappa: float, e, l_vec, a_vec, theta, m_vec) -> tuple:
     a_mag = _norm(a_vec)
     if theta is not None:
         _write_directions(e, a_vec, a_mag, theta, m_vec)
-    return r_mag, r_dot_v, a_mag
+    return r_mag, v_sq, r_dot_v, a_mag
 
 
 def acceleration(state: PhaseState, sys: KeplerSystem) -> Vec3:

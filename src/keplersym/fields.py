@@ -8,18 +8,21 @@ scalar APIs elsewhere are N=1 views of them:
                              writer, of which core.conserved_set is the single-state
                              view; scalar_values forms only the labels of the tables
     gradients                analytic phase-space gradients, from the base fields
-                             {E, L_i, A_i, |L|^2}
-    fd_gradients             their finite-difference twin (step rule in core)
+                             {E, L_i, A_i, |L|^2}, with E, A and |A| from the writer
+    fd_gradients             their finite-difference twin (step rule in core), on the
+                             label tables of the writer, as scalar_values
     bracket_table            every Poisson bracket of a gradient table: C B0 C^T,
                              expanded by slices (bracket: one entry of it)
     expected_table           the closed-form structure constants, same layout
                              (expected_bracket: one entry of it)
-    characteristics          P = dC/dv and DtP of each generator family, also mixed
-                             A/Theta batches (generators, verify)
+    characteristics          P = dC/dv and DtP of each generator family (generators,
+                             verify)
     GaugeField               the radius-preserving flow field, and the A/Theta P
-                             and DtP, as per-row coefficients on (r, v, eps): a kernel
-                             bound once per RK4 batch (flow), which gauge_field runs
-                             once for a one-shot caller (generators, characteristics)
+                             and DtP, as per-row coefficients on (r, v, eps), on a
+                             batch whose Theta rows lead (a mixed flow batch is
+                             ordered so by flow): a kernel bound once per RK4 batch
+                             (flow), which gauge_field runs once for a one-shot
+                             caller (generators, characteristics)
     reconstruct              (r, v) rebuilt from (|r|, E, L*, Theta*): the outputs
                              and the time-shift integrand of transforms.transform_batch
     plane_rows               the origin, circular and radial checks of rows whose
@@ -49,7 +52,6 @@ import numpy as np
 from .core import (
     CIRCULAR_TOL,
     _cross_components,
-    _invariants,
     _norm,
     _require_off_origin,
     _write_labels,
@@ -106,7 +108,7 @@ def values(r: np.ndarray, v: np.ndarray, kappa: float) -> dict[str, np.ndarray]:
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     e, l_vec, a_vec, theta, m_vec = np.empty(len(r)), *(np.empty((len(r), 3)) for _ in range(4))
-    r_mag, r_dot_v, a_mag = _write_labels(r.T, v.T, kappa, e, l_vec.T, a_vec.T, theta.T, m_vec.T)
+    r_mag, _, r_dot_v, a_mag = _write_labels(r.T, v.T, kappa, e, l_vec.T, a_vec.T, theta.T, m_vec.T)
     return {
         "r_mag": r_mag,
         "r_dot_v": r_dot_v,
@@ -133,16 +135,21 @@ def plane_rows(vals: dict[str, np.ndarray], v: np.ndarray, kappa: float, what: s
     return is_parabolic(vals["E"], l_mag, r_mag, kappa)
 
 
+def _label_table(r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool) -> np.ndarray:
+    """The (L, ...) table of `table_labels` at the component-major (3, ...) stacks r and v,
+    which broadcast, written by `_write_labels`."""
+    out = np.empty((len(table_labels(include_m)),) + np.broadcast_shapes(r.shape, v.shape)[1:])
+    _write_labels(r, v, kappa, out[0], out[_L], out[_A], out[_THETA], out[_M] if include_m else None)
+    return out
+
+
 def scalar_values(
     r: np.ndarray, v: np.ndarray, kappa: float, include_m: bool = True
 ) -> dict[str, np.ndarray]:
     """Each label of `table_labels` as an (N,) row of one (L, N) label table."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    labels = table_labels(include_m)
-    table = np.empty((len(labels), len(r)))
-    _write_labels(r.T, v.T, kappa, table[0], table[_L], table[_A], table[_THETA], table[_M] if include_m else None)
-    return dict(zip(labels, table))
+    return dict(zip(table_labels(include_m), _label_table(r.T, v.T, kappa, include_m)))
 
 
 def gradients(
@@ -158,20 +165,20 @@ def gradients(
 
     (Theta = A/|A| with |A|^2 = kappa^2 + 2E|L|^2, M = A/sqrt(2|E|)), whose
     grad-E-free coefficients (a, c, alpha) are kept under "_coef" for
-    `bracket_table`.  All of them are kept as (field, component, N) stacks in
-    the order E, L, A, |L|^2, Theta, M, under "_base" as their (N, field, 3)
-    views; each label, and "_LSQ" for |L|^2, maps to views of them.
+    `bracket_table`.  E, A and |A| are those of `values`, bit for bit, from
+    `_write_labels`; the base gradients read neither A nor |A|.  All of them
+    are kept as (field, component, N) stacks in the order E, L, A, |L|^2,
+    Theta, M, under "_base" as their (N, field, 3) views; each label, and
+    "_LSQ" for |L|^2, maps to views of them.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    # the sums of `values`, so that E here and in the expected table agree to the bit
-    r_mag, v_sq, r_dot_v = _invariants(r.T, v.T)
+    rt, vt = r.T, v.T
+    e, l_vec, a_vec = np.empty(len(r)), np.empty((3, len(r))), np.empty((3, len(r)))
+    r_mag, v_sq, r_dot_v, a_mag = _write_labels(rt, vt, kappa, e, l_vec, a_vec, None, None)
     r_sq = r_mag**2
     k_r3 = kappa / r_mag**3
     beta = v_sq - kappa / r_mag
-    e = 0.5 * v_sq - kappa / r_mag
-    a_vec = beta[:, None] * r - r_dot_v[:, None] * v
-    rt, vt = r.T, v.T
     eye = np.eye(3)[:, :, None]
 
     g_r = np.empty((14 if include_m else 11, 3, r.shape[0]))
@@ -189,10 +196,9 @@ def gradients(
     g_v[7] = 2.0 * r_sq * vt - 2.0 * r_dot_v * rt
 
     l_sq = r_sq * v_sq - r_dot_v**2
-    a_mag = np.sqrt(_dot(a_vec, a_vec))
     theta_a = 1.0 / a_mag
-    theta_b = -a_vec.T * (l_sq / a_mag**3)
-    theta_c = -a_vec.T * (e / a_mag**3)
+    theta_b = -a_vec * (l_sq / a_mag**3)
+    theta_c = -a_vec * (e / a_mag**3)
     for g in (g_r, g_v):
         g[8:11] = theta_a * g[4:7] + theta_b[:, None] * g[0] + theta_c[:, None] * g[7]
     alpha = None
@@ -202,7 +208,7 @@ def gradients(
         with np.errstate(divide="ignore", invalid="ignore"):
             two_abs_e = 2.0 * np.abs(e)
             alpha = 1.0 / np.sqrt(two_abs_e)
-            m_beta = -a_vec.T * (np.sign(e) / two_abs_e**1.5)
+            m_beta = -a_vec * (np.sign(e) / two_abs_e**1.5)
             for g in (g_r, g_v):
                 g[11:] = alpha * g[4:7] + m_beta[:, None] * g[0]
 
@@ -227,18 +233,12 @@ def fd_gradients(
     labels = table_labels(include_m)
     g_r = np.empty((len(labels), 3, len(r)))
     g_v = np.empty_like(g_r)
-
-    def table(r_: np.ndarray, v_: np.ndarray) -> np.ndarray:
-        out = np.empty((len(labels),) + np.broadcast_shapes(r_.shape, v_.shape)[1:])
-        _write_labels(r_, v_, kappa, out[0], out[_L], out[_A], out[_THETA], out[_M] if include_m else None)
-        return out
-
     for lo in range(0, len(r), FD_BATCH):
         rb, vb = r[lo : lo + FD_BATCH].T, v[lo : lo + FD_BATCH].T
         # each set of differences is stored before the next is formed, so that one
         # perturbed table of the batch is held at a time
-        g_r[:, :, lo : lo + FD_BATCH] = central_differences(lambda rs: table(rs, vb[:, None]), rb)
-        g_v[:, :, lo : lo + FD_BATCH] = central_differences(lambda vs: table(rb[:, None], vs), vb)
+        g_r[:, :, lo : lo + FD_BATCH] = central_differences(lambda rs: _label_table(rs, vb[:, None], kappa, include_m), rb)
+        g_v[:, :, lo : lo + FD_BATCH] = central_differences(lambda vs: _label_table(rb[:, None], vs, kappa, include_m), vb)
     grads: dict = {lab: (g_r[j].T, g_v[j].T) for j, lab in enumerate(labels)}
     grads["_base"] = (g_r.transpose(2, 0, 1), g_v.transpose(2, 0, 1))
     return grads
@@ -262,15 +262,13 @@ def _contract(spec: str, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.nd
 
 
 def characteristics(
-    family, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
+    family: str, r: np.ndarray, v: np.ndarray, eps: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched characteristic P = dC/dv of a generator family and its DtP.
 
-    family is "E", "L", "A" or "Theta", or, for a batch that mixes the A and
-    Theta families, the (N,) bool mask of its Theta rows.  eps (N, 3)
-    contracts the axis of the vector families: e_j for the component C_j, any
-    vector for a contracted flow; the energy family ignores it.  With
-    a = -kappa r/|r|^3,
+    family is "E", "L", "A" or "Theta".  eps (N, 3) contracts the axis of the
+    vector families: e_j for the component C_j, any vector for a contracted
+    flow; the energy family ignores it.  With a = -kappa r/|r|^3,
 
         E      P = v                               DtP = a
         L      P = eps x r                         DtP = eps x v
@@ -282,23 +280,24 @@ def characteristics(
     The Theta rows are the A rows at the projected axis, built from constants
     of motion, eps~ = (eps - (Theta.eps) Theta)/|A|; the |L|^2 v piece of
     P[Theta] drops out of every action on constants of motion but makes P the
-    velocity gradient of Theta.  The A and Theta rows are `gauge_field` at
-    mu = 0.  Raises DegenerateDirectionError for a Theta row at a circular state.
+    velocity gradient of Theta.  The A and Theta families are `gauge_field` at
+    mu = 0, with no Theta row or with every row one.  Raises
+    DegenerateDirectionError for the Theta family at a circular state.
     """
-    if isinstance(family, str) and family == "E":
+    if family == "E":
         r_sq = _dot(r, r)
         return v.copy(), -(kappa / np.sqrt(r_sq) / r_sq)[:, None] * r
-    if isinstance(family, str) and family == "L":
+    if family == "L":
         return cross(eps, r), cross(eps, v)
     basis, gram = frame(r, v, eps)
-    return tuple(gauge_field(family, basis, gram, kappa, 0.0)[1].transpose(0, 2, 1))
+    return tuple(gauge_field(len(r) if family == "Theta" else 0, basis, gram, kappa, 0.0)[1].transpose(0, 2, 1))
 
 
 class GaugeField:
-    """The radius-preserving gauge of the A/Theta field (family "A", "Theta", or a
-    mixed batch's Theta rows as a mask or, cheapest, a slice), bound once to a (2, 3, N)
-    gram buffer.  Called on a basis (3, 3, N) = (r, v, eps) whose dots the buffer holds
-    (`gram_of`), it writes (dt/ds, (dr/ds, dv/ds)) into dt (N,) and d (2, 3, N):
+    """The radius-preserving gauge of the A/Theta field on a batch whose first n_theta rows
+    are Theta rows and whose other rows are A rows, bound once to a (2, 3, N) gram buffer.
+    Called on a basis (3, 3, N) = (r, v, eps) whose dots the buffer holds (`gram_of`), it
+    writes (dt/ds, (dr/ds, dv/ds)) into dt (N,) and d (2, 3, N):
 
         dr/ds = P + tau v,  dv/ds = DtP + tau a,  tau = -mu,
         dt/ds = tau + (eps.A) |L|^2/|A|^2 on an A row,  tau on a Theta row.
@@ -314,16 +313,15 @@ class GaugeField:
     motion, so the field stays a symmetry, and with it both fields keep the time of
     periapsis passage t - tau_p (`flow.time_since_periapsis`).
 
-    Its buffers, and every view into them, are made when it is bound, so that a call
-    makes ufunc calls into them and two einsums (the gram and the contraction): an RK4
-    batch binds one field and calls it at every stage (`flow.integrate_symmetry_flows`),
-    and `gauge_field` calls one once.
+    Its buffers, and every view into them, the Theta rows' included, are made when it
+    is bound, so that a call makes ufunc calls into them and two einsums (the gram and
+    the contraction): an RK4 batch binds one field and calls it at every stage
+    (`flow.integrate_symmetry_flows`), and `gauge_field` calls one once.
     """
 
-    def __init__(self, family, kappa: float, gram: np.ndarray, mu=None):
+    def __init__(self, n_theta: int, kappa: float, gram: np.ndarray, mu=None):
         n = gram.shape[-1]
-        theta = family if not isinstance(family, str) else slice(None) if family == "Theta" else None
-        self.mu, self.gram, self.theta = mu, gram, theta
+        self.mu, self.gram, self.theta = mu, gram, slice(0, n_theta)
         # its scalars as 0-d arrays, which a ufunc takes at less cost than a Python float
         self.kappa, self.one, self.circular = np.array(float(kappa)), np.array(1.0), np.array((CIRCULAR_TOL * kappa) ** 2)
         # (P, DtP) at a given mu do not read an A row's dt/ds, and at a circular state it is 0/0;
@@ -335,19 +333,17 @@ class GaugeField:
         self.below = np.empty(n, dtype=bool)
         self.rows = (gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2], gram[0], gram[1])
         self.bufs = (coef, *coef[0], *coef[1], neg_a, *neg_a, spare, k, q, q_rr, a_sq, tmp)
-        if theta is not None:
-            n_t = len(k[theta])
-            (inv_a, neg_g), w_pm, z = np.empty((2, n_t)), np.empty((2, n_t)), np.empty((2, 2, n_t))
-            self.theta_bufs = (inv_a, neg_g, w_pm, w_pm[0], w_pm[1], z, z[0, 1], z[1, 0], np.empty(n_t, dtype=bool))
-            self.theta_rows = self._theta_rows(coef, k, neg_a, a_sq) if isinstance(theta, slice) else None
-
-    def _theta_rows(self, coef, k, neg_a, a_sq) -> tuple:
-        """The Theta rows of coef, its r and v columns, its -beta, the gram, its r.v, its r and v
-        columns swapped, k, -A.(r, v, eps), -A.eps and |A|^2: views for a slice, a mask's copies."""
-        theta = self.theta
-        coef_t, gram_t, neg_a_t = coef[:, :, theta], self.gram[:, :, theta], neg_a[:, theta]
-        return (coef_t, coef_t[:, :2], coef_t[1, 2], gram_t, gram_t[0, 1], gram_t[:, 1::-1], k[theta], neg_a_t,
-                neg_a_t[2], a_sq[theta])
+        if n_theta:
+            # the Theta rows of coef, its r and v columns, its -beta, the gram, its r.v, its r and v
+            # columns swapped, k, -A.(r, v, eps), -A.eps and |A|^2; then the Theta rows' own buffers
+            theta = self.theta
+            coef_t, gram_t, neg_a_t = coef[:, :, theta], gram[:, :, theta], neg_a[:, theta]
+            (inv_a, neg_g), w_pm, z = np.empty((2, n_theta)), np.empty((2, n_theta)), np.empty((2, 2, n_theta))
+            self.theta_bufs = (
+                coef_t, coef_t[:, :2], coef_t[1, 2], gram_t, gram_t[0, 1], gram_t[:, 1::-1], k[theta], neg_a_t,
+                neg_a_t[2], a_sq[theta], inv_a, neg_g, w_pm, w_pm[0], w_pm[1], z, z[0, 1], z[1, 0],
+                np.empty(n_theta, dtype=bool),
+            )
 
     def gram_of(self, basis: np.ndarray) -> np.ndarray:
         """The (2, 3, N) dots of basis, as in `frame`, written into the bound gram."""
@@ -365,8 +361,6 @@ class GaugeField:
     def circular_at_apsis(self) -> bool:
         """Is a row that `at_apsis` flagged a Theta row at the circular-orbit threshold?  At a
         circular state r.v is roundoff, so the apsis test flags it first; only its error path asks."""
-        if self.theta is None:
-            return False
         rr, rv, _, vv = (x[self.theta] for x in self.rows[:4])
         k = self.kappa / np.sqrt(rr)
         a_sq = (vv - k) * ((vv - k) * rr - rv * rv) + k * rv * rv  # beta A.r - (r.v) A.v
@@ -406,13 +400,11 @@ class GaugeField:
             dt -= q_rr
             dt -= re
         else:
-            if theta is not None:
-                dt[theta] = 0.0
+            dt[theta] = 0.0
             dt -= mu
-        if theta is not None:
-            rows_t = self.theta_rows or self._theta_rows(coef, k, neg_a, a_sq)
-            coef_t, on_rv, neg_beta, gram_t, rv_t, gram_vr, k_t, neg_a_t, na_e_t, a_sq_t = rows_t
-            inv_a, neg_g, w_pm, w, neg_w, z, z_rv, z_vr, below = self.theta_bufs
+        if theta.stop:  # the batch has Theta rows
+            coef_t, on_rv, neg_beta, gram_t, rv_t, gram_vr, k_t, neg_a_t, na_e_t, a_sq_t, *rest = self.theta_bufs
+            inv_a, neg_g, w_pm, w, neg_w, z, z_rv, z_vr, below = rest
             # also catches a roundoff-negative |A|^2
             if np.count_nonzero(np.less_equal(a_sq_t, self.circular, out=below)):
                 raise DegenerateDirectionError("LRL direction undefined: |A| is at the circular-orbit threshold")
@@ -431,20 +423,18 @@ class GaugeField:
                 np.multiply(neg_g, k_t / gram_t[0, 0] * neg_a_t[0] - neg_beta * neg_beta, out=z_vr)
             coef_t *= inv_a
             on_rv += z
-            if self.theta_rows is None:
-                coef[:, :, theta] = coef_t
         if mu is not None:
             c_rv -= mu
             c_vr += k / rr * mu
         return dt, _contract("pbn,bcn->pcn", coef, basis, d)
 
 
-def gauge_field(family, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=None):
-    """(dt/ds, (dr/ds, dv/ds)) of the radius-preserving gauge of the A/Theta field on a
-    `frame` (basis, gram), dt (N,) and the pair (2, 3, N): a `GaugeField` bound and
-    called once.  A flow batch binds one for all its stages instead."""
+def gauge_field(n_theta: int, basis: np.ndarray, gram: np.ndarray, kappa: float, mu=None):
+    """(dt/ds, (dr/ds, dv/ds)) of the radius-preserving gauge of the A/Theta field, its first
+    n_theta rows Theta rows, on a `frame` (basis, gram), dt (N,) and the pair (2, 3, N): a
+    `GaugeField` bound and called once.  A flow batch binds one for all its stages instead."""
     n = gram.shape[-1]
-    return GaugeField(family, kappa, gram, mu)(basis, np.empty(n), np.empty((2, 3, n)))
+    return GaugeField(n_theta, kappa, gram, mu)(basis, np.empty(n), np.empty((2, 3, n)))
 
 
 def root_terms(e, kappa: float, r_mag, l_sq):

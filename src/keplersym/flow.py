@@ -287,14 +287,17 @@ def integrate_orbit(
     Samples lie on the dt_out grid when given, from each step's dense output, and at the
     span's end; otherwise at every accepted step.  The grid does not change the steps, and
     only the last step is cut short, to land on the span's end.  The trajectory counts the
-    accepted and rejected steps.  Raises UsageError for a non-finite t_span or dt_out, a tol
-    that is not positive and finite, a tol too small to size the first step or a dt_out grid
-    of more than MAX_ORBIT_SAMPLES samples, CollisionError if the radius reaches the
-    collision floor, StepUnderflowError if adaptive control stalls and IntegrationError if
-    the span takes more than MAX_ORBIT_STEPS steps.
+    accepted and rejected steps.  Raises UsageError for a non-finite t_span or dt_out, a
+    t_span != 0 too small to move the start time, a tol that is not positive and finite, a
+    tol too small to size the first step or a dt_out grid of more than MAX_ORBIT_SAMPLES
+    samples, CollisionError if the radius reaches the collision floor, StepUnderflowError
+    if adaptive control stalls and IntegrationError if the span takes more than
+    MAX_ORBIT_STEPS steps.
     """
     if not math.isfinite(t_span):
         raise UsageError(f"t_span must be finite, got {t_span}")
+    if t_span != 0.0 and state.t + t_span == state.t:
+        raise UsageError(f"t_span = {t_span:.6g} does not move the start time t = {state.t:.6g}")
     if dt_out is not None and not math.isfinite(dt_out):
         raise UsageError(f"dt_out must be finite, got {dt_out}")
     if not 0.0 < tol < math.inf:
@@ -423,7 +426,9 @@ def _universal_anomaly(tau: float, r0: float, sigma0: float, alpha: float, bound
         s = math.copysign(abs(w) ** (1.0 / 3.0), w)
         guesses.append((s - p / (3.0 * s) if s != 0.0 else 0.0) - sigma0)
     if alpha < 0.0:
-        arg = -2.0 * alpha * tau / (sigma0 + math.copysign((1.0 - alpha * r0) / math.sqrt(-alpha), tau))
+        # its denominator cancels on an inbound near-radial hyperbola: no guess then
+        denominator = sigma0 + math.copysign((1.0 - alpha * r0) / math.sqrt(-alpha), tau)
+        arg = -2.0 * alpha * tau / denominator if denominator != 0.0 and math.isfinite(denominator) else 0.0
         if arg > 0.0:
             guesses.append(math.copysign(math.log(arg) / math.sqrt(-alpha), tau))
     starts = (min(max(g, lo), hi) for g in guesses)
@@ -554,16 +559,13 @@ def _normalize_kind(gen) -> GeneratorKind:
     return kind
 
 
-class _Kinds(tuple):
-    """The per-row kinds of a flow batch, and its LRL-direction rows as a mask and as the
-    `fields.GaugeField` family (a slice when they lead)."""
-
-    def __new__(cls, kinds):
-        self = super().__new__(cls, map(_normalize_kind, kinds))
-        self.direction_rows = rows = np.array([k is GeneratorKind.LRL_DIRECTION for k in self], dtype=bool)
-        n = int(np.count_nonzero(rows))
-        self.theta_rows = "A" if n == 0 else slice(0, n) if rows[:n].all() else rows
-        return self
+def _direction_first(kind, n: int) -> tuple[np.ndarray, int]:
+    """The order that puts the LRL-direction rows of a flow batch first, each family in its
+    own order, and their count: the `fields.GaugeField` layout.  kind is one GeneratorKind
+    for n rows or a sequence of kinds, one per row."""
+    kinds = [_normalize_kind(kind)] * n if isinstance(kind, GeneratorKind) else list(map(_normalize_kind, kind))
+    direction = np.array([k is GeneratorKind.LRL_DIRECTION for k in kinds], dtype=bool)
+    return np.argsort(~direction, kind="stable"), int(np.count_nonzero(direction))
 
 
 class _Stage:
@@ -585,17 +587,20 @@ def symmetry_flow_rhs(
     kind is one GeneratorKind for every row, a sequence of N kinds, one per
     row, or a stage of `integrate_symmetry_flows`, whose field reads the
     stage's basis (the memory of r, v and eps) and writes its slope slot.
-    dr/ds and dv/ds are (N, 3) views of one (7, N) slot.  Raises
-    FlowDegeneracyError if any row is at an apsis or is a direction row at a
-    circular state.
+    Like the RK4 batch, a one-shot call puts the LRL-direction rows first and
+    hands its slopes back in the caller's row order.  dr/ds and dv/ds are
+    (N, 3) views of one (7, N) slot.  Raises FlowDegeneracyError if any row
+    is at an apsis or is a direction row at a circular state.
     """
+    order = None
     if isinstance(kind, _Stage):
         stage = kind
         stage.field.gram_of(stage.basis)
     else:
-        basis, gram = fields.frame(r, v, eps)
-        theta_rows = _Kinds([kind] * len(r) if isinstance(kind, GeneratorKind) else kind).theta_rows
-        stage = _Stage(fields.GaugeField(theta_rows, kappa, gram), basis, np.empty((7, len(r))))
+        order, n_theta = _direction_first(kind, len(r))
+        basis, gram = fields.frame(r[order], v[order], eps[order])
+        slot = np.empty((7, len(r)))
+        stage = _Stage(fields.GaugeField(n_theta, kappa, gram), basis, slot)
     if stage.field.at_apsis(_APSIS_SQ):
         if stage.field.circular_at_apsis():
             raise FlowDegeneracyError(_CIRCULAR)
@@ -606,7 +611,11 @@ def symmetry_flow_rhs(
         stage.field(stage.basis, stage.dt, stage.d)
     except DegenerateDirectionError as exc:
         raise FlowDegeneracyError(_CIRCULAR) from exc
-    return stage.slopes
+    if order is None:
+        return stage.slopes
+    slopes = np.empty_like(slot)
+    slopes[:, order] = slot
+    return slopes[0], slopes[1:4].T, slopes[4:].T
 
 
 def integrate_symmetry_flows(
@@ -624,21 +633,20 @@ def integrate_symmetry_flows(
         raise UsageError(f"steps must be an integer >= 1, got {steps!r}")
     t, r, v, eps = (np.asarray(x, dtype=float) for x in (t, r, v, eps))
     n = len(r) if r.ndim == 2 else -1
-    kinds = _Kinds([kind] * n if isinstance(kind, GeneratorKind) else kind)
-    if any(x.shape != (n, 3) for x in (r, v, eps)) or t.shape not in ((), (n,)) or len(kinds) != n:
+    order, n_theta = _direction_first(kind, n)
+    if any(x.shape != (n, 3) for x in (r, v, eps)) or t.shape not in ((), (n,)) or len(order) != n:
         raise UsageError(
             f"a flow batch takes r, v and eps of shape (N, 3), a scalar t or N and one kind or N; "
-            f"got r {r.shape}, v {v.shape}, eps {eps.shape}, t {t.shape} and {len(kinds)} kinds"
+            f"got r {r.shape}, v {v.shape}, eps {eps.shape}, t {t.shape} and {len(order)} kinds"
         )
     # the LRL-direction rows first, and t, r, v, eps component-major in one (10, N) stack
-    order = np.argsort(~kinds.direction_rows, kind="stable")
-    batch, y = _Kinds([kinds[i] for i in order]), np.empty((10, n))
+    y = np.empty((10, n))
     y[0], y[1:4], y[4:7], y[7:] = np.broadcast_to(t, (n,))[order], r[order].T, v[order].T, eps[order].T
     stage, k = y.copy(), np.empty((4, 7, n))
     state, stage_state = y[:7], stage[:7]
     rows, stage_rows = (y[1:4].T, y[4:7].T, y[7:].T), (stage[1:4].T, stage[4:7].T, stage[7:].T)
     # one field for the batch; the first stage reads the state, the others the stage stack
-    field = fields.GaugeField(batch.theta_rows, kappa, np.empty((2, 3, n)))
+    field = fields.GaugeField(n_theta, kappa, np.empty((2, 3, n)))
     first, *later = (_Stage(field, x[1:].reshape(3, 3, n), slot) for x, slot in zip((y, stage, stage, stage), k))
     h = 1.0 / steps
     nodes = list(zip(k[:3], (0.5 * h, 0.5 * h, h), later))

@@ -153,13 +153,13 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
     if gen.kind not in (GeneratorKind.LRL, GeneratorKind.LRL_DIRECTION):
         raise UsageError("gauge-fixed components exist for the LRL and LRL-direction families")
     _require_off_origin(state.r_mag)
-    family, kappa = FAMILY_LABEL[gen.kind], sys.kappa
+    n_theta, kappa = int(gen.kind is GeneratorKind.LRL_DIRECTION), sys.kappa
     eps = np.eye(3)[gen.axis - 1 : gen.axis]
     basis, gram = fields.frame(state.r[None, :], state.v[None, :], eps)
     (rr, rv, re), (_, vv, ve) = gram[:, :, 0].tolist()
     mu = None
     if abs(rv) <= APSIS_FLOOR * (math.sqrt(rr * vv) + 1e-300):
-        p = fields.gauge_field(family, basis, gram, kappa, 0.0)[1][0, :, 0]
+        p = fields.gauge_field(n_theta, basis, gram, kappa, 0.0)[1][0, :, 0]
         l_sq = rr * vv - rv * rv
         if abs(float(state.r @ p)) > 1e-9 * (math.sqrt(rr) * (math.sqrt(l_sq) + norm(p)) + 1e-300):
             raise ApsisError(
@@ -176,7 +176,7 @@ def gauge_fixed_generator(gen: GeneratorId, state: PhaseState, sys: KeplerSystem
             a_mag = float(fields.values(state.r, state.v, kappa)["A_mag"][0])
             mu = mu / a_mag - l_sq * (beta * re - rv * ve) / a_mag**3
         mu = np.array([mu])
-    dt, d = fields.gauge_field(family, basis, gram, kappa, mu)
+    dt, d = fields.gauge_field(n_theta, basis, gram, kappa, mu)
     return GeneratorValue(dt[0], d[0, :, 0], d[1, :, 0])
 
 

@@ -44,13 +44,16 @@ RAY_NODES = 33
 RAY_MARGIN = 1e-4
 
 
-def canonical_states() -> dict[str, PhaseState]:
-    """The four named reference states (kappa = 1), all at periapsis."""
+def canonical_states(kappa: float = 1.0) -> dict[str, PhaseState]:
+    """The four named reference states, all at periapsis: circular, elliptic, parabolic and
+    hyperbolic at kappa = 1, and mapped to kappa by mechanical similarity, (r, v) -> (r,
+    sqrt(kappa) v), which keeps each orbit's shape and scales its times by 1/sqrt(kappa)."""
+    root = np.sqrt(kappa)
     return {
-        "circ": PhaseState((1, 0, 0), (0, 1.0, 0)),
-        "ell": PhaseState((1, 0, 0), (0, 1.2, 0)),
-        "par": PhaseState((1, 0, 0), (0, np.sqrt(2.0), 0)),
-        "hyp": PhaseState((1, 0, 0), (0, 2.0, 0)),
+        "circ": PhaseState((1, 0, 0), (0, root, 0)),
+        "ell": PhaseState((1, 0, 0), (0, 1.2 * root, 0)),
+        "par": PhaseState((1, 0, 0), (0, np.sqrt(2.0) * root, 0)),
+        "hyp": PhaseState((1, 0, 0), (0, 2.0 * root, 0)),
     }
 
 

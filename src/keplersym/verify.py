@@ -360,11 +360,12 @@ def flows_suite(
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     sys = KeplerSystem(kappa=kappa)
     out: list[PropertyResult] = []
-    refs = canonical_states()
+    # the reference states and their spans at kappa, by mechanical similarity: t -> t/sqrt(kappa)
+    refs, unit = canonical_states(kappa), 1.0 / math.sqrt(kappa)
 
     t0 = time.perf_counter()
     circ = ExtendedState(0.0, refs["circ"])
-    end = integrate_orbit(circ, sys, 2.0 * math.pi).end
+    end = integrate_orbit(circ, sys, 2.0 * math.pi * unit).end
     worst = _worst(end.r - circ.r, end.v - circ.v)
     out.append(_result("flows.circular_closure", worst, tol["orbit_closure"], 1, t0))
 
@@ -376,7 +377,7 @@ def flows_suite(
 
     t0 = time.perf_counter()
     hyp = ExtendedState(0.0, refs["hyp"])
-    traj = integrate_orbit(hyp, sys, 10.0, dt_out=0.05)
+    traj = integrate_orbit(hyp, sys, 10.0 * unit, dt_out=0.05 * unit)
     radii = traj.values["r_mag"]
     worst = np.max(radii[:-1] - radii[1:], initial=0.0)
     out.append(_result("flows.hyperbolic_escape", worst, tol["monotone_escape"], len(radii), t0))
@@ -457,13 +458,15 @@ def flows_suite(
 
 
 def _convergence_factor(sys: KeplerSystem) -> tuple[float, int]:
-    """Residual ratio when halving the RK4 step on the elliptic reference case."""
-    ell = ExtendedState(0.0, canonical_states()["ell"])
-    off = time_translate(ell, 0.7, sys)
+    """Residual ratio when halving the RK4 step on the elliptic reference case, its offset
+    and LRL parameters mapped to sys.kappa as t -> t/sqrt(kappa) and eps -> eps/sqrt(kappa)."""
+    unit = 1.0 / math.sqrt(sys.kappa)
+    ell = ExtendedState(0.0, canonical_states(sys.kappa)["ell"])
+    off = time_translate(ell, 0.7 * unit, sys)
     c0 = conserved_set(off.state, sys)
     eps = None
     for mag in (0.25, 0.2, 0.15, 0.1, 0.06):
-        candidate = np.array([0.0, 0.0, mag])
+        candidate = np.array([0.0, 0.0, mag * unit])
         if _ray_admissible(c0, off.state.r_mag, candidate, GeneratorKind.LRL):
             eps = candidate
             break

@@ -140,6 +140,19 @@ def test_gradients_do_not_depend_on_m_rows_or_chunk():
                 assert _same_bits(whole[i - lo], table(i, i + 1)[0]), (name, include_m, i)
 
 
+def test_gradients_take_e_a_and_a_mag_from_the_values_writer():
+    # the Theta rows' chain-rule coefficient a = 1/|A| is 1/|A| of `values`, bit for bit, and the
+    # Theta rows of a batch are those of its chunks, a lone row's among them
+    r, v = sample_states(20_000, 1, KAPPA)
+    grads = fields.gradients(r, v, KAPPA)
+    assert _same_bits(grads["_coef"][0], 1.0 / fields.values(r, v, KAPPA)["A_mag"])
+    cuts = (0, 1, 3, 700, fields.FD_BATCH, 9001, len(r))
+    chunks = [fields.gradients(r[a:b], v[a:b], KAPPA) for a, b in zip(cuts, cuts[1:])]
+    for lab in ("Theta1", "Theta2", "Theta3"):
+        for side in (0, 1):
+            assert _same_bits(grads[lab][side], np.concatenate([c[lab][side] for c in chunks])), lab
+
+
 def _traced_peak(samples: int) -> int:
     tracemalloc.start()
     try:

@@ -169,6 +169,15 @@ def test_verify_small(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("kappa", ["0.5", "0.9"])
+def test_verify_flows_at_another_kappa_maps_its_reference_states(capsys, kappa):
+    # the kappa = 1 elliptic state has no period at kappa = 0.5, and the kappa = 1 circle
+    # does not close at 0.9: the states and their spans are mapped to kappa instead
+    code, out, _ = run_cli(capsys, "verify", "--suite", "flows", "--kappa", kappa, "--samples", "20")
+    assert code == 0
+    assert "PASS: 7/7" in out
+
+
 def test_verify_forced_failure(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "algebra", "--samples", "30", "--seed", "7", "--tol", "1e-30"
@@ -329,6 +338,29 @@ def test_orbit_extreme_inputs_exit_codes(capsys, argv, code):
 
 def _refuse_constant(name):
     raise ValueError(f"{name} in a JSON reply")
+
+
+def test_time_shift_of_an_inbound_near_radial_hyperbola_exits_with_a_code(capsys):
+    # the hyperbola's starting guess of the universal anomaly divides by
+    # sigma0 + (1 - alpha r0)/sqrt(-alpha), which cancels to zero here
+    with deadline(10):
+        code, out, _ = run_cli(capsys, "transform", "--kind", "time", "--r", "1e13,1e-3,0", "--v", "-1,0,0", "--eps", "1e9")
+    assert code in (0, 3)
+    if code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--kind", "time", "--eps", "0.5", "--t", "nan"),
+    ("transform", "--kind", "lrl-direction", "--eps", "0,0.3,0", "--t", "inf"),
+    ("orbit", "--tmax", "1", "--t", "nan"),
+    ("orbit", "--tmax", "1", "--t", "1e300"),  # t0 + 1 == t0: the orbit would never leave t0
+])
+def test_start_time_that_is_not_finite_or_cannot_move_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--r", "1,0,0", "--v", "0,1.2,0")
+    assert code == 2
+    assert out == ""
+    assert "--t must be finite" in err or "does not move the start time" in err
 
 
 def test_orbit_past_the_step_cap_exit3(capsys, monkeypatch):

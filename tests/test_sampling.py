@@ -12,6 +12,19 @@ from keplersym.sampling import (
 from test_cli import deadline
 
 
+@pytest.mark.parametrize("kappa", [0.5, 0.9, 2.0])
+def test_canonical_states_keep_their_orbits_at_any_kappa(kappa):
+    # mechanical similarity, (r, v) -> (r, sqrt(kappa) v): E -> kappa E, the same eccentricity
+    for name, state in sampling.canonical_states(kappa).items():
+        at_one = conserved_set(sampling.canonical_states()[name], KeplerSystem())
+        here = conserved_set(state, KeplerSystem(kappa))
+        assert here.orbit_class is at_one.orbit_class, name
+        assert here.E == pytest.approx(kappa * at_one.E, abs=1e-15)
+        assert here.eccentricity == pytest.approx(at_one.eccentricity, abs=1e-12)
+    for at_one, default in zip(sampling.canonical_states(1.0).values(), sampling.canonical_states().values()):
+        assert at_one.v.tobytes() == default.v.tobytes()
+
+
 def test_sampler_deterministic():
     r1, v1 = sample_states(50, seed=9)
     r2, v2 = sample_states(50, seed=9)
