@@ -214,12 +214,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-def _write_rows(path, header: list[str], rows) -> None:
-    """CSV rows to the file at path, or to stdout when path is None."""
-    from .flow import write_rows
-
-    with open(path, "w") if path else contextlib.nullcontext(_sys.stdout) as fh:
-        write_rows(fh, header, rows)
+def _csv_out(path):
+    """The file at path, opened for writing, or stdout when path is None."""
+    return open(path, "w") if path else contextlib.nullcontext(_sys.stdout)
 
 
 def cmd_orbit(args, cfg: RunConfig) -> int:
@@ -228,7 +225,9 @@ def cmd_orbit(args, cfg: RunConfig) -> int:
     sys = KeplerSystem(kappa=cfg.kappa)
     state = _state_from_args(args)
     traj = integrate_orbit(state, sys, args.tmax, tol=args.tol, dt_out=args.dt_out)
-    _write_rows(args.out, list(CSV_COLUMNS), traj.csv_rows())
+    with _csv_out(args.out) as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        traj.write_csv(fh)
     return EXIT_OK
 
 
@@ -266,14 +265,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
                 f"r invariance {out.diagnostics['r_invariance'][bad]:.3e}"
             )
         starts = [ExtendedState(t, PhaseState(r, v)) for t, r, v in zip(out.t, out.r, out.v)]
-
-    def families():
+    with _csv_out(args.out) as fh:
+        fh.write(",".join(["family", *CSV_COLUMNS]) + "\n")
         for index, start in enumerate(starts):
-            traj = integrate_orbit(start, sys, args.tmax, tol=args.tol, dt_out=args.dt_out)
-            for row in traj.csv_rows():
-                yield [float(index), *row]
-
-    _write_rows(args.out, ["family", *CSV_COLUMNS], families())
+            integrate_orbit(start, sys, args.tmax, tol=args.tol, dt_out=args.dt_out).write_csv(fh, index)
     return EXIT_OK
 
 

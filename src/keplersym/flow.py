@@ -36,6 +36,7 @@ from its gram after each first stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ from .core import (
     KeplerSystem,
     PhaseState,
     Vec3,
+    _norm,
     _require_off_origin,
     as_vec3,
     conserved_set,
@@ -72,7 +74,8 @@ FLOW_APSIS_FLOOR = 1e-9
 _APSIS_SQ = np.array(FLOW_APSIS_FLOOR**2)  # |r.v| <= FLOW_APSIS_FLOOR |r||v|, squared
 _CIRCULAR = "flow reached a circular state; direction undefined"
 SOLUTION_STEP = 0.1  # how far along its orbit verify_solution_mapping takes a second state
-# Largest dt_out grid: a held sample takes about 0.25 kB, 0.8 kB with its CSV row, so one orbit stays under 1 GB.
+# Largest dt_out grid: a held sample takes 56 B (0.2 kB once its `values` are formed), and its CSV
+# lines are formed CSV_CHUNK rows at a time, so one orbit stays under 0.25 GB.
 MAX_ORBIT_SAMPLES = 1_000_000
 # Most DP5 steps, accepted and rejected, over one span.  Without dt_out every accepted step is
 # a held sample, so this is the same bound; a run that needs more is refused, not left running.
@@ -86,6 +89,8 @@ KEPLER_TOL = 4 * 2.0**-52
 _C2_SERIES = tuple((-1) ** j / math.factorial(2 * j + 2) for j in reversed(range(10)))
 _C3_SERIES = tuple((-1) ** j / math.factorial(2 * j + 3) for j in reversed(range(10)))
 
+# Rows per `fields.values` call and per write of `Trajectory.write_csv`: about 3 MB of Python floats
+CSV_CHUNK = 4096
 CSV_COLUMNS = ("t", "rx", "ry", "rz", "vx", "vy", "vz", "E", "Lx", "Ly", "Lz", "Ax", "Ay", "Az")
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980), unrolled.  The
@@ -111,12 +116,11 @@ _DENSE = (
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered orbit samples as the read-only rows (t, r, v) of one (n, 7) array, their
-    `fields.values` (one call per orbit), and the accepted and rejected steps of the
-    integrator that made them."""
+    """Ordered orbit samples as the read-only rows (t, r, v) of one (n, 7) array, the kappa
+    of their orbit, and the accepted and rejected steps of the integrator that made them."""
 
     rows: np.ndarray
-    values: dict
+    kappa: float
     steps_accepted: int = 0
     steps_rejected: int = 0
 
@@ -128,10 +132,10 @@ class Trajectory:
     def end(self) -> ExtendedState:
         return _sample(self.rows[-1])
 
-    @property
-    def drift(self) -> dict:
-        """Largest deviation of E, L and A over the samples from the first sample."""
-        return self.deviations()
+    @functools.cached_property
+    def values(self) -> dict:
+        """`fields.values` of every sample, formed on first use."""
+        return fields.values(self.rows[:, 1:4], self.rows[:, 4:], self.kappa)
 
     def deviations(self, ref=None) -> dict:
         """Largest deviation of E, L and A over the samples from ref (default: the first sample)."""
@@ -143,25 +147,20 @@ class Trajectory:
             "dA": float(np.max(np.linalg.norm(vals["A"] - a_vec, axis=1))),
         }
 
-    def csv_rows(self) -> list[list[float]]:
-        """One CSV_COLUMNS row per sample."""
-        vals = self.values
-        _require_off_origin(float(np.min(vals["r_mag"])))
-        return np.column_stack([self.rows, vals["E"], vals["L"], vals["A"]]).tolist()
-
-    def write_csv(self, fh) -> None:
-        write_rows(fh, CSV_COLUMNS, self.csv_rows())
+    def write_csv(self, fh, *lead) -> None:
+        """One line per sample to fh: the lead values, then its CSV_COLUMNS, each value as
+        repr(float(x)).  `fields.values` is formed per CSV_CHUNK rows; it is per row, so
+        its bits do not depend on the chunk."""
+        head = "".join(f"{float(x)!r}," for x in lead)
+        for lo in range(0, len(self.rows), CSV_CHUNK):
+            rows = self.rows[lo : lo + CSV_CHUNK]
+            vals = fields.values(rows[:, 1:4], rows[:, 4:], self.kappa)
+            table = np.column_stack([rows, vals["E"], vals["L"], vals["A"]]).tolist()
+            fh.writelines(head + ",".join(map(repr, row)) + "\n" for row in table)
 
 
 def _sample(row: np.ndarray) -> ExtendedState:
     return ExtendedState(float(row[0]), PhaseState(row[1:4], row[4:]))
-
-
-def write_rows(fh, header, rows) -> None:
-    """CSV to fh: the header, then each row with every value at full precision."""
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,8 @@ def _rms_scaled(x, y, tol: float) -> float:
 
 def _initial_step(y0, f0, tol: float, span: float) -> float:
     d0, d1 = _rms_scaled(y0, y0, tol), _rms_scaled(f0, y0, tol)
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+    # the fallback scales with the span, so that it stays above the loop's floor 1e-14 |span|
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6 * max(1.0, abs(span))
     return min(h, abs(span)) if span != 0 else h
 
 
@@ -286,11 +286,13 @@ def integrate_orbit(
 
     Samples lie on the dt_out grid when given, from each step's dense output, and at the
     span's end; otherwise at every accepted step.  The grid does not change the steps, and
-    only the last step is cut short, to land on the span's end.  The trajectory counts the
-    accepted and rejected steps.  Raises UsageError for a non-finite t_span or dt_out, a
-    t_span != 0 too small to move the start time, a tol that is not positive and finite, a
-    tol too small to size the first step or a dt_out grid of more than MAX_ORBIT_SAMPLES
-    samples, CollisionError if the radius reaches the collision floor, StepUnderflowError
+    only the last step is cut short, to land on the span's end.  The loop steps in the time
+    s = t - t0 elapsed since the start, and a row's time is t0 + s, so the start time does
+    not change the steps.  The trajectory counts the accepted and rejected steps.  Raises
+    UsageError for a non-finite t_span or dt_out, a t_span != 0 too small to move the start
+    time, a tol that is not positive and finite, a tol too small to size the first step or a
+    dt_out grid of more than MAX_ORBIT_SAMPLES samples, SingularOriginError for a sample at
+    the origin, CollisionError if the radius reaches the collision floor, StepUnderflowError
     if adaptive control stalls and IntegrationError if the span takes more than
     MAX_ORBIT_STEPS steps.
     """
@@ -303,12 +305,12 @@ def integrate_orbit(
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
     y = (*state.r.tolist(), *state.v.tolist())
-    rows = array("d", (state.t, *y))
+    t0 = state.t
+    rows = array("d", (t0, *y))
     if t_span == 0.0:
         return _finish_trajectory(rows, sys)
     direction = 1.0 if t_span > 0 else -1.0
     kappa = sys.kappa
-    t0 = state.t
     t_end = t0 + t_span
     n_grid = 0  # samples after t0 on the dt_out grid: k = 1 .. n_grid - 1, then t_end
     if dt_out is not None:
@@ -326,32 +328,32 @@ def integrate_orbit(
         raise UsageError(f"tol = {tol:.3g} is too small to size the first step")
     h_min = 1e-14 * max(1.0, abs(t_span))
     err_prev = 1.0
-    t = t0
+    s = 0.0  # the time elapsed since t0
     k = 1  # the next grid point
     accepted = rejected = 0
 
-    while direction * (t_end - t) > 1e-14 * max(1.0, abs(t_end)):
-        h = direction * min(abs(h), abs(t_end - t))
+    while direction * (t_span - s) > 1e-14 * max(1.0, abs(t_span)):
+        h = direction * min(abs(h), abs(t_span - s))
         if not abs(h) >= h_min:  # also a NaN step
             r_now = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
             if r_now < 1e3 * COLLISION_FLOOR:
-                raise CollisionError(f"|r| = {r_now:.3e} is collapsing onto the singularity at t = {t:.6g}")
-            raise StepUnderflowError(f"step size {h:.3e} underflowed at t = {t:.6g}")
+                raise CollisionError(f"|r| = {r_now:.3e} is collapsing onto the singularity at t = {t0 + s:.6g}")
+            raise StepUnderflowError(f"step size {h:.3e} underflowed at t = {t0 + s:.6g}")
         if accepted + rejected == MAX_ORBIT_STEPS:
-            raise IntegrationError(f"{MAX_ORBIT_STEPS} steps reached t = {t:.6g} of a span to {t_end:.6g}")
+            raise IntegrationError(f"{MAX_ORBIT_STEPS} steps reached t = {t0 + s:.6g} of a span to {t_end:.6g}")
 
         y_new, f_new, err, stages = _dp_step(y, f, h, kappa, tol)
 
         if err <= 1.0:
             accepted += 1
-            t_new = t + h
+            s_new = s + h
             if n_grid == 0:
-                rows.extend((t_new, *y_new))
+                rows.extend((t0 + s_new, *y_new))
             # the grid points inside the step; one on its end is the next step's start
-            while k < n_grid and direction * (t_new - (t_k := t0 + direction * dt_out * k)) > 0.0:
-                rows.extend((t_k, *_dense(y, h, (t_k - t) / h, (f, *stages, f_new))))
+            while k < n_grid and direction * (s_new - (s_k := direction * dt_out * k)) > 0.0:
+                rows.extend((t0 + s_k, *_dense(y, h, (s_k - s) / h, (f, *stages, f_new))))
                 k += 1
-            t, y, f = t_new, y_new, f_new  # FSAL
+            s, y, f = s_new, y_new, f_new  # FSAL
             factor = 0.9 * max(err, 1e-16) ** -0.14 * max(err_prev, 1e-16) ** 0.08
             err_prev = max(err, 1e-16)
             h *= min(5.0, max(0.2, factor))
@@ -361,7 +363,7 @@ def integrate_orbit(
     # grid points within the loop's tolerance of t_end, and t_end itself, take its last state
     for j in range(k, n_grid):
         rows.extend((t0 + direction * dt_out * j, *y))
-    if n_grid or rows[-7] != t_end:
+    if n_grid or s != t_span:
         rows.extend((t_end, *y))
     return _finish_trajectory(rows, sys, accepted, rejected)
 
@@ -369,7 +371,8 @@ def integrate_orbit(
 def _finish_trajectory(rows: array, sys: KeplerSystem, *steps: int) -> Trajectory:
     samples = np.frombuffer(rows).reshape(-1, 7)
     samples.setflags(write=False)
-    return Trajectory(samples, fields.values(samples[:, 1:4], samples[:, 4:], sys.kappa), *steps)
+    _require_off_origin(float(np.min(_norm(samples[:, 1:4].T))))
+    return Trajectory(samples, sys.kappa, *steps)
 
 
 def _stumpff_c2_c3(psi: float) -> tuple[float, float]:

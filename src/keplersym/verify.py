@@ -373,7 +373,7 @@ def flows_suite(
     ell = ExtendedState(0.0, refs["ell"])
     period = conserved_set(refs["ell"], sys).period
     traj = integrate_orbit(ell, sys, period)
-    out.append(_result("flows.energy_drift_per_period", traj.drift["dE"], tol["energy_drift"], 1, t0))
+    out.append(_result("flows.energy_drift_per_period", traj.deviations()["dE"], tol["energy_drift"], 1, t0))
 
     t0 = time.perf_counter()
     hyp = ExtendedState(0.0, refs["hyp"])

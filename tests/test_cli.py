@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from keplersym import fields, flow
+from keplersym import ExtendedState, KeplerSystem, PhaseState, fields, flow
 from keplersym.cli import main
+from keplersym.generators import GeneratorKind
+from keplersym.transforms import transform_batch
 from test_flow import _kepler_propagate
 
 
@@ -130,6 +132,60 @@ def test_orbit_request_evaluates_values_once(capsys, monkeypatch):
     again = values(*calls[0])
     rows = [[float(x) for x in line.split(",")[7:]] for line in out.splitlines()[1:]]
     assert rows == np.column_stack([again["E"], again["L"], again["A"]]).tolist()
+
+
+def _whole_table_csv(families, kappa: float) -> list[str]:
+    """The CSV lines of (lead, trajectory) pairs from one `fields.values` call per trajectory,
+    its E, L and A stacked after the rows as Python floats, each value as repr(float(x))."""
+    lines = []
+    for lead, traj in families:
+        vals = fields.values(traj.rows[:, 1:4], traj.rows[:, 4:], kappa)
+        for row in np.column_stack([traj.rows, vals["E"], vals["L"], vals["A"]]).tolist():
+            lines.append(",".join(repr(float(x)) for x in [*lead, *row]))
+    return lines
+
+
+def test_orbit_and_sweep_csv_match_a_whole_table_writer_across_chunks(capsys, monkeypatch):
+    # 64-row chunks: the orbit's 301 samples span five, and each family's 201 four
+    monkeypatch.setattr(flow, "CSV_CHUNK", 64, raising=False)
+    ksys = KeplerSystem(1.0)
+    state = ["--r", "1,0,0.1", "--v", "0,1.2,0"]
+    code, out, _ = run_cli(capsys, "orbit", *state, "--t", "0.5", "--tmax", "3", "--dt-out", "0.01")
+    traj = flow.integrate_orbit(ExtendedState(0.5, PhaseState((1, 0, 0.1), (0, 1.2, 0))), ksys, 3.0, dt_out=0.01)
+    assert code == 0 and len(traj.rows) == 301
+    assert out.splitlines() == [",".join(flow.CSV_COLUMNS), *_whole_table_csv([((), traj)], 1.0)]
+
+    code, out, _ = run_cli(
+        capsys, "sweep", "--kind", "lrl-direction", "--eps-axis", "0,1,0", "--eps-max", "0.3",
+        "--grid", "3", *state, "--tmax", "2", "--dt-out", "0.01",
+    )
+    eps = np.linspace(0.0, 0.3, 3)[:, None] * np.array([0.0, 1.0, 0.0])
+    r, v = np.tile([1.0, 0.0, 0.1], (3, 1)), np.tile([0.0, 1.2, 0.0], (3, 1))
+    starts = transform_batch(GeneratorKind.LRL_DIRECTION, np.zeros(3), r, v, eps, 1.0)
+    families = [
+        ((index,), flow.integrate_orbit(ExtendedState(t, PhaseState(r_, v_)), ksys, 2.0, dt_out=0.01))
+        for index, (t, r_, v_) in enumerate(zip(starts.t, starts.r, starts.v))
+    ]
+    assert code == 0 and starts.admissible.all()
+    assert out.splitlines() == [",".join(["family", *flow.CSV_COLUMNS]), *_whole_table_csv(families, 1.0)]
+
+
+def test_orbit_from_a_late_start_time_takes_the_same_steps(capsys):
+    # the loop steps in the time since the start, so a start at t = 1e15 moves the state
+    # as one at t = 0 does, where it once took no step and wrote the start state again
+    argv = ("orbit", "--tmax", "1", "--r", "1,0,0", "--v", "0,1.2,0")
+    early, late = (run_cli(capsys, *argv, "--t", t)[1].splitlines()[1:] for t in ("0", "1e15"))
+    assert len(early) > 2 and float(late[-1].split(",")[0]) == 1e15 + 1.0
+    assert [line.split(",", 1)[1] for line in late] == [line.split(",", 1)[1] for line in early]
+
+
+def test_verify_flows_at_a_tiny_kappa_exit2(capsys):
+    # the mapped circle's orbit (one period 6.3e80) closes; then the flow-pair sampler,
+    # whose draws do not scale with kappa, finds no pair: a usage error, not a degenerate state
+    with deadline(10):
+        code, out, err = run_cli(capsys, "verify", "--suite", "flows", "--kappa", "1e-160", "--samples", "20")
+    assert code == 2 and out == ""
+    assert "admissible flow pairs" in err
 
 
 def test_transform_rotation_and_time(capsys):

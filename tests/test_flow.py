@@ -1,6 +1,8 @@
 import functools
 import io
 import math
+import os
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -29,7 +31,7 @@ from keplersym import (
 from keplersym import fields, flow
 from keplersym.flow import CSV_COLUMNS
 from keplersym.generators import GeneratorKind
-from keplersym.sampling import sample_flow_pairs
+from keplersym.sampling import canonical_states, sample_flow_pairs
 
 
 def test_circular_closure(ksys):
@@ -43,8 +45,8 @@ def test_circular_closure(ksys):
 def test_energy_drift_over_period(ksys, ell_x):
     period = conserved_set(ell_x.state, ksys).period
     traj = integrate_orbit(ell_x, ksys, period, tol=1e-10)
-    assert traj.drift["dE"] <= 1e-9
-    assert traj.drift["dL"] <= 1e-9
+    assert traj.deviations()["dE"] <= 1e-9
+    assert traj.deviations()["dL"] <= 1e-9
 
 
 def test_hyperbolic_radius_increases(ksys):
@@ -148,13 +150,41 @@ def test_trajectory_csv(ksys, ell_x):
     buf = io.StringIO()
     traj.write_csv(buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + len(traj.samples)
-    assert len(lines[1].split(",")) == 14
-    for sample, line in zip(traj.samples, lines[1:]):
+    assert len(lines) == len(traj.samples)
+    assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
+    for sample, line in zip(traj.samples, lines):
         # the CSV columns and conserved_set come from one writer, bit for bit
         c = conserved_set(sample.state, ksys)
         assert [float(x) for x in line.split(",")[7:]] == [c.E, *c.L, *c.A]
+
+
+def test_write_csv_holds_one_chunk_whatever_the_samples(ksys, ell_x, monkeypatch):
+    # the traced peak of writing n and 4n samples: the lines are formed CSV_CHUNK rows at a
+    # time, so the peaks differ by less than one chunk's lines (about 0.8 kB a row)
+    chunk = 250
+    monkeypatch.setattr(flow, "CSV_CHUNK", chunk)
+    rows = integrate_orbit(ell_x, ksys, 40.0, dt_out=0.01).rows
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        for n in (1000, 4000):
+            traj = flow.Trajectory(rows[:n], ksys.kappa)
+            tracemalloc.start()
+            try:
+                traj.write_csv(sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 800 * chunk
+
+
+def test_a_circle_at_a_tiny_kappa_closes_over_one_period():
+    # |f| is far below the first step's estimate, whose fallback then scales with the span
+    # (6.3e80 here), above the loop's floor 1e-14 |span|
+    kappa = 1e-160
+    circ = ExtendedState(0.0, canonical_states(kappa)["circ"])
+    end = integrate_orbit(circ, KeplerSystem(kappa), 2.0 * math.pi / math.sqrt(kappa)).end
+    assert float(np.max(np.abs(end.r - circ.r))) <= 1e-8
+    assert float(np.max(np.abs(end.v - circ.v))) <= 1e-8 * math.sqrt(kappa)
 
 
 @pytest.mark.parametrize("v, tol", [((0, 1.2, 0), 1e-10), ((0, 0.05, 0), 1e-6)])
